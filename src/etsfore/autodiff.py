@@ -97,8 +97,13 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # An owned array, since a VJP may hand one array to
+                    # several parents. 0.0 + g, not a copy: a sum stores
+                    # -0.0 as +0.0, so an adjoint's bits do not depend on
+                    # whether a contribution arrived first.
+                    parent.grad = np.add(0.0, g, out=np.empty_like(parent.data))
+                else:
+                    parent.grad += g
 
     # Operator sugar used throughout the model code.
     def __add__(self, other):
@@ -220,8 +225,13 @@ def sigmoid(a) -> Tensor:
     """Elementwise 1/(1+exp(-x)), evaluated in the overflow-free branch."""
     a = as_tensor(a)
     x = a.data
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    # one exp and one division: where(x >= 0, 1, z) / (1 + z), z = exp(-|x|)
+    z = np.abs(x, out=np.empty_like(x))  # out= keeps 0-d input an array
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    den = 1.0 + z
+    np.copyto(z, 1.0, where=x >= 0)
+    out = np.divide(z, den, out=z)
     return make_node(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -229,13 +239,27 @@ def sigmoid(a) -> Tensor:
 # structural ops
 
 
+def _is_basic_index(idx) -> bool:
+    """True for slices, ints, Ellipsis and None, which never repeat an entry."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        p is Ellipsis or p is None or isinstance(p, slice)
+        or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+        for p in parts
+    )
+
+
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def vjp(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] = g
+        else:  # advanced indices may repeat an entry: accumulate
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return make_node(out, (a,), vjp)

@@ -276,6 +276,13 @@ def write_synth_csv(ds: SynthDataset, path: str) -> None:
 
 
 def read_synth_csv(path: str) -> SynthDataset:
+    """Inverse of write_synth_csv; rows may come in any order.
+
+    Every (instance, t) cell must appear exactly once. A malformed row, a
+    non-finite value, an instance outside [0, instances) or a t outside
+    [1, lookback+horizon] raises ParseError naming its line, as does a
+    repeated cell; a missing cell raises ParseError naming the cell.
+    """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith(SYNTH_MAGIC):
@@ -287,17 +294,57 @@ def read_synth_csv(path: str) -> SynthDataset:
             raise ParseError(f"{path}: unexpected header {header}")
         L, H = int(meta["lookback"]), int(meta["horizon"])
         n = int(meta["instances"])
-        values = np.empty((n, L + H))
-        for line_no, row in enumerate(reader, start=3):
+        cells: list = []  # instance, t, value of every row, flattened
+        for row in reader:
             try:
-                i, t, v = int(row[0]), int(row[1]), float(row[2])
+                cells += (int(row[0]), int(row[1]), float(row[2]))
             except (ValueError, IndexError):
+                line_no = 3 + len(cells) // 3
                 raise ParseError(f"{path}: line {line_no}: malformed row {row!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}: line {line_no}: non-finite value")
-            values[i, t - 1] = v
+    # Checked here, vectorized, rather than row by row; row r is line 3 + r.
+    T = L + H
+
+    def out_of_range(r: int):
+        i, t = cells[3 * r], cells[3 * r + 1]
+        return ParseError(
+            f"{path}: line {3 + r}: instance {i}, t {t} outside [0, {n}) x [1, {T}]"
+        )
+
+    try:
+        inst, step, vals = np.array(cells, dtype=np.float64).reshape(-1, 3).T
+    except OverflowError:  # an index beyond float64 range
+        raise out_of_range(next(
+            r for r in range(len(cells) // 3)
+            if not (0 <= cells[3 * r] < n and 1 <= cells[3 * r + 1] <= T)
+        )) from None
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ParseError(f"{path}: line {3 + int(bad.argmax())}: non-finite value")
+    bad = (inst < 0) | (inst >= n) | (step < 1) | (step > T)
+    if bad.any():
+        raise out_of_range(int(bad.argmax()))
+    cell = inst.astype(np.intp) * T + step.astype(np.intp) - 1
+    # bincount only runs when there are as many rows as cells, so a bad
+    # instance count in the metadata cannot make it allocate more than that
+    if cell.size != n * T or np.bincount(cell).max(initial=0) > 1:
+        cells_seen, first = np.unique(cell, return_index=True)
+        if cells_seen.size < cell.size:
+            repeat = np.ones(cell.size, dtype=bool)
+            repeat[first] = False
+            r = int(repeat.argmax())
+            raise ParseError(
+                f"{path}: line {3 + r}: repeated row for instance {cells[3 * r]}, t {cells[3 * r + 1]}"
+            )
+        gap = np.flatnonzero(cells_seen != np.arange(cells_seen.size))
+        c = int(gap[0]) if gap.size else cells_seen.size
+        raise ParseError(
+            f"{path}: no row for instance {c // T}, t {c % T + 1} "
+            f"({cell.size} rows for {n} instances x {T} steps)"
+        )
+    values = np.empty(n * T)
+    values[cell] = vals
     return SynthDataset(
-        values=values[..., None],
+        values=values.reshape(n, T, 1),
         lookback=L,
         horizon=H,
         noise_std=float(meta["noise"]),

@@ -101,7 +101,7 @@ def conv1d_fft(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     row is `weight` with each column. weight may be (L,) shared across
     columns or (L, C) per column. Evaluated by zero-padding to the next
     fast FFT length, multiplying by the conjugate transform, inverting,
-    rolling by -1 and selecting the trailing L samples.
+    and taking the trailing L samples of the result rolled by -1.
     """
     V = np.asarray(V, dtype=np.float64)
     w = np.asarray(weight, dtype=np.float64)
@@ -118,8 +118,8 @@ def conv1d_fft(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     if w.ndim == 1:
         fw = fw[:, None]
     out = np.fft.irfft(fv * np.conj(fw), n=n, axis=-2)
-    out = np.roll(out, -1, axis=-2)
-    return out[..., n - L :, :]
+    # samples n-L+1 .. n-1 and then 0: the trailing L of np.roll(out, -1)
+    return np.concatenate([out[..., n - L + 1 :, :], out[..., :1, :]], axis=-2)
 
 
 def esa_fast(V: np.ndarray, params: EsaParams) -> np.ndarray:

@@ -41,10 +41,28 @@ class SpectrumSelection:
     frequencies: np.ndarray  # (K,) cycles per step, = bins / L
 
 
+# Below every float64 key; a NaN amplitude ranks just above a taken bin.
+_TAKEN = np.iinfo(np.int64).min
+_NAN = _TAKEN + 1
+
+
+def _rank_key(a: np.ndarray) -> np.ndarray:
+    """int64 keys ordered like the floats in a, with NaN below -inf.
+
+    argmax over these keys returns the first of equal maxima, so k rounds of
+    argmax give the same bins as a stable descending sort, ties included.
+    """
+    key = (a + 0.0).view(np.int64)  # + 0.0 folds -0.0 onto +0.0
+    # a negative float's bits order backwards: flip all but the sign bit
+    np.bitwise_xor(key, np.int64(0x7FFF_FFFF_FFFF_FFFF), out=key, where=key < 0)
+    key[np.isnan(a)] = _NAN
+    return key
+
+
 def topk_select(amplitudes: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest amplitudes among bins 1..F-1.
 
-    Ties break toward the smaller bin. Works per channel on (..., F, C)
+    Ties break toward the smaller bin; NaN ranks last. Works per channel on (..., F, C)
     input; a plain (F,) vector returns a (k,) index array.
     """
     amp = np.asarray(amplitudes, dtype=np.float64)
@@ -54,11 +72,12 @@ def topk_select(amplitudes: np.ndarray, k: int) -> np.ndarray:
     F = amp.shape[-2]
     if not 0 <= k <= F - 1:
         raise ConfigError(f"top-k count {k} must lie in [0, {F - 1}] for {F} bins")
-    if k == 0:
-        bins = np.zeros(amp.shape[:-2] + (0, amp.shape[-1]), dtype=np.intp)
-    else:
-        order = np.argsort(-amp[..., 1:, :], axis=-2, kind="stable")
-        bins = 1 + order[..., :k, :]
+    bins = np.empty(amp.shape[:-2] + (k, amp.shape[-1]), dtype=np.intp)
+    key = _rank_key(amp[..., 1:, :])
+    for r in range(k):
+        best = key.argmax(axis=-2)[..., None, :]
+        bins[..., r : r + 1, :] = 1 + best
+        np.put_along_axis(key, best, _TAKEN, axis=-2)
     return bins[..., 0] if vec else bins
 
 
@@ -131,11 +150,16 @@ def fourier_extrapolate(
         out = np.zeros(x.shape[:-2] + (len(j), x.shape[-1]))
         return make_node(out, (x,), lambda g: (np.zeros(x.shape),))
     residues = j % L
+    # no residue repeats while j spans at most L steps, as in every model call
+    distinct = np.unique(residues).size == residues.size
     out = _project_selected(x.data, bins)[..., residues, :]
 
     def vjp(g):
         gathered = np.zeros(x.shape)
-        np.add.at(gathered, (Ellipsis, residues, slice(None)), g)
+        if distinct:
+            gathered[..., residues, :] = g
+        else:  # j wraps past L: several outputs share a residue
+            np.add.at(gathered, (Ellipsis, residues, slice(None)), g)
         return (_project_selected(gathered, bins),)
 
     return make_node(out, (x,), vjp)

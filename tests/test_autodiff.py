@@ -139,6 +139,29 @@ class TestSigmoid:
         x = Tensor(np.random.default_rng(8).normal(size=(6,)), requires_grad=True)
         fd_check(lambda t: ad.tsum(ad.sigmoid(t)), x, tol=1e-7)
 
+    @staticmethod
+    def two_division_sigmoid(x):
+        """Earlier two-division formula, kept as the bitwise oracle."""
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+    def test_bitwise_equal_to_two_division_formula(self):
+        rng = np.random.default_rng(17)
+        cases = [
+            rng.normal(scale=20.0, size=(7, 5)),
+            rng.normal(size=(6, 4))[::2, 1:],  # non-contiguous view
+            np.array([0.0, -0.0, 1e4, -1e4, 1.0, -1.0, 5e-324, -5e-324]),
+            np.array(0.7),
+            np.array(-0.0),
+        ]
+        for x in cases:
+            kept = x.copy()
+            out = ad.sigmoid(Tensor(x)).data
+            expect = self.two_division_sigmoid(x)
+            assert isinstance(out, np.ndarray) and out.shape == x.shape
+            assert out.tobytes() == expect.tobytes(), x
+            assert x.tobytes() == kept.tobytes()
+
 
 class TestDropout:
     def test_inference_is_exact_identity(self):
@@ -176,6 +199,30 @@ class TestStructuralOps:
         y = ad.concat([x[..., :2], x[..., 2:]], axis=-1)
         np.testing.assert_array_equal(y.data, x.data)
         fd_check(lambda t: ad.tsum(ad.mul(c := ad.concat([t[..., :2], t[..., 2:]], axis=-1), c)), x)
+
+    def test_getitem_basic_index_gradients(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        for idx in [np.s_[1:, ::2], np.s_[..., 3], np.s_[0], np.s_[None, 1:2, :, -1],
+                    np.s_[np.int64(2), 1:3]]:
+            x.zero_grad()
+            y = x[idx]
+            seed = rng.normal(size=y.shape)
+            y.backward(seed)
+            expect = np.zeros(x.shape)
+            expect[idx] = seed
+            np.testing.assert_array_equal(x.grad, expect)
+
+    def test_getitem_repeated_advanced_index_accumulates(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        ad.tsum(x[[0, 0, 2]]).backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+        x.zero_grad()
+        x[np.array([2, 0, 2, 2])].backward(np.array([1.0, 10.0, 100.0, 1000.0]))
+        np.testing.assert_array_equal(x.grad, [10.0, 0.0, 1101.0])
+        m = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        ad.tsum(m[:, [1, 1]]).backward()
+        np.testing.assert_array_equal(m.grad, [[0, 2, 0], [0, 2, 0]])
 
     def test_cumsum_gradient(self):
         x = Tensor(np.random.default_rng(13).normal(size=(6, 2)), requires_grad=True)
@@ -219,6 +266,48 @@ class TestGradCheckUtility:
         x = Tensor(rng.normal(size=(32, 32)), requires_grad=True)
         W = Tensor(rng.normal(size=(32, 8)) / 6)
         fd_check(lambda t: ad.tmean(ad.mul(s := ad.sigmoid(ad.matmul(t, W)), s)), x, tol=1e-4)
+
+
+def zeros_plus_add_backward(root, seed):
+    """Reference replay: every node's adjoint starts as zeros and is added to."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._parents:
+                visit(p)
+            order.append(node)
+
+    visit(root)
+    grads = {id(root): np.asarray(seed, dtype=np.float64).reshape(root.shape)}
+    for node in reversed(order):
+        if node._vjp is None or id(node) not in grads:
+            continue
+        for parent, g in zip(node._parents, node._vjp(grads[id(node)])):
+            if g is None or not parent.requires_grad:
+                continue
+            acc = grads.setdefault(id(parent), np.zeros_like(parent.data))
+            acc += g
+    return grads
+
+
+class TestBackward:
+    def test_diamond_graph_matches_zeros_plus_add_rule(self):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        y = ad.sigmoid(x)
+        w = ad.add(ad.mul(y, x), y)  # y and x each reach two parents
+        z = ad.add(w, w)  # add hands one array to both of its parents
+        seed = rng.normal(size=(4, 3))
+        seed[0, 0] = -0.0
+        kept = seed.copy()
+        z.backward(seed)
+        assert seed.tobytes() == kept.tobytes()
+        ref = zeros_plus_add_backward(z, kept)
+        for t in (x, y, w):
+            assert t.grad.tobytes() == ref[id(t)].tobytes()
+        np.testing.assert_array_equal(w.grad, 2.0 * kept)
 
 
 class TestDeterminism:

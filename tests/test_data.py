@@ -171,6 +171,54 @@ class TestSynth:
         np.testing.assert_array_equal(back.values, ds.values)
         assert (back.lookback, back.horizon) == (20, 5)
 
+    @staticmethod
+    def write_rows(path, rows, n=2, lookback=3, horizon=1):
+        lines = [
+            f"{data.SYNTH_MAGIC} lookback={lookback} horizon={horizon} noise=0.0 seed=0 instances={n}",
+            "instance,t,value",
+        ] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @staticmethod
+    def full_rows(n=2, T=4):
+        return [(i, t, 10 * i + t) for i in range(n) for t in range(1, T + 1)]
+
+    def test_rows_in_any_order_load(self, tmp_path):
+        rows = self.full_rows()[::-1]
+        ds = data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+        np.testing.assert_array_equal(ds.values[..., 0], [[1, 2, 3, 4], [11, 12, 13, 14]])
+
+    @pytest.mark.parametrize("bad", [(2, 1, 0.5), (-1, 1, 0.5), (10**400, 1, 0.5)])
+    def test_instance_out_of_range_names_line(self, tmp_path, bad):
+        rows = self.full_rows()
+        rows[3] = bad
+        with pytest.raises(ParseError, match="line 6: instance .* outside"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+
+    @pytest.mark.parametrize("t", [0, 5])
+    def test_t_out_of_range_names_line(self, tmp_path, t):
+        # t=0 used to land in the last column through index -1
+        rows = self.full_rows()
+        rows[4] = (1, t, 0.5)
+        with pytest.raises(ParseError, match=f"line 7: instance 1, t {t} outside"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+
+    def test_repeated_cell_names_line(self, tmp_path):
+        rows = self.full_rows()
+        rows.insert(5, rows[2])
+        with pytest.raises(ParseError, match="line 8: repeated row for instance 0, t 3"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+
+    def test_truncated_file_names_missing_cell(self, tmp_path):
+        ds = data.synth_generate(3, 0.05, seed=9, lookback=20, horizon=5)
+        p = tmp_path / "synth.csv"
+        data.write_synth_csv(ds, str(p))
+        lines = p.read_text().splitlines(keepends=True)
+        p.write_text("".join(lines[:-7]))
+        with pytest.raises(ParseError, match="no row for instance 2, t 19"):
+            data.read_synth_csv(str(p))
+
     def test_window_pairs_shapes(self):
         ds = data.synth_generate(2, 0.0, seed=0, lookback=12, horizon=3)
         pairs = ds.window_pairs()

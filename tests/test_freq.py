@@ -6,6 +6,9 @@ transform sum and the explicit per-bin cosine-pair synthesis.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from etsfore import autodiff as ad
 from etsfore import freq
@@ -60,7 +63,49 @@ class TestDftReal:
             freq.dft_real(np.zeros((2, 2)))
 
 
+def topk_stable_sort(amplitudes, k):
+    """Stable descending argsort oracle: NaN last, ties to the smaller bin."""
+    amp = np.asarray(amplitudes, dtype=np.float64)
+    a = amp[:, None] if amp.ndim == 1 else amp
+    bins = 1 + np.argsort(-a[..., 1:, :], axis=-2, kind="stable")[..., :k, :]
+    return bins[..., 0] if amp.ndim == 1 else bins
+
+
+# A small pool forces ties, signed zeros and non-finite values.
+AMPLITUDE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def amplitudes_and_k(draw):
+    F = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        shape = (F,)
+    else:
+        lead = draw(st.lists(st.integers(1, 3), max_size=2))
+        shape = (*lead, F, draw(st.integers(1, 3)))
+    amp = draw(hnp.arrays(np.float64, shape, elements=AMPLITUDE))
+    return amp, draw(st.integers(0, F - 1))
+
+
 class TestTopkSelect:
+    @settings(max_examples=400, deadline=None)
+    @given(amplitudes_and_k())
+    def test_matches_stable_sort_oracle(self, case):
+        amp, k = case
+        kept = amp.copy()
+        bins = freq.topk_select(amp, k)
+        expect = topk_stable_sort(amp, k)
+        assert bins.shape == expect.shape and bins.dtype == expect.dtype
+        np.testing.assert_array_equal(bins, expect)
+        assert amp.tobytes() == kept.tobytes()
+
+    def test_nan_ranks_below_every_amplitude(self):
+        amp = [0.0, np.nan, -np.inf, np.nan, 3.0, -0.0]
+        assert list(freq.topk_select(amp, 5)) == [4, 5, 2, 1, 3]
+
     def test_mean_term_excluded(self):
         assert list(freq.topk_select([9.0, 0.0, 5.0, 3.0], 1)) == [2]
 
@@ -174,6 +219,22 @@ class TestFourierExtrapolate:
             return ad.tsum(ad.mul(s, s))
 
         assert ad.grad_check(f, x, eps=1e-5) < 1e-4
+
+    def test_gradient_with_wrapping_indices(self):
+        # j spans more than L, so several outputs share a residue and their
+        # adjoints must add up
+        rng = np.random.default_rng(11)
+        L = 7
+        x = Tensor(rng.normal(size=(2, L, 2)), requires_grad=True)
+        bins = freq.topk_select(np.abs(np.fft.rfft(x.data, axis=-2)), 2)
+        j = np.arange(-3, 2 * L + 2)
+        w = rng.normal(size=(2, len(j), 2))
+
+        def f(t):
+            s = freq.fourier_extrapolate(t, 2, j, bins=bins)
+            return ad.tsum(ad.mul(ad.mul(s, s), w))
+
+        assert ad.grad_check(f, x, eps=1e-5) < 1e-6
 
     def test_gradient_k_zero(self):
         x = Tensor(np.random.default_rng(10).normal(size=(8, 1)), requires_grad=True)
