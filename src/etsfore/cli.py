@@ -8,6 +8,7 @@ diagnostics go to stderr. Exit codes: 0 ok, 1 usage/config, 2 data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,8 +20,6 @@ from . import classical, data, esa, model, trainer
 from .errors import (
     ConfigError,
     DataError,
-    DimensionError,
-    DomainError,
     EtsforeError,
     EvaluationError,
     TrainingError,
@@ -50,15 +49,14 @@ def _log(msg: str) -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
-_CONFIG_SECTIONS = {
-    "model": set(model.ModelConfig.__dataclass_fields__),
-    "train": set(trainer.TrainConfig.__dataclass_fields__),
-    "split": {"train", "val", "test"},
-}
+def load_run_config(path: str, channels: int):
+    """Strict JSON run config -> (ModelConfig, TrainConfig, SplitSpec).
 
-
-def load_run_config(path: str) -> dict:
-    """Strict JSON config: unknown keys are rejected, required keys named."""
+    Unknown sections or keys, missing required keys and values of the wrong
+    type raise ConfigError naming the section and key. `channels` fills
+    model.channels when the config leaves it out; ETSFORE_SEED, when set,
+    replaces the train seed.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -68,34 +66,23 @@ def load_run_config(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_SECTIONS))
+    sections = {"model": model.ModelConfig, "train": trainer.TrainConfig, "split": data.SplitSpec}
+    unknown = sorted(set(raw) - set(sections))
     if unknown:
         raise ConfigError(f"{path}: unknown config sections: {unknown}")
-    for section, known in _CONFIG_SECTIONS.items():
-        entries = raw.get(section, {})
-        if not isinstance(entries, dict):
-            raise ConfigError(f"{path}: section '{section}' must be a JSON object")
-        bad = sorted(set(entries) - known)
-        if bad:
-            raise ConfigError(f"{path}: unknown keys in '{section}': {bad}")
-    for key in ("lookback", "horizon"):
-        if key not in raw.get("model", {}):
-            raise ConfigError(f"{path}: missing required config key model.{key}")
-    return raw
-
-
-def _build_configs(raw: dict, channels: int):
-    model_kwargs = dict(raw.get("model", {}))
-    model_kwargs.setdefault("channels", channels)
-    try:
-        mcfg = model.ModelConfig(**model_kwargs)
-        tcfg = trainer.TrainConfig(**raw.get("train", {}))
-        split = data.SplitSpec(**raw.get("split", {})) if "split" in raw else data.SplitSpec()
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from None
+    if isinstance(raw.get("model"), dict):
+        raw["model"].setdefault("channels", channels)
+    mcfg, tcfg, split = (
+        model.from_dict(cls, raw.get(name, {}), f"{path}: {name}") for name, cls in sections.items()
+    )
     env_seed = os.environ.get("ETSFORE_SEED")
     if env_seed is not None:
-        tcfg.seed = int(env_seed)
+        try:
+            tcfg = dataclasses.replace(tcfg, seed=int(env_seed))
+        except (ValueError, ConfigError):
+            raise ConfigError(
+                f"ETSFORE_SEED must be a non-negative integer, got {env_seed!r}"
+            ) from None
     return mcfg, tcfg, split
 
 
@@ -153,11 +140,7 @@ def cmd_synth(args) -> int:
     ds = data.synth_generate(
         args.n, args.noise, args.seed, lookback=args.lookback, horizon=args.horizon
     )
-    try:
-        data.write_synth_csv(ds, args.out)
-    except OSError as e:
-        _log(f"cannot write {args.out}: {e}")
-        return EXIT_DATA
+    data.write_synth_csv(ds, args.out)
     flat = ds.values[:, :, 0]
     _emit(
         {
@@ -179,8 +162,7 @@ def cmd_train(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"checkpoint directory not writable: {out_dir}")
-    raw = load_run_config(args.config)
-    mcfg, tcfg, split = _build_configs(raw, _infer_channels(args.data))
+    mcfg, tcfg, split = load_run_config(args.config, _infer_channels(args.data))
     train_pairs, val_pairs, _, stats = _prepare_splits(args.data, mcfg, split)
     train_pairs = _normalize_pairs(train_pairs, stats)
     val_pairs = _normalize_pairs(val_pairs, stats)
@@ -189,6 +171,7 @@ def cmd_train(args) -> int:
         f"seed {tcfg.seed}"
     )
     ckpt, _ = trainer.train(mcfg, tcfg, train_pairs, val_pairs, stats, log_fn=_emit)
+    ckpt.split = split
     trainer.save_checkpoint(ckpt, args.out)
     _emit({"checkpoint": args.out, "best_epoch": ckpt.best_epoch, "best_val_mse": ckpt.best_val_mse})
     return EXIT_OK
@@ -204,17 +187,15 @@ def _checkpoint_stats(ckpt: trainer.Checkpoint, path: str) -> data.NormStats:
 
 def cmd_evaluate(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
-    groups = _prepare_splits(args.data, ckpt.config, data.SplitSpec())
+    groups = _prepare_splits(args.data, ckpt.config, ckpt.split)
     pairs = {"train": groups[0], "val": groups[1], "test": groups[2]}[args.split]
-    if not pairs:
-        raise DataError(f"split '{args.split}' has no windows")
     result = trainer.evaluate(ckpt, _normalize_pairs(pairs, _checkpoint_stats(ckpt, args.model)))
     _emit(result)
     return EXIT_OK
 
 
 def _window_for(args, ckpt) -> data.WindowPair:
-    groups = _prepare_splits(args.data, ckpt.config, data.SplitSpec())
+    groups = _prepare_splits(args.data, ckpt.config, ckpt.split)
     pairs = [p for g in groups[:3] for p in g]
     if not 0 <= args.at < len(pairs):
         raise DataError(f"window index {args.at} outside [0, {len(pairs) - 1}]")
@@ -400,19 +381,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ConfigError, DimensionError, DomainError) as e:
-        _log(f"error: {e}")
-        return EXIT_USAGE
-    except DataError as e:
+    except (DataError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_DATA
     except (TrainingError, EvaluationError, FloatingPointError) as e:
         _log(f"error: {e}")
         return EXIT_NUMERIC
-    except OSError as e:
-        _log(f"error: {e}")
-        return EXIT_DATA
-    except EtsforeError as e:
+    except EtsforeError as e:  # ConfigError, DimensionError, DomainError
         _log(f"error: {e}")
         return EXIT_USAGE
 

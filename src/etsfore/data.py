@@ -275,25 +275,47 @@ def write_synth_csv(ds: SynthDataset, path: str) -> None:
                 writer.writerow([i, t, f"{v:.17g}"])
 
 
+def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
+    """(lookback, horizon, instances, noise, seed) from the metadata row."""
+    meta = {}
+    for token in tokens.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(f"{path}: line 1: metadata token {token!r} is not key=value")
+        meta[key] = value
+    out = []
+    for key, kind in (("lookback", int), ("horizon", int), ("instances", int),
+                      ("noise", float), ("seed", int)):
+        try:
+            out.append(kind(meta[key]))
+        except KeyError:
+            raise ParseError(f"{path}: line 1: missing metadata key {key!r}") from None
+        except ValueError:
+            raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}") from None
+        if kind is int and key != "seed" and out[-1] < 1:
+            raise ParseError(f"{path}: line 1: metadata {key}={out[-1]} must be positive")
+    return tuple(out)
+
+
 def read_synth_csv(path: str) -> SynthDataset:
     """Inverse of write_synth_csv; rows may come in any order.
 
     Every (instance, t) cell must appear exactly once. A malformed row, a
     non-finite value, an instance outside [0, instances) or a t outside
     [1, lookback+horizon] raises ParseError naming its line, as does a
-    repeated cell; a missing cell raises ParseError naming the cell.
+    repeated cell; a missing cell raises ParseError naming the cell. So do a
+    missing or bad metadata key and a non-positive lookback, horizon or
+    instance count.
     """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
         if not meta_line.startswith(SYNTH_MAGIC):
             raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
-        meta = dict(kv.split("=") for kv in meta_line[len(SYNTH_MAGIC) :].split())
+        L, H, n, noise, seed = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["instance", "t", "value"]:
             raise ParseError(f"{path}: unexpected header {header}")
-        L, H = int(meta["lookback"]), int(meta["horizon"])
-        n = int(meta["instances"])
         cells: list = []  # instance, t, value of every row, flattened
         for row in reader:
             try:
@@ -347,8 +369,8 @@ def read_synth_csv(path: str) -> SynthDataset:
         values=values.reshape(n, T, 1),
         lookback=L,
         horizon=H,
-        noise_std=float(meta["noise"]),
-        seed=int(meta["seed"]),
+        noise_std=noise,
+        seed=seed,
     )
 
 

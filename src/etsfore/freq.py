@@ -9,8 +9,6 @@ contributes its conjugate pair as well, which doubles the real cosine term
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -24,21 +22,6 @@ def dft_real(x: np.ndarray) -> np.ndarray:
     if x.ndim != 1 or x.size < 1:
         raise DimensionError(f"dft_real expects a nonempty 1-d signal, got shape {x.shape}")
     return np.fft.rfft(x)
-
-
-def idft_real(c: np.ndarray, L: int) -> np.ndarray:
-    """Inverse of dft_real for a length-L signal."""
-    return np.fft.irfft(np.asarray(c), n=L)
-
-
-@dataclass
-class SpectrumSelection:
-    """Top-K non-DC bins of one channel with their amplitude/phase/frequency."""
-
-    bins: np.ndarray  # (K,) ints >= 1, distinct
-    amplitudes: np.ndarray  # (K,) >= 0
-    phases: np.ndarray  # (K,) in (-pi, pi]
-    frequencies: np.ndarray  # (K,) cycles per step, = bins / L
 
 
 # Below every float64 key; a NaN amplitude ranks just above a taken bin.
@@ -81,19 +64,6 @@ def topk_select(amplitudes: np.ndarray, k: int) -> np.ndarray:
     return bins[..., 0] if vec else bins
 
 
-def spectrum_selection(x: np.ndarray, k: int) -> SpectrumSelection:
-    """Select the k dominant non-DC bins of a 1-d signal."""
-    c = dft_real(x)
-    bins = topk_select(np.abs(c), k)
-    sel = c[bins]
-    return SpectrumSelection(
-        bins=bins,
-        amplitudes=np.abs(sel),
-        phases=np.angle(sel),
-        frequencies=bins / len(np.asarray(x)),
-    )
-
-
 def _project_selected(x: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Orthogonal projection of each channel onto its selected Fourier pairs.
 
@@ -109,46 +79,25 @@ def _project_selected(x: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return np.fft.irfft(masked, n=L, axis=-2)
 
 
-def fourier_extrapolate_np(
-    x: np.ndarray, k: int, j_range: np.ndarray, bins: np.ndarray | None = None
-) -> np.ndarray:
-    """Seasonal pattern of x evaluated at integer indices j_range.
-
-    x: (..., L, C). Selects the k largest non-DC bins per channel (or uses
-    the pinned `bins`) and sums the selected conjugate cosine pairs. The
-    1/L inverse normalization makes a full non-DC selection reconstruct
-    the de-meaned input exactly on 0..L-1; any j is the length-L periodic
-    continuation of that pattern.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim < 2:
-        raise DimensionError(f"expected (..., L, C) input, got shape {x.shape}")
-    L = x.shape[-2]
-    j = np.asarray(j_range, dtype=np.intp)
-    if bins is None:
-        bins = topk_select(np.abs(np.fft.rfft(x, axis=-2)), k)
-    if bins.shape[-2] == 0:
-        return np.zeros(x.shape[:-2] + (len(j), x.shape[-1]))
-    return _project_selected(x, bins)[..., j % L, :]
-
-
 def fourier_extrapolate(
     x: Tensor, k: int, j_range: np.ndarray, bins: np.ndarray | None = None
 ) -> Tensor:
-    """Differentiable seasonal extrapolation.
+    """Differentiable seasonal pattern of x: (..., L, C) at integer indices j_range.
 
+    Sums the conjugate cosine pairs of the k largest non-DC bins per channel
+    (or of the pinned `bins`); any j is the length-L periodic continuation.
+    A full non-DC selection reconstructs the de-meaned input on 0..L-1.
     The bin selection is recomputed from the forward values and held fixed
     under differentiation; gradients flow only through the coefficients,
     for which the map is linear in x.
     """
     x = ad.as_tensor(x)
+    if x.ndim < 2:
+        raise DimensionError(f"expected (..., L, C) input, got shape {x.shape}")
     L = x.shape[-2]
     j = np.asarray(j_range, dtype=np.intp)
     if bins is None:
         bins = topk_select(np.abs(np.fft.rfft(x.data, axis=-2)), k)
-    if bins.shape[-2] == 0:
-        out = np.zeros(x.shape[:-2] + (len(j), x.shape[-1]))
-        return make_node(out, (x,), lambda g: (np.zeros(x.shape),))
     residues = j % L
     # no residue repeats while j spans at most L steps, as in every model call
     distinct = np.unique(residues).size == residues.size

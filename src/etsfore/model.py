@@ -5,14 +5,15 @@ components whose sum is the forecast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import autodiff as ad
 from . import esa, freq
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, DimensionError, DomainError
+from .errors import ConfigError, DataError, DimensionError
 
 
 @dataclass
@@ -42,6 +43,36 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.kernel_size % 2 == 0:
             raise ConfigError(f"kernel size must be odd, got {self.kernel_size}")
+
+
+def from_dict(cls, d, where: str):
+    """Build the config dataclass cls from a JSON object.
+
+    The fields of cls fix the allowed keys, the required ones (those without
+    a default) and the value types; a float field also takes a JSON integer.
+    A mismatch raises ConfigError naming `where` and the key.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = [
+        name for name, f in known.items()
+        if name not in d and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{where}: missing required keys {missing}")
+    hints = get_type_hints(cls)
+    for key, value in d.items():
+        allowed = get_args(hints[key]) or (hints[key],)  # float | None -> (float, NoneType)
+        if float in allowed:
+            allowed += (int,)
+        # exact types, so that JSON true/false (a bool, an int subclass) fills no int field
+        if type(value) not in allowed:
+            raise ConfigError(f"{where}.{key}: expected {known[key].type}, got {value!r}")
+    return cls(**d)
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -118,9 +149,6 @@ class ModelState:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -206,29 +234,6 @@ def level_pipeline(
     return level
 
 
-def damping_profile(gammas: np.ndarray, horizon: int) -> np.ndarray:
-    """Partial geometric sums sum_{i<=j} gamma**i for j = 1..horizon, per head."""
-    g = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    if np.any(g <= 0.0) or np.any(g >= 1.0):
-        raise DomainError(f"damping factors must lie in (0, 1), got {g}")
-    powers = g[None, :] ** np.arange(1, horizon + 1, dtype=np.float64)[:, None]
-    return np.cumsum(powers, axis=0)
-
-
-def growth_damping(b_last: np.ndarray, horizon: int, gammas: np.ndarray) -> np.ndarray:
-    """Spread the last growth token across the horizon with damped weights.
-
-    b_last: (d,) with channels split evenly across len(gammas) heads.
-    """
-    b_last = np.asarray(b_last, dtype=np.float64)
-    g = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    d = b_last.shape[-1]
-    if d % len(g) != 0:
-        raise DimensionError(f"growth dim {d} is not divisible by {len(g)} heads")
-    coef = np.repeat(damping_profile(g, horizon), d // len(g), axis=-1)
-    return coef * b_last
-
-
 def _growth_damping_t(
     b_last: Tensor, horizon: int, gamma_raw: Tensor, n_heads: int, d: int,
     p: float, training: bool, rng,
@@ -293,14 +298,7 @@ def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPa
 
 def forecast(x, state: ModelState) -> DecomposedForecast:
     """Inference-mode decomposed forecast for one window or a batch."""
-    with ad.no_grad():
-        fp = forward(x, state, training=False)
-    return DecomposedForecast(
-        level=fp.level_horizon.data,
-        growth=fp.growth_horizon.data,
-        seasonal=fp.seasonal_horizon.data,
-        total=fp.total.data,
-    )
+    return decompose(x, state)[0]
 
 
 def decompose(x, state: ModelState):
@@ -333,18 +331,3 @@ def mse_loss(fp: ForwardPass, target) -> Tensor:
         )
     diff = ad.sub(fp.total, target)
     return ad.tmean(ad.mul(diff, diff))
-
-
-def config_to_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    known = {f for f in ModelConfig.__dataclass_fields__}
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {unknown}")
-    missing = [f for f in ("lookback", "horizon") if f not in d]
-    if missing:
-        raise ConfigError(f"missing model config keys: {missing}")
-    return ModelConfig(**d)

@@ -9,14 +9,15 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import NormStats, WindowPair, augment_pair, metrics
+from .data import NormStats, SplitSpec, WindowPair, augment_pair, metrics
 from .errors import ConfigError, DataError, TrainingError
-from .model import ModelConfig, ModelState, config_from_dict, config_to_dict, forward, mse_loss, is_special_parameter
+from .model import ModelConfig, ModelState, forward, from_dict, is_special_parameter, mse_loss
 
 
 @dataclass
@@ -44,6 +45,8 @@ class TrainConfig:
             )
         if self.base_lr <= 0 or self.min_lr <= 0:
             raise ConfigError("learning rates must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:
@@ -104,11 +107,9 @@ _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
 class Checkpoint:
     config: ModelConfig
     params: dict[str, np.ndarray]  # float32 payloads
-    moments: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_step: int = 0
-    rng_state: dict | None = None
     norm_mean: np.ndarray | None = None
     norm_std: np.ndarray | None = None
+    split: SplitSpec = field(default_factory=SplitSpec)  # the split the model was trained on
     best_epoch: int = -1
     best_val_mse: float = math.nan
 
@@ -137,21 +138,31 @@ def _write_record(buf: io.BytesIO, name: str, arr: np.ndarray) -> None:
     buf.write(np.ascontiguousarray(arr).tobytes())
 
 
+def _read(buf: io.BytesIO, n: int, what: str) -> bytes:
+    chunk = buf.read(min(n, sys.maxsize))  # a record's u64 dims can ask for more
+    if len(chunk) != n:
+        raise DataError(f"truncated {what}: {len(chunk)} of {n} bytes")
+    return chunk
+
+
+def _unpack(buf: io.BytesIO, fmt: str, what: str) -> tuple:
+    return struct.unpack(fmt, _read(buf, struct.calcsize(fmt), what))
+
+
 def _read_record(buf: io.BytesIO) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", buf.read(4))
-    name = buf.read(name_len).decode("utf-8")
-    code, rank = struct.unpack("<BB", buf.read(2))
-    shape = tuple(struct.unpack("<Q", buf.read(8))[0] for _ in range(rank))
+    (name_len,) = _unpack(buf, "<I", "record header")
+    name = _read(buf, name_len, "record name").decode("utf-8")
+    code, rank = _unpack(buf, "<BB", f"record {name}")
+    shape = _unpack(buf, f"<{rank}Q", f"record {name}")
     dtype = np.dtype(_DTYPES[code])
-    payload = buf.read(int(np.prod(shape, dtype=np.int64)) * dtype.itemsize)
+    payload = _read(buf, math.prod(shape) * dtype.itemsize, f"record {name}")
     return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     header = {
-        "model": config_to_dict(ckpt.config),
-        "adam_step": ckpt.adam_step,
-        "rng_state": ckpt.rng_state,
+        "model": asdict(ckpt.config),
+        "split": asdict(ckpt.split),
         "norm_mean": None if ckpt.norm_mean is None else list(map(float, ckpt.norm_mean)),
         "norm_std": None if ckpt.norm_std is None else list(map(float, ckpt.norm_std)),
         "best_epoch": ckpt.best_epoch,
@@ -163,46 +174,57 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     buf.write(struct.pack("<I", CKPT_VERSION))
     buf.write(struct.pack("<I", len(raw_header)))
     buf.write(raw_header)
-    records = [(name, arr.astype("<f4")) for name, arr in ckpt.params.items()]
-    records += [(f"adam.{name}", arr.astype("<f4")) for name, arr in ckpt.moments.items()]
-    buf.write(struct.pack("<I", len(records)))
-    for name, arr in records:
-        _write_record(buf, name, arr)
+    buf.write(struct.pack("<I", len(ckpt.params)))
+    for name, arr in ckpt.params.items():
+        _write_record(buf, name, arr.astype("<f4"))
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; a malformed or truncated file raises DataError.
+
+    A header without a split, as older files have, means SplitSpec(). The
+    Adam records and the Adam step and RNG state keys of older files are
+    skipped.
+    """
     with open(path, "rb") as fh:
         buf = io.BytesIO(fh.read())
-    if buf.read(4) != CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
-    if version != CKPT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", buf.read(4))
-    header = json.loads(buf.read(hlen).decode("utf-8"))
-    (n_records,) = struct.unpack("<I", buf.read(4))
-    params: dict[str, np.ndarray] = {}
-    moments: dict[str, np.ndarray] = {}
-    for _ in range(n_records):
-        name, arr = _read_record(buf)
-        if name.startswith("adam."):
-            moments[name[len("adam.") :]] = arr
-        else:
-            params[name] = arr
-    val = header.get("best_val_mse")
-    return Checkpoint(
-        config=config_from_dict(header["model"]),
-        params=params,
-        moments=moments,
-        adam_step=header.get("adam_step", 0),
-        rng_state=header.get("rng_state"),
-        norm_mean=None if header["norm_mean"] is None else np.asarray(header["norm_mean"]),
-        norm_std=None if header["norm_std"] is None else np.asarray(header["norm_std"]),
-        best_epoch=header.get("best_epoch", -1),
-        best_val_mse=math.nan if val is None else float(val),
-    )
+    try:
+        if buf.read(4) != CKPT_MAGIC:
+            raise DataError("not a checkpoint file (bad magic)")
+        (version,) = _unpack(buf, "<I", "version")
+        if version != CKPT_VERSION:
+            raise DataError(f"unsupported checkpoint version {version}")
+        (hlen,) = _unpack(buf, "<I", "header length")
+        header = json.loads(_read(buf, hlen, "header"))
+        config = from_dict(ModelConfig, header["model"], "header model")
+        norm = {}
+        for key in ("norm_mean", "norm_std"):
+            arr = header[key] if header[key] is None else np.asarray(header[key], dtype=np.float64)
+            if arr is not None and (arr.shape != (config.channels,) or not np.isfinite(arr).all()):
+                raise DataError(f"header {key} is not {config.channels} finite values")
+            norm[key] = arr
+        val = header.get("best_val_mse")
+        ckpt = Checkpoint(
+            config=config,
+            params={},
+            split=from_dict(SplitSpec, header.get("split", {}), "header split"),
+            best_epoch=int(header.get("best_epoch", -1)),
+            best_val_mse=math.nan if val is None else float(val),
+            **norm,
+        )
+        (n_records,) = _unpack(buf, "<I", "record count")
+        for _ in range(n_records):
+            name, arr = _read_record(buf)
+            if not name.startswith("adam."):
+                ckpt.params[name] = arr
+        if buf.read(1):
+            raise DataError(f"trailing bytes after record {n_records}")
+    # json, a header field or a record's name or dtype code can be malformed too
+    except (DataError, ConfigError, ValueError, TypeError, KeyError) as e:
+        raise DataError(f"{path}: malformed checkpoint: {e}") from None
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +292,14 @@ def train(
     steps_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
-    def checkpoint_from(snapshot, moments, adam_step, epoch, val_mse):
-        return Checkpoint(
-            config=model_cfg,
-            params=snapshot,
-            moments=moments,
-            adam_step=adam_step,
-            rng_state=rng.bit_generator.state,
-            norm_mean=None if stats is None else stats.mean,
-            norm_std=None if stats is None else stats.std,
-            best_epoch=epoch,
-            best_val_mse=val_mse,
-        )
-
     log: list[dict] = []
     best_val = math.inf
-    best = checkpoint_from(_snapshot_f32(state.params), {}, 0, -1, math.nan)
+    best = Checkpoint(
+        config=model_cfg,
+        params=_snapshot_f32(state.params),
+        norm_mean=None if stats is None else stats.mean,
+        norm_std=None if stats is None else stats.std,
+    )
     step = 0
     for epoch in range(train_cfg.epochs):
         perm = rng.permutation(n)
@@ -337,11 +351,7 @@ def train(
             log_fn(entry)
         if val["mse"] < best_val:
             best_val = val["mse"]
-            moments = {
-                **{f"m.{k}": m.astype(np.float32) for k, m in adam.m.items()},
-                **{f"v.{k}": v.astype(np.float32) for k, v in adam.v.items()},
-            }
-            best = checkpoint_from(
-                _snapshot_f32(state.params), moments, adam.t, epoch, best_val
+            best = replace(
+                best, params=_snapshot_f32(state.params), best_epoch=epoch, best_val_mse=best_val
             )
     return best, log

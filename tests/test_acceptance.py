@@ -104,16 +104,16 @@ class TestCriterion04FrequencyAttention:
     def test_constant_tone_completeness_and_dft(self):
         rng = np.random.default_rng(13)
         const_in = np.full((40, 2), 3.25)
-        const_err = np.abs(freq.fourier_extrapolate_np(const_in, 3, np.arange(40))).max()
+        const_err = np.abs(freq.fourier_extrapolate(const_in, 3, np.arange(40)).data).max()
 
         j = np.arange(16)
         tone = np.cos(2 * np.pi * j / 8)[:, None]
-        recon = freq.fourier_extrapolate_np(tone, 1, np.arange(32))[:, 0]
+        recon = freq.fourier_extrapolate(tone, 1, np.arange(32)).data[:, 0]
         tone_err = np.abs(recon - np.cos(2 * np.pi * np.arange(32) / 8)).max()
 
         L = 33
         x = rng.normal(size=(L, 3))
-        full = freq.fourier_extrapolate_np(x, L // 2, np.arange(L))
+        full = freq.fourier_extrapolate(x, L // 2, np.arange(L)).data
         full_err = np.abs(full - (x - x.mean(axis=0))).max()
 
         dft_err = 0.0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from etsfore import cli, data
+from etsfore import cli, data, trainer
 
 
 @pytest.fixture()
@@ -84,21 +84,50 @@ class TestTrain:
         assert "checkpoint" in lines[-1]
         assert out.exists()
 
-    def test_missing_config_key_named(self, tmp_path, synth_file, capsys):
+    def _train_error(self, tmp_path, synth_file, capsys, config):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"model": {"lookback": 24}}))
+        cfg.write_text(json.dumps(config))
         rc = cli.main(["train", "--config", str(cfg), "--data", str(synth_file),
                        "--out", str(tmp_path / "m.etsf")])
         assert rc == 1
-        assert "horizon" in capsys.readouterr().err
+        return capsys.readouterr().err
+
+    def test_missing_config_key_named(self, tmp_path, synth_file, capsys):
+        err = self._train_error(tmp_path, synth_file, capsys, {"model": {"lookback": 24}})
+        assert "model: missing required keys ['horizon']" in err
+        err = self._train_error(tmp_path, synth_file, capsys, {"train": {}})
+        assert "model: missing required keys ['lookback', 'horizon']" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, synth_file, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"model": {"lookback": 24, "horizon": 6, "wat": 1}}))
-        rc = cli.main(["train", "--config", str(cfg), "--data", str(synth_file),
-                       "--out", str(tmp_path / "m.etsf")])
-        assert rc == 1
-        assert "wat" in capsys.readouterr().err
+        model = {"lookback": 24, "horizon": 6}
+        for config, where in (
+            ({"model": {**model, "wat": 1}}, "model: unknown keys ['wat']"),
+            ({"model": model, "train": {"wat": 1}}, "train: unknown keys ['wat']"),
+            ({"model": model, "split": {"wat": 1}}, "split: unknown keys ['wat']"),
+            ({"model": model, "wat": {}}, "unknown config sections: ['wat']"),
+            ({"model": model, "train": []}, "train: expected a JSON object"),
+        ):
+            assert where in self._train_error(tmp_path, synth_file, capsys, config)
+
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, synth_file, capsys):
+        model = {"lookback": 24, "horizon": 6, "dim": 8, "ff_dim": 16, "layers": 1, "heads": 2}
+        for config, where in (
+            ({"model": model, "train": {"epochs": 1, "warmup_epochs": 0, "clip_norm": "x"}},
+             "train.clip_norm: expected float | None, got 'x'"),
+            ({"model": {**model, "top_k": 1.5}}, "model.top_k: expected int, got 1.5"),
+        ):
+            assert where in self._train_error(tmp_path, synth_file, capsys, config)
+
+    def test_bad_env_seed_rejected(self, tmp_path, synth_file, run_config, capsys,
+                                   monkeypatch):
+        for value in ("abc", "-1"):
+            monkeypatch.setenv("ETSFORE_SEED", value)
+            rc = cli.main(["train", "--config", str(run_config), "--data",
+                           str(synth_file), "--out", str(tmp_path / "m.etsf")])
+            assert rc == 1
+            assert f"ETSFORE_SEED must be a non-negative integer, got '{value}'" in (
+                capsys.readouterr().err
+            )
 
     def test_env_seed_overrides_config(self, tmp_path, synth_file, run_config,
                                        capsys, monkeypatch):
@@ -124,6 +153,27 @@ class TestEvaluate:
         payload = json.loads(capsys.readouterr().out.strip())
         assert {"mse", "mae"} <= set(payload)
         assert payload["mse"] >= 0
+
+    def test_uses_the_training_split(self, tmp_path, run_config, capsys, monkeypatch):
+        # 20 instances split 0.5/0.25/0.25 leave 5 test windows; the default
+        # split (0.7/0.1/0.2) would leave 4
+        synth, out = tmp_path / "s20.csv", tmp_path / "m.etsf"
+        assert cli.main(["synth", "--out", str(synth), "--n", "20", "--seed", "4",
+                         "--lookback", "24", "--horizon", "6"]) == 0
+        cfg = json.loads(run_config.read_text())
+        cfg["split"] = {"train": 0.5, "val": 0.25, "test": 0.25}
+        run_config.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(run_config), "--data", str(synth),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        scored = []
+        monkeypatch.setattr(trainer, "evaluate", lambda ckpt, pairs: scored.extend(pairs) or {})
+        assert cli.main(["evaluate", "--model", str(out), "--data", str(synth)]) == 0
+        stats = trainer.load_checkpoint(str(out)).stats
+        test_pairs = data.read_synth_csv(str(synth)).window_pairs()[15:]
+        assert len(scored) == len(test_pairs) == 5
+        for got, want in zip(scored, test_pairs):
+            np.testing.assert_array_equal(got.target, data.normalize(want.target, stats))
 
     def test_deterministic(self, synth_file, trained_model, capsys):
         outs = []

@@ -219,6 +219,32 @@ class TestSynth:
         with pytest.raises(ParseError, match="no row for instance 2, t 19"):
             data.read_synth_csv(str(p))
 
+    def write_meta(self, path, meta):
+        path.write_text(f"{data.SYNTH_MAGIC} {meta}\ninstance,t,value\n0,1,0.5\n")
+        return str(path)
+
+    def test_missing_instances_key_named(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 noise=0.0 seed=0")
+        with pytest.raises(ParseError, match="line 1: missing metadata key 'instances'"):
+            data.read_synth_csv(p)
+
+    def test_metadata_token_without_equals(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 noise=0.0 seed=0 instances=1 x")
+        with pytest.raises(ParseError, match="line 1: metadata token 'x' is not key=value"):
+            data.read_synth_csv(p)
+
+    def test_non_integer_lookback_named(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv", "lookback=x horizon=1 noise=0.0 seed=0 instances=1")
+        with pytest.raises(ParseError, match="line 1: bad metadata value lookback='x'"):
+            data.read_synth_csv(p)
+
+    @pytest.mark.parametrize("key", ["lookback", "horizon", "instances"])
+    def test_non_positive_size_named(self, tmp_path, key):
+        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: -2}
+        line = " ".join(f"{k}={v}" for k, v in meta.items()) + " noise=0.0 seed=0"
+        with pytest.raises(ParseError, match=f"line 1: metadata {key}=-2 must be positive"):
+            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+
     def test_window_pairs_shapes(self):
         ds = data.synth_generate(2, 0.0, seed=0, lookback=12, horizon=3)
         pairs = ds.window_pairs()

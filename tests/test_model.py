@@ -1,21 +1,21 @@
 """Tests for the assembled forecasting network."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from etsfore import autodiff as ad
 from etsfore import esa, model
 from etsfore.autodiff import Tensor
-from etsfore.errors import ConfigError, DataError, DomainError
+from etsfore.errors import ConfigError, DataError
 from etsfore.model import (
     ModelConfig,
     ModelState,
-    damping_profile,
     decompose,
     encoder_layer,
     forecast,
     forward,
-    growth_damping,
     input_embed,
     is_special_parameter,
     level_pipeline,
@@ -43,16 +43,23 @@ class TestConfig:
             ModelConfig(lookback=8, horizon=2, top_k=5)
 
     def test_round_trip_dict(self):
-        cfg = model.config_from_dict(model.config_to_dict(TINY))
+        cfg = model.from_dict(ModelConfig, asdict(TINY), "model")
         assert cfg == TINY
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="wat"):
-            model.config_from_dict({"lookback": 8, "horizon": 2, "wat": 1})
+        with pytest.raises(ConfigError, match="model: unknown keys.*wat"):
+            model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2, "wat": 1}, "model")
 
     def test_missing_key_named(self):
-        with pytest.raises(ConfigError, match="horizon"):
-            model.config_from_dict({"lookback": 8})
+        with pytest.raises(ConfigError, match="model: missing required keys.*horizon"):
+            model.from_dict(ModelConfig, {"lookback": 8}, "model")
+
+    def test_value_type_checked(self):
+        for key, value in (("top_k", 1.5), ("dropout", "0.1"), ("heads", True), ("dim", None)):
+            with pytest.raises(ConfigError, match=f"model.{key}: expected"):
+                model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2, key: value}, "model")
+        # a float field takes a JSON integer
+        assert model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2, "dropout": 0}, "m").dropout == 0
 
 
 class TestModelState:
@@ -157,6 +164,16 @@ class TestLevelPipeline:
         assert np.abs(level - expect).max() < 1e-9
 
 
+def growth_damping(b_last, horizon, gammas):
+    """The decoder's damping path at rates gammas, one per head, no dropout."""
+    g = np.asarray(gammas, dtype=np.float64)
+    b = np.asarray(b_last, dtype=np.float64)
+    out = model._growth_damping_t(
+        Tensor(b), horizon, Tensor(np.log(g / (1 - g))), len(g), b.shape[-1], 0.0, False, None
+    )
+    return out.data
+
+
 class TestGrowthDamping:
     def test_partial_geometric_sums(self):
         out = growth_damping(np.array([1.0]), 3, np.array([0.5]))
@@ -174,10 +191,6 @@ class TestGrowthDamping:
 
     def test_zero_growth_token(self):
         np.testing.assert_array_equal(growth_damping(np.zeros(4), 5, np.array([0.3, 0.7])), np.zeros((5, 4)))
-
-    def test_domain_checked(self):
-        with pytest.raises(DomainError):
-            damping_profile(np.array([1.5]), 4)
 
 
 class TestForecast:

@@ -1,16 +1,21 @@
 """Tests for the optimizer, schedule, training loop, and checkpoint format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etsfore import autodiff as ad
 from etsfore import trainer
 from etsfore.autodiff import Tensor
-from etsfore.data import NormStats, WindowPair
+from etsfore.data import NormStats, SplitSpec, WindowPair
 from etsfore.errors import ConfigError, DataError, TrainingError
-from etsfore.model import ModelConfig, ModelState, forward, is_special_parameter, mse_loss
+from etsfore.model import (
+    ModelConfig, ModelState, forward, is_special_parameter, mse_loss, parameter_shapes,
+)
 from etsfore.trainer import (
     Adam,
     Checkpoint,
@@ -218,6 +223,25 @@ class TestEvaluate:
         assert res["mae_raw"] == pytest.approx(2.0 * res["mae"])
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tmp_path_factory):
+    """A saved checkpoint of an untrained TINY model with a non-default split."""
+    state = ModelState.init(TINY, 0)
+    ckpt = Checkpoint(
+        config=TINY,
+        params={name: t.data.astype(np.float32) for name, t in state.params.items()},
+        norm_mean=np.zeros(1),
+        norm_std=np.ones(1),
+        split=SplitSpec(0.5, 0.25, 0.25),
+    )
+    path = tmp_path_factory.mktemp("ckpt") / "model.etsf"
+    save_checkpoint(ckpt, str(path))
+    return path.read_bytes()
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         pairs = sine_pairs(24, seed=10)
@@ -235,8 +259,6 @@ class TestCheckpoint:
         for name in ckpt.params:
             assert back.params[name].dtype == np.float32
             np.testing.assert_array_equal(back.params[name], ckpt.params[name])
-        for name in ckpt.moments:
-            np.testing.assert_array_equal(back.moments[name], ckpt.moments[name])
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         _, path, _ = self._trained(tmp_path)
@@ -252,12 +274,62 @@ class TestCheckpoint:
 
     def test_header_fields_survive(self, tmp_path):
         ckpt, path, _ = self._trained(tmp_path)
+        ckpt.split = SplitSpec(0.5, 0.25, 0.25)
+        save_checkpoint(ckpt, str(path))
         back = load_checkpoint(str(path))
         assert back.config == ckpt.config
         assert back.best_epoch == ckpt.best_epoch
-        assert back.adam_step == ckpt.adam_step
+        assert back.best_val_mse == ckpt.best_val_mse
         np.testing.assert_array_equal(back.norm_mean, ckpt.norm_mean)
-        assert back.rng_state == ckpt.rng_state
+        assert back.split == ckpt.split
+
+    def test_file_with_adam_state_still_loads(self, tmp_path):
+        # Written by an earlier version, from the same training run as
+        # _trained, together with Adam moments, the Adam step and the RNG state
+        # that nothing read. It has no split, which means the default one.
+        back = load_checkpoint(str(DATA / "ckpt_v1_with_adam.etsf"))
+        ckpt, path, _ = self._trained(tmp_path)
+        assert back.config == ckpt.config and back.split == SplitSpec()
+        assert (back.best_epoch, back.best_val_mse) == (ckpt.best_epoch, ckpt.best_val_mse)
+        assert set(back.params) == set(parameter_shapes(TINY))
+        for name in ckpt.params:
+            np.testing.assert_array_equal(back.params[name], ckpt.params[name])
+        save_checkpoint(back, str(tmp_path / "again.etsf"))
+        assert (tmp_path / "again.etsf").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_truncation_raises_data_error(self, saved_bytes, tmp_path_factory, data):
+        cut = data.draw(st.integers(0, len(saved_bytes) - 1))
+        p = tmp_path_factory.getbasetemp() / "truncated.etsf"
+        p.write_bytes(saved_bytes[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(str(p))
+
+    def test_record_larger_than_the_file_rejected(self, saved_bytes, tmp_path):
+        # the first record is embed.kernel; its first u64 dim follows its dtype and rank
+        hlen = int.from_bytes(saved_bytes[8:12], "little")
+        at = 12 + hlen + 4 + 4 + len(b"embed.kernel") + 2
+        p = tmp_path / "huge.etsf"
+        p.write_bytes(saved_bytes[:at] + b"\xff" * 8 + saved_bytes[at + 8 :])
+        with pytest.raises(DataError, match="truncated record embed.kernel"):
+            load_checkpoint(str(p))
+
+    def test_bad_normalization_stats_rejected(self, saved_bytes, tmp_path):
+        p = tmp_path / "stats.etsf"
+        # same-length edits of the JSON header: two values, then a NaN
+        for bad in (b'"norm_std": [1,1]', b'"norm_std": [NaN]'):
+            p.write_bytes(saved_bytes.replace(b'"norm_std": [1.0]', bad))
+            with pytest.raises(DataError, match="norm_std is not 1 finite values"):
+                load_checkpoint(str(p))
+
+    def test_trailing_bytes_rejected(self, saved_bytes, tmp_path):
+        p = tmp_path / "long.etsf"
+        p.write_bytes(saved_bytes + b"\x00")
+        with pytest.raises(DataError, match="trailing bytes"):
+            load_checkpoint(str(p))
+        p.write_bytes(saved_bytes)
+        assert load_checkpoint(str(p)).split == SplitSpec(0.5, 0.25, 0.25)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.etsf"
