@@ -155,7 +155,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
+    return _add_node(a.data + b.data, a, b)
+
+
+def _add_node(out: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
+    """Record out = a + b; the VJP reads only the operands' shapes."""
     return make_node(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
@@ -230,9 +234,17 @@ def sigmoid(a) -> Tensor:
     np.negative(z, out=z)
     np.exp(z, out=z)
     den = 1.0 + z
-    np.copyto(z, 1.0, where=x >= 0)
+    # z lies in [0, 1] (or is NaN, which maximum keeps), so max(z, x >= 0)
+    # is 1 where x >= 0 (-0.0 included) and z elsewhere
+    np.maximum(z, x >= 0, out=z)
     out = np.divide(z, den, out=z)
-    return make_node(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+    def vjp(g):
+        gx = g * out
+        gx *= 1.0 - out  # the order of g * out * (1 - out), so the bits match
+        return (gx,)
+
+    return make_node(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +358,8 @@ def linear(x, W, b=None) -> Tensor:
         b = as_tensor(b)
         if b.shape != (W.shape[-1],):
             raise DimensionError(f"linear: bias shape {b.shape} does not match weight {W.shape}")
-        y = add(y, b)
+        # matmul's output is a fresh array that no VJP reads: add in place
+        y = _add_node(np.add(y.data, b.data, out=y.data), y, b)
     return y
 
 
@@ -388,14 +401,21 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = x.shape[-1]
     if d == 0:
         raise DimensionError("layer_norm over an empty trailing axis")
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise DimensionError(
+            f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must both be ({d},)"
+        )
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     mean = x.data.mean(axis=-1, keepdims=True)
     xm = x.data - mean
-    var = (xm * xm).mean(axis=-1, keepdims=True)
+    sq = xm * xm
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xm * inv
-    out = xhat * gamma.data + beta.data
+    # (x - mean) * inv * gamma + beta, reusing the two full-size buffers
+    xhat = np.multiply(xm, inv, out=xm)
+    out = np.multiply(xhat, gamma.data, out=sq)
+    out += beta.data
 
     def vjp(g):
         dxhat = g * gamma.data
@@ -417,7 +437,10 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None)
         return x
     if rng is None:
         raise ConfigError("dropout in training mode needs an explicit rng")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    # (r >= p) / (1 - p), built in the buffer of the uniform draws r
+    keep = rng.random(x.shape)
+    np.greater_equal(keep, p, out=keep)
+    np.divide(keep, 1.0 - p, out=keep)
     return make_node(x.data * keep, (x,), lambda g: (g * keep,))
 
 

@@ -90,8 +90,11 @@ def load_run_config(path: str, channels: int):
 # dataset preparation shared by train/evaluate/forecast/decompose
 
 
-def _prepare_splits(path: str, mcfg: model.ModelConfig, split: data.SplitSpec):
-    """Returns raw (train_pairs, val_pairs, test_pairs, train_stats)."""
+def _prepare_splits(path: str, mcfg: model.ModelConfig, split: data.SplitSpec, series=None):
+    """Returns raw (train_pairs, val_pairs, test_pairs, train_stats).
+
+    `series`, when given, is the plain CSV at `path`, already loaded.
+    """
     L, H = mcfg.lookback, mcfg.horizon
     if data.is_synth_csv(path):
         ds = data.read_synth_csv(path)
@@ -108,7 +111,7 @@ def _prepare_splits(path: str, mcfg: model.ModelConfig, split: data.SplitSpec):
             raise DataError(f"{n} instances cannot be split {split}")
         stats = data.compute_stats(np.stack([p.lookback for p in groups[0]]))
     else:
-        series = data.load_csv(path)
+        series = data.load_csv(path) if series is None else series
         parts = data.split_chronological(series, split, min_len=L + H)
         stats = data.compute_stats(parts[0].values)
         groups = tuple(data.window_dataset(part, L, H) for part in parts)
@@ -124,12 +127,6 @@ def _normalize_pairs(pairs, stats: data.NormStats):
         )
         for p in pairs
     ]
-
-
-def _infer_channels(path: str) -> int:
-    if data.is_synth_csv(path):
-        return 1
-    return data.load_csv(path).channels
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +159,11 @@ def cmd_train(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"checkpoint directory not writable: {out_dir}")
-    mcfg, tcfg, split = load_run_config(args.config, _infer_channels(args.data))
-    train_pairs, val_pairs, _, stats = _prepare_splits(args.data, mcfg, split)
+    # a plain CSV is read before the config for its channel count, and once;
+    # an instance CSV has one channel and is parsed only after the config
+    series = None if data.is_synth_csv(args.data) else data.load_csv(args.data)
+    mcfg, tcfg, split = load_run_config(args.config, 1 if series is None else series.channels)
+    train_pairs, val_pairs, _, stats = _prepare_splits(args.data, mcfg, split, series)
     train_pairs = _normalize_pairs(train_pairs, stats)
     val_pairs = _normalize_pairs(val_pairs, stats)
     _log(

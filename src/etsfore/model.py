@@ -5,6 +5,7 @@ components whose sum is the forecast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import get_args, get_type_hints
 
@@ -49,8 +50,9 @@ def from_dict(cls, d, where: str):
     """Build the config dataclass cls from a JSON object.
 
     The fields of cls fix the allowed keys, the required ones (those without
-    a default) and the value types; a float field also takes a JSON integer.
-    A mismatch raises ConfigError naming `where` and the key.
+    a default) and the value types; a float field also takes a JSON integer
+    but no NaN or infinity. A mismatch raises ConfigError naming `where` and
+    the key.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
@@ -72,6 +74,9 @@ def from_dict(cls, d, where: str):
         # exact types, so that JSON true/false (a bool, an int subclass) fills no int field
         if type(value) not in allowed:
             raise ConfigError(f"{where}.{key}: expected {known[key].type}, got {value!r}")
+        # json reads NaN, Infinity and 1e999; no field means anything by them
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return cls(**d)
 
 

@@ -17,7 +17,15 @@ import numpy as np
 from . import autodiff as ad
 from .data import NormStats, SplitSpec, WindowPair, augment_pair, metrics
 from .errors import ConfigError, DataError, TrainingError
-from .model import ModelConfig, ModelState, forward, from_dict, is_special_parameter, mse_loss
+from .model import (
+    ModelConfig,
+    ModelState,
+    forward,
+    from_dict,
+    is_special_parameter,
+    mse_loss,
+    parameter_shapes,
+)
 
 
 @dataclass
@@ -184,9 +192,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed or truncated file raises DataError.
 
-    A header without a split, as older files have, means SplitSpec(). The
-    Adam records and the Adam step and RNG state keys of older files are
-    skipped.
+    The parameter records must be exactly those of the header's model
+    config, with their shapes. A header without a split, as older files
+    have, means SplitSpec(). The Adam records and the Adam step and RNG
+    state keys of older files are skipped.
     """
     with open(path, "rb") as fh:
         buf = io.BytesIO(fh.read())
@@ -221,6 +230,17 @@ def load_checkpoint(path: str) -> Checkpoint:
                 ckpt.params[name] = arr
         if buf.read(1):
             raise DataError(f"trailing bytes after record {n_records}")
+        expected = parameter_shapes(config)
+        for name in sorted(set(expected) | set(ckpt.params)):
+            if name not in ckpt.params:
+                raise DataError(f"missing parameter record {name}")
+            if name not in expected:
+                raise DataError(f"unexpected parameter record {name}")
+            if ckpt.params[name].shape != expected[name]:
+                raise DataError(
+                    f"parameter record {name} has shape {ckpt.params[name].shape}, "
+                    f"expected {expected[name]}"
+                )
     # json, a header field or a record's name or dtype code can be malformed too
     except (DataError, ConfigError, ValueError, TypeError, KeyError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from None

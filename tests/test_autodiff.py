@@ -43,6 +43,44 @@ class TestLinear:
         fd_check(loss(lambda t: (x, t, b)), W)
         fd_check(loss(lambda t: (x, W, t)), b)
 
+    @staticmethod
+    def linear_cases():
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(3, 4, 5))
+        x[0, 0, :3] = [np.nan, np.inf, -0.0]
+        b = rng.normal(size=6)
+        b[:2] = [-0.0, -np.inf]
+        return [
+            (x, rng.normal(size=(5, 6)), b),
+            (rng.normal(size=(6, 8))[::2, 1:6], rng.normal(size=(10, 4))[::2, ::2], -b[:2]),
+            (np.array([[-0.0, 0.0]]), np.array([[1.0, -0.0], [-1.0, 0.0]]), np.array([-0.0, -0.0])),
+        ]
+
+    def test_bitwise_equal_to_matmul_then_add(self):
+        """linear adds the bias in place; add(matmul(x, W), b) stays as the oracle."""
+        for xd, Wd, bd in self.linear_cases():
+            runs = []
+            for f in (ad.linear, lambda x, W, b: ad.add(ad.matmul(x, W), b)):
+                x, W, b = (Tensor(a, requires_grad=True) for a in (xd, Wd, bd))
+                g = np.random.default_rng(20).normal(size=xd.shape[:-1] + Wd.shape[-1:])
+                g.flat[0] = -0.0
+                with np.errstate(invalid="ignore"):
+                    y = f(x, W, b)
+                    y.backward(g)
+                runs.append([y.data, x.grad, W.grad, b.grad])
+            for got, want in zip(*runs):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_inputs_never_written(self):
+        for xd, Wd, bd in self.linear_cases():
+            kept = [a.copy() for a in (xd, Wd, bd)]
+            x, W, b = (Tensor(a, requires_grad=True) for a in (xd, Wd, bd))
+            with np.errstate(invalid="ignore"):
+                y = ad.linear(x, W, b)
+                y.backward(np.ones(y.shape))
+            for a, k in zip((xd, Wd, bd), kept):
+                assert a.tobytes() == k.tobytes()
+
 
 class TestConv1dTemporal:
     def test_identity_kernel(self):
@@ -108,6 +146,42 @@ class TestLayerNorm:
         with pytest.raises(DimensionError):
             ad.layer_norm(Tensor(np.zeros((3, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
+    def test_affine_shape_checked(self):
+        with pytest.raises(DimensionError, match=r"gamma \(1,\)"):
+            ad.layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones(1)), Tensor(np.zeros(3)))
+
+    @staticmethod
+    def three_pass_layer_norm(x, gamma, beta, eps=1e-5):
+        """Earlier formula with a fresh array per step, kept as the bitwise oracle."""
+        mean = x.mean(axis=-1, keepdims=True)
+        xm = x - mean
+        inv = 1.0 / np.sqrt((xm * xm).mean(axis=-1, keepdims=True) + eps)
+        return (x - mean) * inv * gamma + beta
+
+    def test_bitwise_equal_to_three_pass_formula(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(scale=3.0, size=(4, 3, 6))
+        x[0, 0] = 0.0
+        x[0, 1] = -0.0
+        x[0, 2, :2] = [np.nan, 1.0]
+        x[1, 0, 3] = np.inf
+        x[1, 1, 3] = -np.inf
+        gamma, beta = rng.normal(size=6), rng.normal(size=6)
+        gamma[:2], beta[:2] = [-0.0, 0.0], [-0.0, -0.0]
+        cases = [
+            (x, gamma, beta),
+            (rng.normal(size=(6, 9))[::2, 1::2], gamma[:4], beta[:4]),  # non-contiguous
+            (np.array([-0.0, 0.0, 2.0]), np.array([1.0, -1.0, -0.0]), np.array([-0.0, 0.0, 1.0])),
+        ]
+        for xd, gd, bd in cases:
+            kept = [a.copy() for a in (xd, gd, bd)]
+            with np.errstate(invalid="ignore"):
+                out = ad.layer_norm(Tensor(xd), Tensor(gd), Tensor(bd)).data
+                expect = self.three_pass_layer_norm(xd, gd, bd)
+            assert out.shape == expect.shape and out.tobytes() == expect.tobytes()
+            for a, k in zip((xd, gd, bd), kept):
+                assert a.tobytes() == k.tobytes()
+
     def test_gradients(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
@@ -151,6 +225,7 @@ class TestSigmoid:
             rng.normal(scale=20.0, size=(7, 5)),
             rng.normal(size=(6, 4))[::2, 1:],  # non-contiguous view
             np.array([0.0, -0.0, 1e4, -1e4, 1.0, -1.0, 5e-324, -5e-324]),
+            np.array([np.nan, -np.nan, np.inf, -np.inf]),
             np.array(0.7),
             np.array(-0.0),
         ]
@@ -161,6 +236,26 @@ class TestSigmoid:
             assert isinstance(out, np.ndarray) and out.shape == x.shape
             assert out.tobytes() == expect.tobytes(), x
             assert x.tobytes() == kept.tobytes()
+
+    def test_vjp_bitwise_equal_to_product_formula(self):
+        """g * out * (1 - out), evaluated left to right, stays as the oracle."""
+        rng = np.random.default_rng(22)
+        edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 40.0, -40.0, 1.0])
+        cases = [
+            (rng.normal(scale=5.0, size=(4, 8)), np.tile(edge, (4, 1))),
+            (rng.normal(size=(6, 4))[::2, 1:], rng.normal(size=(6, 6))[::2, ::2]),
+            (edge, rng.normal(size=8)),
+            (np.array(0.3), np.array(-0.0)),
+        ]
+        for xd, g in cases:
+            x = Tensor(xd, requires_grad=True)
+            out = ad.sigmoid(x)
+            kept = g.copy()
+            out.backward(g)
+            with np.errstate(invalid="ignore"):
+                expect = 0.0 + g * out.data * (1.0 - out.data)  # backward stores 0.0 + adjoint
+            assert x.grad.shape == expect.shape and x.grad.tobytes() == expect.tobytes()
+            assert g.tobytes() == kept.tobytes()
 
 
 class TestDropout:
@@ -190,6 +285,28 @@ class TestDropout:
         out = ad.dropout(x, 0.3, training=True, rng=rng)
         ad.tsum(out).backward()
         np.testing.assert_array_equal(x.grad, out.data)
+
+    def test_bitwise_equal_to_bool_mask_formula(self):
+        """x * ((r >= p) / (1 - p)) from an identically seeded rng stays as the oracle."""
+        edge = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324])
+        rng = np.random.default_rng(23)
+        cases = [
+            np.tile(edge, (8, 4)),
+            rng.normal(size=(6, 10))[::2, 1::3],  # non-contiguous
+            np.array(-2.5),
+        ]
+        for xd in cases:
+            for p in (0.2, 0.5, 0.9):
+                ours, theirs = np.random.default_rng(24), np.random.default_rng(24)
+                x = Tensor(xd, requires_grad=True)
+                keep = (theirs.random(xd.shape) >= p) / (1.0 - p)
+                g = np.random.default_rng(25).normal(size=xd.shape)
+                with np.errstate(invalid="ignore"):
+                    out = ad.dropout(x, p, training=True, rng=ours)
+                    out.backward(g)
+                    assert out.data.tobytes() == (xd * keep).tobytes()
+                    assert x.grad.tobytes() == (0.0 + g * keep).tobytes()
+                assert ours.random() == theirs.random()  # same number of draws
 
 
 class TestStructuralOps:

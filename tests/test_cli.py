@@ -115,8 +115,26 @@ class TestTrain:
             ({"model": model, "train": {"epochs": 1, "warmup_epochs": 0, "clip_norm": "x"}},
              "train.clip_norm: expected float | None, got 'x'"),
             ({"model": {**model, "top_k": 1.5}}, "model.top_k: expected int, got 1.5"),
+            ({"model": model, "train": {"clip_norm": float("nan")}},
+             "train.clip_norm: expected a finite number, got nan"),
+            ({"model": model, "train": {"min_lr": float("inf")}},
+             "train.min_lr: expected a finite number, got inf"),
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
+
+    def test_plain_csv_loaded_once(self, tmp_path, run_config, capsys, monkeypatch):
+        csv_path = tmp_path / "plain.csv"
+        t = np.arange(400)
+        values = np.stack([np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 7)], axis=1)
+        data.write_csv(data.Series(values, names=["a", "b"]), str(csv_path))
+        calls = []
+        load_csv = data.load_csv
+        monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or load_csv(path))
+        rc = cli.main(["train", "--config", str(run_config), "--data", str(csv_path),
+                       "--out", str(tmp_path / "m.etsf")])
+        assert rc == 0
+        assert calls == [str(csv_path)]
+        assert trainer.load_checkpoint(str(tmp_path / "m.etsf")).config.channels == 2
 
     def test_bad_env_seed_rejected(self, tmp_path, synth_file, run_config, capsys,
                                    monkeypatch):
@@ -277,10 +295,25 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
-    def test_data_error_missing_file(self, run_config, capsys):
+    def test_data_error_missing_file(self, tmp_path, run_config, capsys):
         rc = cli.main(["train", "--config", str(run_config), "--data",
                        "/nonexistent.csv", "--out", "/tmp/x.etsf"])
         assert rc == 2
+        # the data file is read first, so a bad config does not change the code
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {"lookback": 24}}))
+        assert cli.main(["train", "--config", str(bad), "--data", "/nonexistent.csv",
+                         "--out", "/tmp/x.etsf"]) == 2
+
+    def test_checkpoint_without_a_parameter_record(self, tmp_path, synth_file,
+                                                    trained_model, capsys):
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        del ckpt.params["head.w_out"]
+        broken = tmp_path / "broken.etsf"
+        trainer.save_checkpoint(ckpt, str(broken))
+        rc = cli.main(["evaluate", "--model", str(broken), "--data", str(synth_file)])
+        assert rc == 2
+        assert "missing parameter record head.w_out" in capsys.readouterr().err
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

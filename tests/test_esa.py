@@ -7,6 +7,9 @@ step-by-step recurrence.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from etsfore import autodiff as ad
 from etsfore import esa
@@ -141,7 +144,22 @@ class TestConv1dFft:
             esa.conv1d_fft(np.zeros((4, 1)), np.zeros(3))
 
 
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
 class TestEsaFast:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_length_one_matches_naive(self, data):
+        lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
+        d = data.draw(st.integers(1, 6))
+        V = data.draw(hnp.arrays(np.float64, (*lead, 1, d), elements=FINITE))
+        v0 = data.draw(hnp.arrays(np.float64, (d,), elements=FINITE))
+        params = esa.EsaParams.from_alpha(data.draw(st.floats(0.01, 0.99)), v0)
+        fast, naive = esa.esa_fast(V, params), esa.esa_naive(V, params)
+        assert fast.shape == naive.shape == V.shape
+        np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-9)
+
     def test_agrees_with_naive_across_lengths(self):
         rng = np.random.default_rng(6)
         for L in (1, 2, 3, 7, 64, 255, 256):
@@ -255,6 +273,28 @@ class TestMultiHeadEsa:
         for i in range(4):
             single = esa.mh_esa(Tensor(zb[i]), *args).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_channel_per_head_matches_naive_composition(self, data):
+        # heads == dim: every head smooths a single channel with its own rate
+        d = data.draw(st.integers(1, 5))
+        L = data.draw(st.integers(1, 12))
+        lead = data.draw(st.lists(st.integers(1, 2), max_size=1))
+        arr = lambda shape: data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-3, 3)))
+        z, v0, b_in, b_out = arr((*lead, L, d)), arr((d,)), arr((d,)), arr((d,))
+        w_in, w_out, alpha_raw = arr((d, d)), arr((d, d)), arr((d,))
+        out = esa.mh_esa(*map(Tensor, (z, alpha_raw, v0, w_in, b_in, w_out, b_out)), d).data
+        zp = z @ w_in + b_in
+        diffs = zp - np.concatenate([np.broadcast_to(v0, (*lead, 1, d)), zp[..., :-1, :]], axis=-2)
+        smoothed = np.concatenate(
+            [esa.esa_naive(diffs[..., h : h + 1], esa.EsaParams(alpha_raw[h], np.zeros(1)))
+             for h in range(d)],
+            axis=-1,
+        )
+        expect = smoothed @ w_out + b_out
+        np.testing.assert_allclose(out, expect, rtol=1e-9, atol=1e-9)
 
 
 class TestLevelSmoothing:

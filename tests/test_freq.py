@@ -236,6 +236,32 @@ class TestFourierExtrapolate:
 
         assert ad.grad_check(f, x, eps=1e-5) < 1e-6
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_edge_selections_match_oracles(self, data):
+        """K = 0 gives zeros; K = L//2 (with the Nyquist bin on even L) keeps every
+        non-DC bin, so it reconstructs the de-meaned input and continues it as
+        the cosine synthesis does."""
+        L = data.draw(st.integers(2, 24))
+        C = data.draw(st.integers(1, 3))
+        x = data.draw(hnp.arrays(np.float64, (L, C), elements=st.floats(-1e3, 1e3)))
+        j0 = data.draw(st.integers(-2 * L, 2 * L))
+        j = np.arange(j0, j0 + data.draw(st.integers(1, L)))
+        xt = Tensor(x, requires_grad=True)
+        zero = freq.fourier_extrapolate(xt, 0, j)
+        ad.tsum(zero).backward()
+        assert zero.data.shape == (len(j), C) and not zero.data.any()
+        assert not xt.grad.any()
+        full = freq.fourier_extrapolate(x, L // 2, j).data
+        bins = np.arange(1, L // 2 + 1)
+        scale = np.abs(x).max() + 1.0
+        for col in range(C):
+            np.testing.assert_allclose(
+                full[:, col], cosine_synthesis(x[:, col], bins, j), atol=1e-9 * scale
+            )
+        demeaned = freq.fourier_extrapolate(x, L // 2, np.arange(L)).data
+        np.testing.assert_allclose(demeaned, x - x.mean(axis=0), atol=1e-9 * scale)
+
     def test_gradient_k_zero(self):
         x = Tensor(np.random.default_rng(10).normal(size=(8, 1)), requires_grad=True)
         out = freq.fourier_extrapolate(x, 0, np.arange(8))

@@ -1,5 +1,6 @@
 """Tests for the assembled forecasting network."""
 
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -60,6 +61,22 @@ class TestConfig:
                 model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2, key: value}, "model")
         # a float field takes a JSON integer
         assert model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2, "dropout": 0}, "m").dropout == 0
+
+    def test_non_finite_float_rejected(self):
+        from etsfore.data import SplitSpec
+        from etsfore.trainer import TrainConfig
+
+        # json reads all of these; NaN would silently turn clipping off
+        for cls, text, key in (
+            (TrainConfig, '{"clip_norm": NaN}', "clip_norm"),
+            (TrainConfig, '{"min_lr": Infinity}', "min_lr"),
+            (TrainConfig, '{"base_lr": -Infinity}', "base_lr"),
+            (TrainConfig, '{"eps": 1e999}', "eps"),
+            (ModelConfig, '{"lookback": 8, "horizon": 2, "dropout": NaN}', "dropout"),
+            (SplitSpec, '{"train": NaN}', "train"),
+        ):
+            with pytest.raises(ConfigError, match=f"section.{key}: expected a finite number"):
+                model.from_dict(cls, json.loads(text), "section")
 
 
 class TestModelState:

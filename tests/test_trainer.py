@@ -323,6 +323,34 @@ class TestCheckpoint:
             with pytest.raises(DataError, match="norm_std is not 1 finite values"):
                 load_checkpoint(str(p))
 
+    def test_parameter_records_must_match_the_config(self, tmp_path):
+        state = ModelState.init(TINY, 0)
+        params = {name: t.data.astype(np.float32) for name, t in state.params.items()}
+        missing = {k: v for k, v in params.items() if k != "head.w_out"}
+        misshapen = {**params, "enc0.ff.b1": np.zeros(3, dtype=np.float32)}
+        p = tmp_path / "records.etsf"
+        for bad, message in (
+            (missing, "missing parameter record head.w_out"),
+            ({**params, "enc9.ff.w1": np.zeros(2, dtype=np.float32)},
+             "unexpected parameter record enc9.ff.w1"),
+            (misshapen, r"parameter record enc0.ff.b1 has shape \(3,\), expected \(16,\)"),
+        ):
+            save_checkpoint(Checkpoint(config=TINY, params=bad), str(p))
+            with pytest.raises(DataError, match=message):
+                load_checkpoint(str(p))
+
+    def test_non_finite_header_value_rejected(self, saved_bytes, tmp_path):
+        p = tmp_path / "nan.etsf"
+        # same-length edits of the JSON header
+        for old, new, where in (
+            (b'"dropout": 0.0', b'"dropout": NaN', "header model.dropout"),
+            (b'"val": 0.25', b'"val": NaN ', "header split.val"),
+        ):
+            assert old in saved_bytes
+            p.write_bytes(saved_bytes.replace(old, new))
+            with pytest.raises(DataError, match=f"{where}: expected a finite number"):
+                load_checkpoint(str(p))
+
     def test_trailing_bytes_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "long.etsf"
         p.write_bytes(saved_bytes + b"\x00")
