@@ -186,7 +186,7 @@ def neg(a) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
@@ -349,10 +349,8 @@ def pow_outer(base, exponents) -> Tensor:
 def linear(x, W, b=None) -> Tensor:
     """y = x @ W (+ b) along the trailing axis."""
     x, W = as_tensor(x), as_tensor(W)
-    if x.shape[-1] != W.shape[0]:
-        raise DimensionError(
-            f"linear: input trailing dim {x.shape} does not match weight {W.shape}"
-        )
+    if x.ndim < 2 or W.ndim != 2 or x.shape[-1] != W.shape[0]:
+        raise DimensionError(f"linear: input {x.shape} does not match weight {W.shape}")
     y = matmul(x, W)
     if b is not None:
         b = as_tensor(b)

@@ -6,31 +6,45 @@ level/growth/seasonal decomposition semantics used elsewhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DimensionError, DomainError
 
 
 @dataclass
 class HwParams:
-    alpha: float
-    beta: float
-    gamma: float
-    phi: float = 1.0
+    """Smoothing parameters. alpha, beta, gamma and phi are each a scalar or a
+    1-d array over candidates; arrays broadcast against each other, so one
+    recurrence runs every candidate at once."""
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
+    phi: float | np.ndarray = 1.0
     period: int = 1
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {v}")
-        if not 0.0 < self.phi <= 1.0:
-            raise DomainError(f"phi must lie in (0, 1], got {self.phi}")
+        for name in ("alpha", "beta", "gamma", "phi"):
+            v = np.asarray(getattr(self, name))
+            inside = (0.0 < v) & ((v <= 1.0) if name == "phi" else (v < 1.0))
+            if not inside.all():
+                domain = "(0, 1]" if name == "phi" else "(0, 1)"
+                raise DomainError(f"{name} must lie in {domain}, got {v[~inside][0]}")
         if self.period < 1:
             raise DomainError(f"period must be >= 1, got {self.period}")
+        if len(self.shape) > 1:
+            raise DimensionError(f"parameters must be scalars or 1-d, got shape {self.shape}")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Candidate shape: () for one parameter set, (n,) for n candidates."""
+        shapes = [np.shape(v) for v in (self.alpha, self.beta, self.gamma, self.phi)]
+        try:
+            return np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise DimensionError(f"parameter shapes {shapes} do not broadcast") from None
 
 
 @dataclass
@@ -59,7 +73,12 @@ def default_init(x: np.ndarray, period: int) -> HwState:
 
 
 def hw_smooth(x: np.ndarray, params: HwParams, init: HwState | None = None) -> HwState:
-    """Run the level, growth, seasonal recurrences over the whole series."""
+    """Run the level, growth, seasonal recurrences over the whole series.
+
+    The states carry the candidate axis last: level and growth are
+    (T+1,) + params.shape and seasonal is (T+p,) + params.shape. Each
+    candidate gets exactly the arithmetic of a scalar call.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise DataError(f"expected a univariate series, got shape {x.shape}")
@@ -69,18 +88,20 @@ def hw_smooth(x: np.ndarray, params: HwParams, init: HwState | None = None) -> H
     if init is None:
         init = default_init(x, p)
     T = x.size
-    e = np.empty(T + 1)
-    b = np.empty(T + 1)
-    s = np.empty(T + p)
+    cand = params.shape
+    e = np.empty((T + 1,) + cand)
+    b = np.empty((T + 1,) + cand)
+    s = np.empty((T + p,) + cand)
     e[0], b[0] = init.level[0], init.growth[0]
-    s[:p] = init.seasonal[:p]
+    s[:p] = init.seasonal[:p].reshape((p,) + (1,) * len(cand))
     a, be, ga = params.alpha, params.beta, params.gamma
+    a1, be1, ga1 = 1.0 - a, 1.0 - be, 1.0 - ga
     for t in range(1, T + 1):
         xt = x[t - 1]
         s_lag = s[t - 1]  # seasonal index from one period ago
-        e[t] = a * (xt - s_lag) + (1.0 - a) * (e[t - 1] + b[t - 1])
-        b[t] = be * (e[t] - e[t - 1]) + (1.0 - be) * b[t - 1]
-        s[p + t - 1] = ga * (xt - e[t]) + (1.0 - ga) * s_lag
+        e[t] = a * (xt - s_lag) + a1 * (e[t - 1] + b[t - 1])
+        b[t] = be * (e[t] - e[t - 1]) + be1 * b[t - 1]
+        s[p + t - 1] = ga * (xt - e[t]) + ga1 * s_lag
     return HwState(level=e, growth=b, seasonal=s, period=p)
 
 
@@ -90,13 +111,10 @@ def hw_forecast(state: HwState, params: HwParams, h: int) -> np.ndarray:
         raise DataError(f"forecast horizon must be >= 1, got {h}")
     p = state.period
     T = state.level.size - 1
-    e_t, b_t = state.level[-1], state.growth[-1]
     damp = np.cumsum(params.phi ** np.arange(1, h + 1, dtype=np.float64))
-    out = np.empty(h)
-    for step in range(1, h + 1):
-        wrap = T + step - p * math.ceil(step / p)  # most recent estimate of this phase
-        out[step - 1] = e_t + damp[step - 1] * b_t + state.seasonal[wrap + p - 1]
-    return out
+    step = np.arange(1, h + 1)
+    wrap = T + step - p * -(-step // p)  # -(-step // p) = ceil(step / p): latest estimate of the phase
+    return state.level[-1] + damp * state.growth[-1] + state.seasonal[wrap + p - 1]
 
 
 def grid_values(resolution: int) -> dict[str, np.ndarray]:
@@ -116,12 +134,23 @@ class HwFitResult:
 
 
 def one_step_errors(x: np.ndarray, params: HwParams, init: HwState | None = None) -> np.ndarray:
-    """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p}."""
+    """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p},
+    shaped (T,) + params.shape."""
     state = hw_smooth(x, params, init)
-    T = len(np.asarray(x))
-    t = np.arange(1, T + 1)
-    pred = state.level[t - 1] + params.phi * state.growth[t - 1] + state.seasonal[t - 1]
-    return np.asarray(x, dtype=np.float64) - pred
+    x = np.asarray(x, dtype=np.float64)
+    T = x.size
+    # x - (level + phi*growth + seasonal) in one buffer; addition commutes
+    # exactly, so the bits are those of the expression
+    err = params.phi * state.growth[:T]
+    err += state.level[:T]
+    err += state.seasonal[:T]
+    return np.subtract(x.reshape((T,) + (1,) * len(params.shape)), err, out=err)
+
+
+# Candidates per one_step_errors call are capped so that a (T+1, block) state
+# array holds at most this many float64 words: one fit's working memory stays
+# about 1 MiB whatever the grid resolution.
+_BLOCK_WORDS = 1 << 15
 
 
 def hw_fit_grid(
@@ -131,9 +160,10 @@ def hw_fit_grid(
 
     The filter runs over the whole series; only errors on the final
     val_fraction of steps count, so the scored forecasts never see their
-    targets. Candidates are visited in ascending (alpha, beta, gamma, phi)
-    order and replaced only on strict improvement, so ties resolve toward
-    smaller values.
+    targets. Candidates are taken in ascending (alpha, beta, gamma, phi)
+    order, a block at a time, and the first minimum wins, so ties resolve
+    toward smaller values. NaN scores never win, except that the first
+    candidate stands if its own score is NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     T = x.size
@@ -143,14 +173,30 @@ def hw_fit_grid(
             f"series length {T} too short: fit part {T - n_val} must exceed period {period}"
         )
     grid = grid_values(resolution)
-    best: tuple[float, HwParams] | None = None
-    for a in grid["alpha"]:
-        for be in grid["beta"]:
-            for ga in grid["gamma"]:
-                for ph in grid["phi"]:
-                    params = HwParams(alpha=a, beta=be, gamma=ga, phi=ph, period=period)
-                    errors = one_step_errors(x, params)[T - n_val :]
-                    mse = float(np.mean(errors**2))
-                    if best is None or mse < best[0]:
-                        best = (mse, params)
-    return HwFitResult(params=best[1], val_mse=best[0], degenerate=bool(np.ptp(x) == 0.0))
+    n = resolution**4
+    block = max(1, _BLOCK_WORDS // (T + 1))
+    best, best_mse = 0, None
+    for lo in range(0, n, block):
+        params = _grid_params(grid, np.arange(lo, min(lo + block, n)), period)
+        # one C-contiguous row per candidate, so np.mean sums each tail in
+        # the same pairwise order as it does a single candidate's errors
+        sq = np.ascontiguousarray(one_step_errors(x, params)[T - n_val :].T)
+        mse = np.mean(np.square(sq, out=sq), axis=1)
+        if best_mse is None:
+            best_mse = mse[0]  # if NaN, it stands: `x < nan` is false for every x
+        i = int(np.argmin(np.where(np.isnan(mse), np.inf, mse)))
+        if mse[i] < best_mse:
+            best, best_mse = lo + i, mse[i]
+    return HwFitResult(
+        params=_grid_params(grid, best, period),
+        val_mse=float(best_mse),
+        degenerate=bool(np.ptp(x) == 0.0),
+    )
+
+
+def _grid_params(grid: dict[str, np.ndarray], flat, period: int) -> HwParams:
+    """The candidates at flat index (or indices) `flat` of the grid in
+    row-major (alpha, beta, gamma, phi) order."""
+    names = ("alpha", "beta", "gamma", "phi")
+    index = np.unravel_index(flat, tuple(grid[k].size for k in names))
+    return HwParams(*(grid[k][i] for k, i in zip(names, index)), period=period)

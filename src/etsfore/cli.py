@@ -247,6 +247,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if not 0.0 < args.test_fraction < 1.0:  # also rejects nan and inf
+        raise ConfigError(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     series = data.load_csv(args.data)
     T = series.length
     n_test = max(1, int(round(args.test_fraction * T)))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -304,8 +305,9 @@ def read_synth_csv(path: str) -> SynthDataset:
     non-finite value, an instance outside [0, instances) or a t outside
     [1, lookback+horizon] raises ParseError naming its line, as does a
     repeated cell; a missing cell raises ParseError naming the cell. So do a
-    missing or bad metadata key and a non-positive lookback, horizon or
-    instance count.
+    missing or bad metadata key, a non-positive lookback, horizon or
+    instance count, a missing header and a last row without its line break,
+    which a truncated file cannot be told apart from.
     """
     with open(path, newline="") as fh:
         meta_line = fh.readline().strip()
@@ -313,7 +315,7 @@ def read_synth_csv(path: str) -> SynthDataset:
             raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
         L, H, n, noise, seed = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if header != ["instance", "t", "value"]:
             raise ParseError(f"{path}: unexpected header {header}")
         cells: list = []  # instance, t, value of every row, flattened
@@ -323,6 +325,9 @@ def read_synth_csv(path: str) -> SynthDataset:
             except (ValueError, IndexError):
                 line_no = 3 + len(cells) // 3
                 raise ParseError(f"{path}: line {line_no}: malformed row {row!r}") from None
+    if not _ends_with_line_break(path):
+        # a cut inside the last value can still leave a number that parses
+        raise ParseError(f"{path}: line {2 + len(cells) // 3}: no line break at the end (truncated?)")
     # Checked here, vectorized, rather than row by row; row r is line 3 + r.
     T = L + H
 
@@ -372,6 +377,13 @@ def read_synth_csv(path: str) -> SynthDataset:
         noise_std=noise,
         seed=seed,
     )
+
+
+def _ends_with_line_break(path: str) -> bool:
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        fh.seek(max(size - 1, 0))
+        return fh.read(1) == b"\n"
 
 
 def is_synth_csv(path: str) -> bool:

@@ -30,6 +30,15 @@ class TestLinear:
         with pytest.raises(DimensionError, match=r"\(1, 3\).*\(2, 2\)"):
             ad.linear(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 2))))
 
+    @pytest.mark.parametrize("x", [np.ones(2), np.array(1.0)])
+    def test_left_operand_below_two_dims_rejected(self, x):
+        # a (k,) operand used to run forward and fail in the VJP's swapaxes
+        W = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(DimensionError):
+            ad.matmul(Tensor(x, requires_grad=True), W)
+        with pytest.raises(DimensionError):
+            ad.linear(Tensor(x, requires_grad=True), W, Tensor(np.zeros(3)))
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)

@@ -1,10 +1,18 @@
 """Tests for the Holt-Winters smoother, damped-trend forecast, and grid fit."""
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from etsfore import classical as hw
-from etsfore.errors import DataError, DomainError
+from etsfore.errors import DataError, DimensionError, DomainError
+
+NAMES = ("alpha", "beta", "gamma", "phi")
 
 
 def simulate(params, T, seed, sigma=0.6):
@@ -23,6 +31,57 @@ def simulate(params, T, seed, sigma=0.6):
         e = e_new
         xs.append(x)
     return np.array(xs)
+
+
+def smooth_loop(x, a, be, ga, p):
+    """The scalar recurrence hw_smooth ran before it took candidate arrays,
+    from default_init's seeds; kept as the oracle of the candidate axis."""
+    xs = x.tolist()
+    e0 = float(x[:p].mean())
+    e, b, s = [e0], [0.0], (x[:p] - e0).tolist()
+    for t in range(1, len(xs) + 1):
+        xt, s_lag = xs[t - 1], s[t - 1]
+        e.append(a * (xt - s_lag) + (1.0 - a) * (e[t - 1] + b[t - 1]))
+        b.append(be * (e[t] - e[t - 1]) + (1.0 - be) * b[t - 1])
+        s.append(ga * (xt - e[t]) + (1.0 - ga) * s_lag)
+    return np.array(e), np.array(b), np.array(s)
+
+
+def errors_loop(x, a, be, ga, ph, p):
+    """One-step errors of one candidate, as one_step_errors computed them."""
+    e, b, s = smooth_loop(x, a, be, ga, p)
+    T = x.size
+    return x - (e[:T] + ph * b[:T] + s[:T])
+
+
+def fit_grid_loop(x, period, resolution, val_fraction=0.25, errors=errors_loop):
+    """The per-candidate search hw_fit_grid replaced: visit the grid in
+    ascending (alpha, beta, gamma, phi) order, replace only on strict
+    improvement. Returns (mse, (alpha, beta, gamma, phi))."""
+    T = x.size
+    n_val = max(1, int(round(val_fraction * T)))
+    grid = hw.grid_values(resolution)
+    best = None
+    for a in grid["alpha"]:
+        for be in grid["beta"]:
+            for ga in grid["gamma"]:
+                for ph in grid["phi"]:
+                    err = errors(x, float(a), float(be), float(ga), float(ph), period)[T - n_val :]
+                    mse = float(np.mean(err**2))
+                    if best is None or mse < best[0]:
+                        best = (mse, (a, be, ga, ph))
+    return best
+
+
+def near_overflow(rng, T, exponent):
+    """Random signs, magnitudes in [0.5, 1) * 10**exponent: from 1e154 the
+    squared errors overflow to inf, and at 1e308 the states reach inf - inf."""
+    return rng.choice([-1.0, 1.0], size=T) * rng.uniform(0.5, 1.0, size=T) * 10.0**exponent
+
+
+def fit_key(mse, params):
+    """Bytes of the MSE and the four parameters, so NaN compares equal to NaN."""
+    return np.array([mse, *params], dtype=np.float64).tobytes()
 
 
 class TestHwSmooth:
@@ -120,6 +179,22 @@ class TestHwForecast:
         # steps 1..4 read the last stored period (entries 6..9); step 5 wraps back
         np.testing.assert_allclose(out, [6, 7, 8, 9, 6, 7, 8, 9, 6])
 
+    @pytest.mark.parametrize("p, T, h, phi", [(1, 5, 7, 0.8), (4, 6, 9, 1.0), (4, 10, 3, 0.5),
+                                               (5, 12, 23, 0.9), (12, 30, 48, 0.97)])
+    def test_bitwise_equal_to_step_loop(self, p, T, h, phi):
+        """The per-step loop hw_forecast replaced stays here as its oracle."""
+        rng = np.random.default_rng(T)
+        state = hw.HwState(level=rng.normal(size=T + 1), growth=rng.normal(size=T + 1),
+                           seasonal=rng.normal(size=T + p) * 1e3, period=p)
+        params = hw.HwParams(0.5, 0.5, 0.5, phi=phi, period=p)
+        damp = np.cumsum(phi ** np.arange(1, h + 1, dtype=np.float64))
+        want = np.empty(h)
+        for step in range(1, h + 1):
+            wrap = T + step - p * math.ceil(step / p)
+            want[step - 1] = state.level[-1] + damp[step - 1] * state.growth[-1] + \
+                state.seasonal[wrap + p - 1]
+        assert hw.hw_forecast(state, params, h).tobytes() == want.tobytes()
+
     def test_zero_growth_constant_forecast(self):
         state = self._state(3.0, 0.0)
         out = hw.hw_forecast(state, hw.HwParams(0.2, 0.2, 0.2, phi=0.7, period=4), 10)
@@ -177,3 +252,147 @@ class TestHwFitGrid:
             hw.HwParams(0.0, 0.5, 0.5, period=4)
         with pytest.raises(DomainError):
             hw.HwParams(0.5, 0.5, 0.5, phi=1.2, period=4)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("alpha", 1.0), ("beta", 0.0), ("gamma", np.nan), ("phi", np.nextafter(1.0, 2.0)),
+        ("phi", 0.0), ("alpha", -np.inf),
+    ])
+    def test_one_element_out_of_domain_in_an_array(self, name, bad):
+        values = {k: np.array([0.3, 0.5, 0.7]) for k in NAMES}
+        values[name][1] = bad
+        with pytest.raises(DomainError, match=f"{name} must lie in"):
+            hw.HwParams(**values, period=4)
+
+    def test_candidate_shapes_checked(self):
+        assert hw.HwParams(np.full(3, 0.5), 0.5, 0.5, np.ones(3), period=2).shape == (3,)
+        assert hw.HwParams(0.5, 0.5, 0.5, period=2).shape == ()
+        with pytest.raises(DimensionError):
+            hw.HwParams(np.full(3, 0.5), np.full(2, 0.5), 0.5, period=2)
+        with pytest.raises(DimensionError):
+            hw.HwParams(np.full((2, 2), 0.5), 0.5, 0.5, period=2)
+
+    @staticmethod
+    @st.composite
+    def series(draw):
+        """A series, its period, grid resolution and validation fraction.
+
+        Kinds: noise at scales 1e-3..1e3, a constant (every candidate
+        ties), and magnitudes near the float64 limit, whose squared errors
+        overflow to inf and whose states reach inf - inf = NaN.
+        """
+        p = draw(st.integers(1, 5))
+        T = draw(st.integers(p + 2, 180))
+        # 0.8 of 161..180 steps are tails of 129..144, past numpy's
+        # 128-element pairwise-summation block
+        val_fraction = draw(st.sampled_from([0.25, 0.1, 0.5, 0.8]))
+        assume(T - max(1, int(round(val_fraction * T))) > p)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["noise", "constant", "huge"]))
+        if kind == "constant":
+            x = np.full(T, draw(st.sampled_from([0.0, -2.5, 1e-300, 7.0])))
+        elif kind == "huge":
+            x = near_overflow(rng, T, draw(st.sampled_from([308, 300, 160])))
+        else:
+            t = np.arange(T)
+            x = (rng.normal(size=T) + np.sin(2 * np.pi * t / p) + 0.01 * t)
+            x *= 10.0 ** draw(st.floats(-3.0, 3.0))
+        return x, p, draw(st.integers(1, 4)), val_fraction
+
+    @settings(max_examples=60, deadline=None)
+    @given(series())
+    # inf and NaN scores, with an inf first candidate
+    @example((near_overflow(np.random.default_rng(0), 40, 308), 2, 2, 0.25))
+    # every candidate ties at 0; a tail of 144 steps
+    @example((np.full(30, 3.0), 4, 3, 0.25))
+    @example((np.sin(np.arange(180.0)), 3, 2, 0.8))
+    def test_bitwise_equal_to_per_candidate_loop(self, case):
+        x, p, res, val_fraction = case
+        with np.errstate(all="ignore"):
+            fit = hw.hw_fit_grid(x, p, res, val_fraction)
+            want = fit_grid_loop(x, p, res, val_fraction)
+        got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+        assert fit_key(fit.val_mse, got) == fit_key(*want)
+        assert fit.params.period == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tie_and_nan_rule_across_blocks(self, data):
+        """Scores drawn from {0, 1, 4, inf, NaN}: ties, a NaN first candidate
+        and NaN or tied block heads, with blocks of 1 to 5 candidates."""
+        res = data.draw(st.integers(1, 3))
+        n = res**4
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), min_size=n, max_size=n)))
+        grid = hw.grid_values(res)
+        T, period = 12, 2
+
+        def index(params):
+            pos = [np.searchsorted(grid[k], getattr(params, k)) for k in NAMES]
+            return np.ravel_multi_index(pos, (res,) * 4)
+
+        def fake_errors(x, params, init=None):
+            e = scores[index(params)]
+            return np.broadcast_to(e, (T,) + np.shape(e)).copy()
+
+        def loop_errors(x, a, be, ga, ph, p):
+            return fake_errors(x, hw.HwParams(a, be, ga, ph, period=p))
+
+        block = data.draw(st.integers(1, 5))
+        x = np.zeros(T)
+        with mock.patch.object(hw, "one_step_errors", fake_errors), \
+                mock.patch.object(hw, "_BLOCK_WORDS", block * (T + 1)), \
+                np.errstate(all="ignore"):
+            fit = hw.hw_fit_grid(x, period, res)
+            want = fit_grid_loop(x, period, res, errors=loop_errors)
+        got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+        assert fit_key(fit.val_mse, got) == fit_key(*want)
+
+    def test_working_memory_bounded_by_budget_not_grid(self):
+        x = np.random.default_rng(6).normal(size=200)
+        tracemalloc.start()
+        try:
+            hw.hw_fit_grid(x, 4, 12)  # 20736 candidates
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all candidates at once would hold several 200 x 20736 float64 arrays (33 MB each)
+        assert peak < 3 * 2**20
+
+
+class TestCandidateAxis:
+    """Every candidate of an array call gets the bits of its scalar call."""
+
+    @staticmethod
+    def candidates(n, seed):
+        rng = np.random.default_rng(seed)
+        return {k: rng.uniform(0.01, 0.99, n) for k in ("alpha", "beta", "gamma")} | {
+            "phi": rng.uniform(0.01, 1.0, n)}
+
+    @pytest.mark.parametrize("p", [1, 3, 7])
+    def test_smooth_and_errors_match_scalar_calls(self, p):
+        x = np.random.default_rng(p).normal(size=40) * 50.0
+        values = self.candidates(9, p)
+        values["phi"][0] = 1.0
+        vec = hw.HwParams(**values, period=p)
+        state = hw.hw_smooth(x, vec)
+        err = hw.one_step_errors(x, vec)
+        assert state.level.shape == state.growth.shape == (41, 9)
+        assert state.seasonal.shape == (40 + p, 9) and err.shape == (40, 9)
+        for j in range(9):
+            one = hw.HwParams(**{k: v[j] for k, v in values.items()}, period=p)
+            s1 = hw.hw_smooth(x, one)
+            for got, want in ((state.level, s1.level), (state.growth, s1.growth),
+                              (state.seasonal, s1.seasonal), (err, hw.one_step_errors(x, one))):
+                assert got[:, j].tobytes() == want.tobytes()
+            e, b, s = smooth_loop(x, one.alpha, one.beta, one.gamma, p)
+            assert (e.tobytes(), b.tobytes(), s.tobytes()) == (
+                s1.level.tobytes(), s1.growth.tobytes(), s1.seasonal.tobytes())
+
+    def test_scalar_params_mixed_with_arrays_broadcast(self):
+        x = np.random.default_rng(8).normal(size=30)
+        values = self.candidates(4, 8)
+        mixed = hw.HwParams(values["alpha"], 0.4, values["gamma"], 0.9, period=3)
+        err = hw.one_step_errors(x, mixed)
+        for j in range(4):
+            one = hw.HwParams(values["alpha"][j], 0.4, values["gamma"][j], 0.9, period=3)
+            assert err[:, j].tobytes() == hw.one_step_errors(x, one).tobytes()

@@ -273,6 +273,20 @@ class TestBaseline:
         assert payload["mse"] < np.var(x)
 
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--test-fraction", "nan", "--test-fraction"), ("--test-fraction", "inf", "--test-fraction"),
+        ("--test-fraction", "-1", "--test-fraction"), ("--test-fraction", "0", "--test-fraction"),
+        ("--test-fraction", "1", "--test-fraction"), ("--grid", "0", "--grid"),
+        ("--period", "0", "period must be >= 1"),  # DomainError from the fit
+    ])
+    def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value, named):
+        p = tmp_path / "s.csv"
+        data.write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        rc = cli.main(["baseline", "--data", str(p), "--period", "4", flag, value])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+
 class TestBench:
     def test_schema(self, capsys):
         rc = cli.main(["bench-esa", "--lengths", "64,128", "--d", "2", "--repeats", "1"])

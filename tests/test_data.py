@@ -3,6 +3,9 @@ generator, augmentation, and metrics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from etsfore import data
 from etsfore.errors import DataError, DimensionError, ParseError
@@ -244,6 +247,43 @@ class TestSynth:
         line = " ".join(f"{k}={v}" for k, v in meta.items()) + " noise=0.0 seed=0"
         with pytest.raises(ParseError, match=f"line 1: metadata {key}=-2 must be positive"):
             data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+
+    @staticmethod
+    @st.composite
+    def datasets(draw):
+        n, L, H = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        values = draw(hnp.arrays(np.float64, (n, L + H, 1),
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+        noise = draw(st.floats(0.0, 1.0))
+        return data.SynthDataset(values, L, H, noise, draw(st.integers(0, 2**31)))
+
+    @staticmethod
+    def same(a, b):
+        return (a.values.tobytes(), a.values.shape, a.lookback, a.horizon, a.noise_std,
+                a.seed) == (b.values.tobytes(), b.values.shape, b.lookback, b.horizon,
+                            b.noise_std, b.seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    def test_write_read_roundtrip_is_bitwise(self, tmp_path_factory, ds):
+        """Values include -0.0, subnormals and the largest finite floats."""
+        p = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+        data.write_synth_csv(ds, str(p))
+        assert self.same(data.read_synth_csv(str(p)), ds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets())
+    def test_every_truncation_loads_completely_or_raises(self, tmp_path_factory, ds):
+        p = tmp_path_factory.getbasetemp() / "truncated.csv"
+        data.write_synth_csv(ds, str(p))
+        full = p.read_bytes()
+        for cut in range(len(full)):
+            p.write_bytes(full[:cut])
+            try:
+                back = data.read_synth_csv(str(p))
+            except ParseError:
+                continue
+            assert self.same(back, ds), f"prefix of {cut} of {len(full)} bytes"
 
     def test_window_pairs_shapes(self):
         ds = data.synth_generate(2, 0.0, seed=0, lookback=12, horizon=3)
