@@ -2,8 +2,11 @@
 
 All data is float64. A Tensor records the primitive application that
 produced it (parents + vector-Jacobian closure); backward() replays the
-graph once in reverse topological order. Only the primitives needed by
-the forecasting model are provided.
+graph once in reverse topological order. Code calls the primitives by
+name (`add`, `mul`, `linear`, ...); the one operator a Tensor defines is
+indexing, `t[...]`, which records a `getitem` node. Only the primitives
+the forecasting model needs are provided, plus `grad_check` and `tsum`,
+the unscaled sum that gradient checks reduce an output with.
 """
 
 from __future__ import annotations
@@ -54,12 +57,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -104,22 +101,6 @@ class Tensor:
                     parent.grad = np.add(0.0, g, out=np.empty_like(parent.data))
                 else:
                     parent.grad += g
-
-    # Operator sugar used throughout the model code.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -177,11 +158,6 @@ def mul(a, b) -> Tensor:
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
     )
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return make_node(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:

@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
+from . import autodiff as ad
 from . import classical, data, esa, model, trainer
 from .errors import (
     ConfigError,
@@ -44,6 +46,12 @@ def _emit(obj) -> None:
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _require(ok: bool, flag: str, rule: str, value) -> None:
+    """Reject a flag value with a ConfigError naming the flag (exit 1)."""
+    if not ok:
+        raise ConfigError(f"{flag} must {rule}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,10 @@ def _normalize_pairs(pairs, stats: data.NormStats):
 
 
 def cmd_synth(args) -> int:
+    for flag in ("n", "lookback", "horizon"):
+        _require(getattr(args, flag) >= 1, f"--{flag}", "be >= 1", getattr(args, flag))
+    _require(args.seed >= 0, "--seed", "be >= 0", args.seed)
+    _require(0.0 <= args.noise < math.inf, "--noise", "be finite and >= 0", args.noise)
     ds = data.synth_generate(
         args.n, args.noise, args.seed, lookback=args.lookback, horizon=args.horizon
     )
@@ -217,40 +229,38 @@ def _channel_columns(base_names: list[str], m: int) -> list[str]:
     return [f"{name}_ch{c}" for name in base_names for c in range(m)]
 
 
-def cmd_forecast(args) -> int:
-    ckpt = trainer.load_checkpoint(args.model)
-    pair = _window_for(args, ckpt)
-    dec = model.forecast(pair.lookback, ckpt.to_state())
-    H, m = dec.total.shape
-    t = np.arange(H)[:, None]
-    cols = ["t"] + _channel_columns(["total", "target"], m)
-    rows = np.hstack([t, dec.total.reshape(H, m), pair.target.reshape(H, m)])
-    _emit_table(cols, rows, args.format)
-    return EXIT_OK
+def _horizon_table(args, keep: tuple[str, ...] | None) -> int:
+    """Emit one window's horizon table: t, then each kept component per channel.
 
-
-def cmd_decompose(args) -> int:
+    The components are level, growth, seasonal, total, target and the
+    per-stack growth and seasonal parts; keep=None keeps them all.
+    """
     ckpt = trainer.load_checkpoint(args.model)
     pair = _window_for(args, ckpt)
     dec, stack_growth, stack_seasonal, _ = model.decompose(pair.lookback, ckpt.to_state())
     H, m = dec.total.shape
-    t = np.arange(H)[:, None]
-    names = ["level", "growth", "seasonal", "total", "target"]
-    blocks = [dec.level, dec.growth, dec.seasonal, dec.total, pair.target.reshape(H, m)]
+    parts = {"level": dec.level, "growth": dec.growth, "seasonal": dec.seasonal,
+             "total": dec.total, "target": pair.target}
     for n, (g, s) in enumerate(zip(stack_growth, stack_seasonal)):
-        names += [f"growth{n}", f"seasonal{n}"]
-        blocks += [g, s]
-    cols = ["t"] + _channel_columns(names, m)
-    rows = np.hstack([t] + [b.reshape(H, m) for b in blocks])
-    _emit_table(cols, rows, args.format)
+        parts[f"growth{n}"], parts[f"seasonal{n}"] = g, s
+    names = [name for name in parts if keep is None or name in keep]
+    rows = np.hstack([np.arange(H)[:, None]] + [parts[name].reshape(H, m) for name in names])
+    _emit_table(["t"] + _channel_columns(names, m), rows, args.format)
     return EXIT_OK
 
 
+def cmd_forecast(args) -> int:
+    return _horizon_table(args, ("total", "target"))
+
+
+def cmd_decompose(args) -> int:
+    return _horizon_table(args, None)
+
+
 def cmd_baseline(args) -> int:
-    if not 0.0 < args.test_fraction < 1.0:  # also rejects nan and inf
-        raise ConfigError(f"--test-fraction must lie in (0, 1), got {args.test_fraction}")
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
+    # also rejects nan and inf
+    _require(0.0 < args.test_fraction < 1.0, "--test-fraction", "lie in (0, 1)", args.test_fraction)
+    _require(args.grid >= 1, "--grid", "be >= 1", args.grid)
     series = data.load_csv(args.data)
     T = series.length
     n_test = max(1, int(round(args.test_fraction * T)))
@@ -290,24 +300,24 @@ def cmd_baseline(args) -> int:
 
 
 def bench_esa(lengths: list[int], d: int, repeats: int, seed: int = 0) -> list[dict]:
-    if sorted(lengths) != lengths:
-        raise ConfigError(f"lengths must be ascending, got {lengths}")
+    """Mean wall time of the naive oracle and the fast path at each length."""
     rng = np.random.default_rng(seed)
     results = []
     for L in lengths:
         V = rng.normal(size=(L, d))
-        params = esa.EsaParams.from_alpha(0.3, np.zeros(d))
-        esa.esa_naive(V, params)  # warm caches before timing
-        esa.esa_fast(V, params)
-        naive_ms, fast_ms = 0.0, 0.0
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            esa.esa_naive(V, params)
-            t1 = time.perf_counter()
-            esa.esa_fast(V, params)
-            t2 = time.perf_counter()
-            naive_ms += (t1 - t0) * 1e3
-            fast_ms += (t2 - t1) * 1e3
+        Vt, v0 = ad.Tensor(V), np.zeros(d)
+        with ad.no_grad():
+            esa.esa_naive(V, 0.3, v0)  # warm caches before timing
+            esa.esa_fast_t(Vt, 0.3, v0)
+            naive_ms, fast_ms = 0.0, 0.0
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                esa.esa_naive(V, 0.3, v0)
+                t1 = time.perf_counter()
+                esa.esa_fast_t(Vt, 0.3, v0)
+                t2 = time.perf_counter()
+                naive_ms += (t1 - t0) * 1e3
+                fast_ms += (t2 - t1) * 1e3
         results.append(
             {"L": L, "naive_ms": naive_ms / repeats, "fast_ms": fast_ms / repeats}
         )
@@ -315,7 +325,14 @@ def bench_esa(lengths: list[int], d: int, repeats: int, seed: int = 0) -> list[d
 
 
 def cmd_bench_esa(args) -> int:
-    lengths = [int(s) for s in args.lengths.split(",")]
+    try:
+        lengths = [int(s) for s in args.lengths.split(",")]
+        ok = min(lengths) >= 1 and sorted(lengths) == lengths
+    except ValueError:
+        ok = False
+    _require(ok, "--lengths", "be positive ascending integers", repr(args.lengths))
+    _require(args.d >= 1, "--d", "be >= 1", args.d)
+    _require(args.repeats >= 1, "--repeats", "be >= 1", args.repeats)
     for row in bench_esa(lengths, args.d, args.repeats):
         _emit(row)
     return EXIT_OK

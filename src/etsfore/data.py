@@ -63,7 +63,11 @@ class WindowPair:
 
 
 def load_csv(path: str) -> Series:
-    """Parse a header-ed CSV of numeric channels, optional ISO-8601 first column."""
+    """Parse a header-ed CSV of numeric channels, optional ISO-8601 first column.
+
+    The last line must end with a line break, as in instance CSVs: a file
+    cut inside its last value can still end in a number that parses.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -71,6 +75,8 @@ def load_csv(path: str) -> Series:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         rows = [(reader.line_num, row) for row in reader if row]
+    if not _ends_with_line_break(path):
+        raise ParseError(f"{path}: line {reader.line_num}: no line break at the end (truncated?)")
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -142,10 +148,6 @@ def compute_stats(train_values: np.ndarray) -> NormStats:
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
-
-
-def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64) * stats.std + stats.mean
 
 
 def split_chronological(

@@ -1,19 +1,18 @@
 """Exponential smoothing attention (ESA) kernels.
 
 Attention weights decay geometrically with relative time lag, independent
-of token content. The naive kernel materializes the L x (L+1) attention
-matrix (O(L^2)); the fast kernel evaluates the same triangular product as
-an FFT cross-correlation (O(L log L)). On top of the two kernels sit the
-multi-head growth extractor and the fast level-smoothing expansion.
+of token content. The oracle materializes the L x (L+1) attention matrix
+(O(L^2)); the fast path evaluates the same triangular product as an FFT
+cross-correlation (O(L log L)). On top of the fast path sit the multi-head
+growth extractor and the level-smoothing expansion.
 
-Plain-ndarray functions carry the numerics and serve as oracles/benchmarks;
-the `*_t` variants wrap them as differentiable graph nodes.
+`esa_fast_t` is the one fast path: the model, the benchmark command and
+the oracle checks all run it. `attention_matrix`, `esa_naive` and
+`level_recurrence` are plain-ndarray oracles; `conv1d_fft` carries the FFT
+numerics that `conv1d_fft_t` wraps as a differentiable graph node.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -28,41 +27,6 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"smoothing parameter must lie in (0, 1), got {alpha}")
     return alpha
-
-
-def _logit(p: float) -> float:
-    return math.log(p / (1.0 - p))
-
-
-@dataclass
-class EsaParams:
-    """Smoothing parameter (stored unconstrained) and initial state of one head."""
-
-    alpha_raw: float
-    v0: np.ndarray
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.alpha_raw))
-
-    @classmethod
-    def from_alpha(cls, alpha: float, v0) -> "EsaParams":
-        return cls(alpha_raw=_logit(_check_alpha(alpha)), v0=np.asarray(v0, dtype=np.float64))
-
-
-def es_weights(alpha: float, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decay weights for one smoothing pass of length L.
-
-    weight[j] = alpha*(1-alpha)**(L-1-j) multiplies the observations;
-    init_weight[j] = (1-alpha)**(j+1) multiplies the initial state.
-    """
-    alpha = _check_alpha(alpha)
-    if L < 1:
-        raise DimensionError(f"sequence length must be >= 1, got {L}")
-    powers = np.arange(L, dtype=np.float64)
-    weight = alpha * (1.0 - alpha) ** powers[::-1]
-    init_weight = (1.0 - alpha) ** (powers + 1.0)
-    return weight, init_weight
 
 
 def attention_matrix(alpha: float, L: int) -> np.ndarray:
@@ -82,14 +46,14 @@ def attention_matrix(alpha: float, L: int) -> np.ndarray:
     return np.concatenate([init_col, body], axis=1)
 
 
-def esa_naive(V: np.ndarray, params: EsaParams) -> np.ndarray:
+def esa_naive(V: np.ndarray, alpha: float, v0: np.ndarray) -> np.ndarray:
     """Reference smoothing pass via the explicit attention-matrix product."""
     V = np.asarray(V, dtype=np.float64)
     L, d = V.shape[-2], V.shape[-1]
-    v0 = np.asarray(params.v0, dtype=np.float64)
+    v0 = np.asarray(v0, dtype=np.float64)
     if v0.shape != (d,):
         raise DimensionError(f"initial state shape {v0.shape} does not match value dim {d}")
-    A = attention_matrix(params.alpha, L)
+    A = attention_matrix(alpha, L)
     v0_row = np.broadcast_to(v0, V.shape[:-2] + (1, d))
     return A @ np.concatenate([v0_row, V], axis=-2)
 
@@ -120,17 +84,6 @@ def conv1d_fft(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     out = np.fft.irfft(fv * np.conj(fw), n=n, axis=-2)
     # samples n-L+1 .. n-1 and then 0: the trailing L of np.roll(out, -1)
     return np.concatenate([out[..., n - L + 1 :, :], out[..., :1, :]], axis=-2)
-
-
-def esa_fast(V: np.ndarray, params: EsaParams) -> np.ndarray:
-    """O(L log L) smoothing pass; agrees with esa_naive to ~1e-12."""
-    V = np.asarray(V, dtype=np.float64)
-    L, d = V.shape[-2], V.shape[-1]
-    v0 = np.asarray(params.v0, dtype=np.float64)
-    if v0.shape != (d,):
-        raise DimensionError(f"initial state shape {v0.shape} does not match value dim {d}")
-    weight, init_weight = es_weights(params.alpha, L)
-    return conv1d_fft(V, weight) + init_weight[:, None] * v0
 
 
 def level_recurrence(
@@ -198,13 +151,18 @@ def es_weights_t(alpha: Tensor, L: int) -> tuple[Tensor, Tensor]:
 
 
 def esa_fast_t(V: Tensor, alpha: Tensor, v0: Tensor | None) -> Tensor:
-    """Differentiable fast smoothing pass; v0=None drops the initial-state term."""
+    """Differentiable fast smoothing pass; agrees with esa_naive to ~1e-12.
+
+    alpha is a scalar shared by every column of V, or (m,) with one rate
+    per column. v0 seeds the smoothing state; v0=None drops that term.
+    """
     L = V.shape[-2]
     weight, init_weight = es_weights_t(alpha, L)
     out = conv1d_fft_t(V, weight)
     if v0 is not None:
-        init = ad.mul(ad.reshape(init_weight, (L, 1)), v0)
-        out = ad.add(out, init)
+        if init_weight.ndim == 1:  # scalar alpha: one (L, 1) column for all
+            init_weight = ad.reshape(init_weight, (L, 1))
+        out = ad.add(out, ad.mul(init_weight, v0))
     return out
 
 
@@ -254,9 +212,9 @@ def level_smoothing(
     """Fast level update in observation space.
 
     Expands the recurrence e_t = alpha*(level_prev_t - s_t)
-    + (1-alpha)*(e_{t-1} + b_{t-1}) into one smoothing pass over the
-    de-seasonalized series plus a growth-accumulation correlation, both
-    via conv1d_fft. alpha is per-channel (m,); init_level seeds e_0.
+    + (1-alpha)*(e_{t-1} + b_{t-1}) into one esa_fast_t pass over the
+    de-seasonalized series plus a growth-accumulation correlation. alpha is
+    per-channel (m,); init_level seeds e_0.
     """
     level_prev, s_obs, b_obs = map(ad.as_tensor, (level_prev, s_obs, b_obs))
     if level_prev.shape != s_obs.shape or level_prev.shape != b_obs.shape:
@@ -269,10 +227,7 @@ def level_smoothing(
             f"per-channel alpha shape {alpha.shape} does not match {level_prev.shape[-1]} channels"
         )
     L = level_prev.shape[-2]
-    v = ad.sub(level_prev, s_obs)
-    weight, init_weight = es_weights_t(alpha, L)
-    smoothed = conv1d_fft_t(v, weight)
-    init_term = ad.mul(init_weight, init_level)
+    smoothed = esa_fast_t(ad.sub(level_prev, s_obs), alpha, init_level)
     # growth enters with lag >= 1: same decay profile, current step masked out
     desc = np.arange(L - 1, -1, -1, dtype=np.float64)
     one_minus = ad.sub(1.0, alpha)
@@ -280,4 +235,4 @@ def level_smoothing(
     mask[L - 1, 0] = 0.0
     aux_weight = ad.mul(ad.pow_outer(one_minus, desc), mask)
     aux = conv1d_fft_t(b_obs, aux_weight)
-    return ad.add(ad.add(smoothed, init_term), aux)
+    return ad.add(smoothed, aux)

@@ -10,6 +10,7 @@ import json
 import math
 import struct
 import sys
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -106,7 +107,7 @@ class Adam:
 # checkpoint format
 
 CKPT_MAGIC = b"ETSF"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # version 1 lacks the trailing CRC-32 and still loads
 _DTYPES = {0: "<f8", 1: "<f4"}
 _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
 
@@ -185,25 +186,29 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     buf.write(struct.pack("<I", len(ckpt.params)))
     for name, arr in ckpt.params.items():
         _write_record(buf, name, arr.astype("<f4"))
+    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
     with open(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; a malformed or truncated file raises DataError.
+    """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
     The parameter records must be exactly those of the header's model
-    config, with their shapes. A header without a split, as older files
+    config, with their shapes. From version 2 a CRC-32 of all earlier bytes
+    ends the file; it is checked once the layout has parsed, so a layout
+    error keeps its own message. A header without a split, as older files
     have, means SplitSpec(). The Adam records and the Adam step and RNG
     state keys of older files are skipped.
     """
     with open(path, "rb") as fh:
-        buf = io.BytesIO(fh.read())
+        raw = fh.read()
+    buf = io.BytesIO(raw)
     try:
         if buf.read(4) != CKPT_MAGIC:
             raise DataError("not a checkpoint file (bad magic)")
         (version,) = _unpack(buf, "<I", "version")
-        if version != CKPT_VERSION:
+        if version not in (1, CKPT_VERSION):
             raise DataError(f"unsupported checkpoint version {version}")
         (hlen,) = _unpack(buf, "<I", "header length")
         header = json.loads(_read(buf, hlen, "header"))
@@ -228,8 +233,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             name, arr = _read_record(buf)
             if not name.startswith("adam."):
                 ckpt.params[name] = arr
+        end = buf.tell()
+        (crc,) = _unpack(buf, "<I", "checksum") if version > 1 else (None,)
         if buf.read(1):
             raise DataError(f"trailing bytes after record {n_records}")
+        if crc is not None and crc != zlib.crc32(raw[:end]):
+            raise DataError("checksum mismatch (corrupted file)")
         expected = parameter_shapes(config)
         for name in sorted(set(expected) | set(ckpt.params)):
             if name not in ckpt.params:

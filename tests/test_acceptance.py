@@ -38,8 +38,10 @@ class TestCriterion01EsaOracleEquivalence:
             L = int(rng.integers(1, 513))
             d = int(rng.integers(1, 17))
             V = rng.normal(size=(L, d))
-            params = esa.EsaParams.from_alpha(rng.uniform(0.01, 0.99), rng.normal(size=d))
-            diff = np.abs(esa.esa_fast(V, params) - esa.esa_naive(V, params)).max()
+            alpha, v0 = rng.uniform(0.01, 0.99), rng.normal(size=d)
+            with ad.no_grad():
+                fast = esa.esa_fast_t(ad.Tensor(V), alpha, ad.Tensor(v0)).data
+            diff = np.abs(fast - esa.esa_naive(V, alpha, v0)).max()
             worst = max(worst, diff)
         elapsed = time.time() - start
         check(

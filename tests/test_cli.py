@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from etsfore import cli, data, trainer
+from etsfore import cli, data, model, trainer
 
 
 @pytest.fixture()
@@ -67,6 +67,16 @@ class TestSynth:
         assert cli.main(["synth", "--out", str(p), "--n", "3", "--seed", "2"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["instances"] == 3
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n", "0"), ("--n", "-1"), ("--lookback", "0"), ("--horizon", "0"),
+        ("--seed", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.1"),
+    ])
+    def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
+        p = tmp_path / "s.csv"
+        assert cli.main(["synth", "--out", str(p), "--n", "2", flag, value]) == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not p.exists()
 
 
 class TestTrain:
@@ -242,6 +252,37 @@ class TestForecastDecompose:
                        str(synth_file), "--at", "4000"])
         assert rc == 2
 
+    @pytest.fixture()
+    def two_channel(self, tmp_path):
+        """A plain two-channel CSV and an untrained checkpoint for it."""
+        t = np.arange(300.0)
+        series = data.Series(np.stack([np.sin(t / 3), np.cos(t / 5) + 0.01 * t], axis=1),
+                             names=["a", "b"])
+        csv_path, model_path = tmp_path / "two.csv", tmp_path / "two.etsf"
+        data.write_csv(series, str(csv_path))
+        cfg = model.ModelConfig(lookback=24, horizon=6, channels=2, dim=8, ff_dim=16,
+                                layers=2, heads=2, top_k=2)
+        stats = data.compute_stats(series.values[:210])
+        state = model.ModelState.init(cfg, 5)
+        trainer.save_checkpoint(trainer.Checkpoint(
+            config=cfg, params={k: v.data.astype(np.float32) for k, v in state.params.items()},
+            norm_mean=stats.mean, norm_std=stats.std), str(model_path))
+        return csv_path, model_path
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_forecast_is_decompose_restricted_to_its_columns(
+            self, synth_file, trained_model, two_channel, capsys, fmt, channels):
+        data_path, model_path = (synth_file, trained_model) if channels == 1 else two_channel
+        args = ["--model", str(model_path), "--data", str(data_path), "--at", "3"]
+        fc_cols, fc_rows = self._rows(capsys, ["forecast"] + args, fmt)
+        dc_cols, dc_rows = self._rows(capsys, ["decompose"] + args, fmt)
+        keep = [i for i, c in enumerate(dc_cols) if c in fc_cols]
+        suffixes = [""] if channels == 1 else ["_ch0", "_ch1"]
+        assert fc_cols == ["t"] + [f"{n}{c}" for n in ("total", "target") for c in suffixes]
+        assert [dc_cols[i] for i in keep] == fc_cols
+        np.testing.assert_array_equal(fc_rows, dc_rows[:, keep])
+
     def test_forecast_matches_decompose_total(self, synth_file, trained_model, capsys):
         fc_cols, fc_rows = self._rows(capsys, ["forecast", "--model", str(trained_model),
                                                "--data", str(synth_file), "--at", "1"], "json")
@@ -300,6 +341,17 @@ class TestBench:
     def test_lengths_must_ascend(self, capsys):
         rc = cli.main(["bench-esa", "--lengths", "128,64", "--d", "2", "--repeats", "1"])
         assert rc == 1
+        assert "error: --lengths must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lengths", "abc"), ("--lengths", ""), ("--lengths", "64,"), ("--lengths", "0,64"),
+        ("--lengths", "-64,128"), ("--d", "0"), ("--repeats", "0"),
+    ])
+    def test_bad_flag_is_usage_error_naming_it(self, capsys, flag, value):
+        argv = {"--lengths": "64,128", "--d": "2", "--repeats": "1", flag: value}
+        assert cli.main(["bench-esa"] + [f"{k}={v}" for k, v in argv.items()]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag} must" in captured.err and captured.out == ""
 
 
 class TestExitCodes:
@@ -328,6 +380,15 @@ class TestExitCodes:
         rc = cli.main(["evaluate", "--model", str(broken), "--data", str(synth_file)])
         assert rc == 2
         assert "missing parameter record head.w_out" in capsys.readouterr().err
+
+    def test_corrupted_checkpoint(self, tmp_path, synth_file, trained_model, capsys):
+        raw = bytearray(trained_model.read_bytes())
+        raw[-5] ^= 0x10  # a parameter value, so only the checksum can tell
+        broken = tmp_path / "broken.etsf"
+        broken.write_bytes(bytes(raw))
+        rc = cli.main(["evaluate", "--model", str(broken), "--data", str(synth_file)])
+        assert rc == 2
+        assert f"{broken}: malformed checkpoint: checksum mismatch" in capsys.readouterr().err
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

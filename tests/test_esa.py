@@ -29,12 +29,12 @@ def triangular_multiply(V, weight):
 
 class TestEsWeights:
     def test_direct_arithmetic(self):
-        w, iw = esa.es_weights(0.5, 3)
+        w, iw = (t.data for t in esa.es_weights_t(0.5, 3))
         np.testing.assert_allclose(w, [0.125, 0.25, 0.5])
         np.testing.assert_allclose(iw, [0.5, 0.25, 0.125])
 
     def test_limit_all_weight_on_newest(self):
-        w, _ = esa.es_weights(1.0 - 1e-12, 5)
+        w = esa.es_weights_t(1.0 - 1e-12, 5)[0].data
         np.testing.assert_allclose(w, [0, 0, 0, 0, 1], atol=1e-11)
 
     def test_geometric_identity(self):
@@ -42,19 +42,19 @@ class TestEsWeights:
         for _ in range(20):
             alpha = rng.uniform(0.01, 0.99)
             L = int(rng.integers(1, 100))
-            w, iw = esa.es_weights(alpha, L)
+            w, iw = (t.data for t in esa.es_weights_t(alpha, L))
             assert abs(w.sum() + iw[L - 1] - 1.0) < 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            esa.es_weights(0.0, 4)
-        with pytest.raises(DomainError):
-            esa.es_weights(1.0, 4)
-        with pytest.raises(DimensionError):
-            esa.es_weights(0.5, 0)
 
 
 class TestAttentionMatrix:
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            esa.attention_matrix(0.0, 4)
+        with pytest.raises(DomainError):
+            esa.attention_matrix(1.0, 4)
+        with pytest.raises(DimensionError):
+            esa.attention_matrix(0.5, 0)
+
     def test_two_step_example(self):
         A = esa.attention_matrix(0.5, 2)
         np.testing.assert_allclose(A, [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
@@ -85,25 +85,22 @@ class TestEsaNaive:
     def test_alpha_near_one_passes_values_through(self):
         rng = np.random.default_rng(2)
         V = rng.normal(size=(20, 3))
-        params = esa.EsaParams.from_alpha(1 - 1e-12, rng.normal(size=3))
-        np.testing.assert_allclose(esa.esa_naive(V, params), V, atol=1e-9)
+        np.testing.assert_allclose(esa.esa_naive(V, 1 - 1e-12, rng.normal(size=3)), V, atol=1e-9)
 
     def test_two_step_recurrence_by_hand(self):
-        params = esa.EsaParams.from_alpha(0.5, np.zeros(1))
-        out = esa.esa_naive(np.array([[1.0], [2.0]]), params)
+        out = esa.esa_naive(np.array([[1.0], [2.0]]), 0.5, np.zeros(1))
         np.testing.assert_allclose(out, [[0.5], [1.25]])
 
     def test_zero_values_leave_decaying_initial_state(self):
         alpha = 0.3
         v0 = np.array([2.0, -1.0])
-        params = esa.EsaParams.from_alpha(alpha, v0)
-        out = esa.esa_naive(np.zeros((6, 2)), params)
+        out = esa.esa_naive(np.zeros((6, 2)), alpha, v0)
         expect = (1 - alpha) ** np.arange(1, 7)[:, None] * v0
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            esa.esa_naive(np.zeros((4, 3)), esa.EsaParams.from_alpha(0.5, np.zeros(2)))
+            esa.esa_naive(np.zeros((4, 3)), 0.5, np.zeros(2))
 
 
 class TestConv1dFft:
@@ -155,8 +152,10 @@ class TestEsaFast:
         d = data.draw(st.integers(1, 6))
         V = data.draw(hnp.arrays(np.float64, (*lead, 1, d), elements=FINITE))
         v0 = data.draw(hnp.arrays(np.float64, (d,), elements=FINITE))
-        params = esa.EsaParams.from_alpha(data.draw(st.floats(0.01, 0.99)), v0)
-        fast, naive = esa.esa_fast(V, params), esa.esa_naive(V, params)
+        alpha = data.draw(st.floats(0.01, 0.99))
+        with ad.no_grad():
+            fast = esa.esa_fast_t(Tensor(V), alpha, Tensor(v0)).data
+        naive = esa.esa_naive(V, alpha, v0)
         assert fast.shape == naive.shape == V.shape
         np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=1e-9)
 
@@ -164,13 +163,15 @@ class TestEsaFast:
         rng = np.random.default_rng(6)
         for L in (1, 2, 3, 7, 64, 255, 256):
             V = rng.normal(size=(L, 5))
-            params = esa.EsaParams.from_alpha(rng.uniform(0.05, 0.95), rng.normal(size=5))
-            diff = np.abs(esa.esa_fast(V, params) - esa.esa_naive(V, params)).max()
+            alpha, v0 = rng.uniform(0.05, 0.95), rng.normal(size=5)
+            with ad.no_grad():
+                fast = esa.esa_fast_t(Tensor(V), alpha, Tensor(v0)).data
+            diff = np.abs(fast - esa.esa_naive(V, alpha, v0)).max()
             assert diff < 1e-9, f"L={L}: {diff}"
 
     def test_two_step_example_matches_naive(self):
-        params = esa.EsaParams.from_alpha(0.5, np.zeros(1))
-        out = esa.esa_fast(np.array([[1.0], [2.0]]), params)
+        with ad.no_grad():
+            out = esa.esa_fast_t(Tensor([[1.0], [2.0]]), 0.5, Tensor(np.zeros(1))).data
         np.testing.assert_allclose(out, [[0.5], [1.25]])
 
     def test_randomized_equivalence(self):
@@ -179,9 +180,26 @@ class TestEsaFast:
             L = int(rng.integers(1, 513))
             d = int(rng.integers(1, 17))
             V = rng.normal(size=(L, d))
-            params = esa.EsaParams.from_alpha(rng.uniform(0.02, 0.98), rng.normal(size=d))
-            diff = np.abs(esa.esa_fast(V, params) - esa.esa_naive(V, params)).max()
+            alpha, v0 = rng.uniform(0.02, 0.98), rng.normal(size=d)
+            with ad.no_grad():
+                fast = esa.esa_fast_t(Tensor(V), alpha, Tensor(v0)).data
+            diff = np.abs(fast - esa.esa_naive(V, alpha, v0)).max()
             assert diff < 1e-9
+
+    def test_per_channel_alpha_matches_naive_per_channel(self):
+        # the level pipeline's form: alpha (m,) and v0 (m,), one rate per column
+        rng = np.random.default_rng(20)
+        for lead in ((), (3,), (2, 2)):
+            for L in (1, 2, 17, 64):
+                m = int(rng.integers(1, 6))
+                V = rng.normal(size=(*lead, L, m))
+                alpha, v0 = rng.uniform(0.05, 0.95, size=m), rng.normal(size=m)
+                with ad.no_grad():
+                    fast = esa.esa_fast_t(Tensor(V), Tensor(alpha), Tensor(v0)).data
+                assert fast.shape == V.shape
+                for c in range(m):
+                    naive = esa.esa_naive(V[..., c : c + 1], alpha[c], v0[c : c + 1])
+                    np.testing.assert_allclose(fast[..., c : c + 1], naive, rtol=1e-12, atol=1e-9)
 
     def test_fast_kernel_scales_quasilinearly_on_long_inputs(self):
         # 4x the length should cost nowhere near 16x (machine bound lives in
@@ -196,14 +214,14 @@ class TestEsaFast:
         rng = np.random.default_rng(8)
         times = {}
         for L in (2048, 8192):
-            V = rng.normal(size=(L, 4))
-            params = esa.EsaParams.from_alpha(0.3, np.zeros(4))
-            esa.esa_fast(V, params)  # warm caches
-            best = np.inf
-            for _ in range(10):
-                t0 = time.perf_counter()
-                esa.esa_fast(V, params)
-                best = min(best, time.perf_counter() - t0)
+            V, v0 = Tensor(rng.normal(size=(L, 4))), Tensor(np.zeros(4))
+            with ad.no_grad():
+                esa.esa_fast_t(V, 0.3, v0)  # warm caches
+                best = np.inf
+                for _ in range(10):
+                    t0 = time.perf_counter()
+                    esa.esa_fast_t(V, 0.3, v0)
+                    best = min(best, time.perf_counter() - t0)
             times[L] = best
         assert times[8192] / times[2048] < bound, times
 
@@ -241,7 +259,7 @@ class TestMultiHeadEsa:
         zp = z.data @ p["w_in"].data + p["b_in"].data
         diffs = zp - np.vstack([p["v0"].data, zp[:-1]])
         alpha = 1 / (1 + np.exp(-p["alpha_raw"].data[0]))
-        w, _ = esa.es_weights(alpha, L)
+        w = esa.es_weights_t(alpha, L)[0].data
         smoothed = esa.conv1d_fft(diffs, w)
         expect = smoothed @ p["w_out"].data + p["b_out"].data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
@@ -289,7 +307,7 @@ class TestMultiHeadEsa:
         zp = z @ w_in + b_in
         diffs = zp - np.concatenate([np.broadcast_to(v0, (*lead, 1, d)), zp[..., :-1, :]], axis=-2)
         smoothed = np.concatenate(
-            [esa.esa_naive(diffs[..., h : h + 1], esa.EsaParams(alpha_raw[h], np.zeros(1)))
+            [esa.esa_naive(diffs[..., h : h + 1], 1 / (1 + np.exp(-alpha_raw[h])), np.zeros(1))
              for h in range(d)],
             axis=-1,
         )

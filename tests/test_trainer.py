@@ -1,6 +1,7 @@
 """Tests for the optimizer, schedule, training loop, and checkpoint format."""
 
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etsfore import autodiff as ad
+from etsfore import data as etsdata
 from etsfore import trainer
 from etsfore.autodiff import Tensor
 from etsfore.data import NormStats, SplitSpec, WindowPair
@@ -242,6 +244,19 @@ def saved_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def desk_bytes(tmp_path_factory):
+    """A saved checkpoint of the desk configuration after one training step."""
+    cfg = ModelConfig(lookback=192, horizon=48, channels=1, dim=32, ff_dim=128,
+                      layers=2, heads=4, top_k=2, dropout=0.2)
+    pairs = etsdata.synth_generate(9, 0.05, seed=0).window_pairs()
+    ckpt, _ = train(cfg, TrainConfig(epochs=1, warmup_epochs=0, batch_size=8, seed=0),
+                    pairs[:8], pairs[8:])
+    path = tmp_path_factory.mktemp("desk") / "desk.etsf"
+    save_checkpoint(ckpt, str(path))
+    return path.read_bytes()
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         pairs = sine_pairs(24, seed=10)
@@ -304,6 +319,27 @@ class TestCheckpoint:
         p = tmp_path_factory.getbasetemp() / "truncated.etsf"
         p.write_bytes(saved_bytes[:cut])
         with pytest.raises(DataError):
+            load_checkpoint(str(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_bit_flip_raises_data_error(self, desk_bytes, tmp_path_factory, data):
+        bit = data.draw(st.integers(0, 8 * len(desk_bytes) - 1))
+        flipped = bytearray(desk_bytes)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        p = tmp_path_factory.getbasetemp() / "flipped.etsf"
+        p.write_bytes(bytes(flipped))
+        with pytest.raises(DataError):
+            load_checkpoint(str(p))
+
+    def test_checksum_ends_the_file(self, saved_bytes, tmp_path):
+        body, crc = saved_bytes[:-4], saved_bytes[-4:]
+        assert saved_bytes[4:8] == (2).to_bytes(4, "little")
+        assert int.from_bytes(crc, "little") == zlib.crc32(body)
+        # a parameter value changed in place keeps the layout valid
+        p = tmp_path / "flipped.etsf"
+        p.write_bytes(body[:-1] + bytes([body[-1] ^ 0x01]) + crc)
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: checksum mismatch"):
             load_checkpoint(str(p))
 
     def test_record_larger_than_the_file_rejected(self, saved_bytes, tmp_path):
