@@ -302,30 +302,61 @@ def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPa
 
 
 def forecast(x, state: ModelState) -> DecomposedForecast:
-    """Inference-mode decomposed forecast for one window or a batch."""
+    """Inference-mode decomposed forecast for one (L, m) window or a batch.
+
+    A batch (..., L, m) runs through `decompose` in blocks of windows; each
+    window's forecast is bit-identical to forecasting it alone.
+    """
     return decompose(x, state)[0]
+
+
+# Windows per inference block are capped so that a block's largest
+# activation, the (L, ff_dim) feed-forward hidden of each window, holds at
+# most this many float64 words (2 MiB, a per-core L2 cache). Every window's
+# forward is independent of the others, so the split changes no bit of any
+# output; only the temporaries stay cache-sized.
+_BLOCK_WORDS = 1 << 18
 
 
 def decompose(x, state: ModelState):
     """Forecast plus the per-stack horizon components and the level series.
 
-    Returns (DecomposedForecast, stack_growth list, stack_seasonal list,
-    level_series), all observation-space ndarrays.
+    x is one (L, m) window or a batch (..., L, m). Returns
+    (DecomposedForecast, stack_growth list, stack_seasonal list,
+    level_series), all observation-space ndarrays with x's leading axes.
+
+    A batch of more than max(1, _BLOCK_WORDS // (L * max(ff_dim, dim)))
+    windows is flattened and run through `forward` that many windows at a
+    time, under one no_grad, and each output is concatenated in order. The
+    result is bit-identical to one forward over the whole batch. A shape
+    that does not end in (L, m) goes to `forward` whole, which raises
+    DataError naming it; a non-finite window raises DataError from the block
+    that holds it.
     """
+    cfg = state.config
+    x = ad.as_tensor(x).data
+    per_block = max(1, _BLOCK_WORDS // (cfg.lookback * max(cfg.ff_dim, cfg.dim)))
+    n = math.prod(x.shape[:-2])
+    if x.shape[-2:] != (cfg.lookback, cfg.channels) or n <= per_block:
+        blocks = [x]  # one window, a batch within one block, or a shape forward rejects
+    else:
+        flat = x.reshape((n,) + x.shape[-2:])
+        blocks = [flat[i : i + per_block] for i in range(0, n, per_block)]
+    outs = []
     with ad.no_grad():
-        fp = forward(x, state, training=False)
-    dec = DecomposedForecast(
-        level=fp.level_horizon.data,
-        growth=fp.growth_horizon.data,
-        seasonal=fp.seasonal_horizon.data,
-        total=fp.total.data,
-    )
-    return (
-        dec,
-        [t.data for t in fp.stack_growth],
-        [t.data for t in fp.stack_seasonal],
-        fp.level_series.data,
-    )
+        for block in blocks:
+            fp = forward(block, state, training=False)
+            outs.append([t.data for t in (
+                fp.level_horizon, fp.growth_horizon, fp.seasonal_horizon, fp.total,
+                fp.level_series, *fp.stack_growth, *fp.stack_seasonal,
+            )])
+    if len(outs) == 1:
+        cols = outs[0]
+    else:
+        cols = [np.concatenate(col).reshape(x.shape[:-2] + col[0].shape[1:]) for col in zip(*outs)]
+    level, growth, seasonal, total, level_series, *stacks = cols
+    dec = DecomposedForecast(level=level, growth=growth, seasonal=seasonal, total=total)
+    return dec, stacks[: cfg.layers], stacks[cfg.layers :], level_series
 
 
 def mse_loss(fp: ForwardPass, target) -> Tensor:

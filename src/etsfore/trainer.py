@@ -17,10 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import NormStats, SplitSpec, WindowPair, augment_pair, metrics
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .model import (
     ModelConfig,
     ModelState,
+    forecast,
     forward,
     from_dict,
     is_special_parameter,
@@ -271,14 +272,24 @@ def evaluate_state(
     state: ModelState, X: np.ndarray, Y: np.ndarray, stats: NormStats | None = None,
     chunk: int = 256,
 ) -> dict[str, float]:
-    """Inference-mode metrics over all windows; raw-scale values when stats given."""
+    """Inference-mode metrics over all windows; raw-scale values when stats given.
+
+    X holds (n, L, m) lookback windows and Y their (n, H, m) targets. The
+    forecasts come from `model.forecast`, `chunk` windows per call: chunk
+    bounds how many windows one call's outputs hold, while `decompose`
+    bounds each forward's working set by its own blocks, so any chunk >= 1
+    gives the same bits. chunk < 1 raises ConfigError; X and Y of different
+    lengths raise DimensionError before any forward runs.
+    """
+    if chunk < 1:
+        raise ConfigError(f"evaluate_state: chunk must be >= 1, got {chunk}")
+    if len(X) != len(Y):
+        raise DimensionError(f"evaluate_state: {len(X)} windows but {len(Y)} targets")
     if len(X) == 0:
         raise DataError("cannot evaluate an empty split")
-    preds = []
-    with ad.no_grad():
-        for i in range(0, len(X), chunk):
-            preds.append(forward(X[i : i + chunk], state, training=False).total.data)
-    pred = np.concatenate(preds, axis=0)
+    pred = np.concatenate(
+        [forecast(X[i : i + chunk], state).total for i in range(0, len(X), chunk)], axis=0
+    )
     mse, mae = metrics(pred, Y)
     out = {"mse": mse, "mae": mae}
     if stats is not None:

@@ -1,13 +1,19 @@
 """Tests for the assembled forecasting network."""
 
 import json
+import re
+import tracemalloc
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle_model
 from etsfore import autodiff as ad
-from etsfore import esa, model
+from etsfore import data, esa, model
 from etsfore.autodiff import Tensor
 from etsfore.errors import ConfigError, DataError
 from etsfore.model import (
@@ -27,6 +33,10 @@ from etsfore.model import (
 TINY = ModelConfig(
     lookback=16, horizon=4, channels=2, dim=8, ff_dim=16, layers=1, heads=2, top_k=2,
     dropout=0.2,
+)
+# The benchmark's desk configuration.
+DESK = ModelConfig(
+    lookback=192, horizon=48, dim=32, ff_dim=128, layers=2, heads=4, top_k=2, dropout=0.2
 )
 
 
@@ -247,7 +257,7 @@ class TestForecast:
         batched = forecast(xb, state)
         for i in range(3):
             single = forecast(xb[i], state)
-            np.testing.assert_allclose(batched.total[i], single.total, atol=1e-12)
+            np.testing.assert_array_equal(batched.total[i], single.total)
 
 
 class TestDecompose:
@@ -303,3 +313,127 @@ class TestFullGradient:
             state.zero_grad()
             err = ad.grad_check(lambda t: loss(), p, eps=1e-5)
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def decompose_arrays(x, state):
+    """Every output of decompose, in a fixed order."""
+    dec, growths, seasonals, level = decompose(x, state)
+    return [dec.level, dec.growth, dec.seasonal, dec.total, *growths, *seasonals, level]
+
+
+def windows_per_block(cfg):
+    return max(1, model._BLOCK_WORDS // (cfg.lookback * max(cfg.ff_dim, cfg.dim)))
+
+
+class TestBlockedDecompose:
+    def test_desk_blocks_match_per_window_calls(self):
+        b = windows_per_block(DESK)
+        n = 5 * b // 2  # two full blocks and a ragged half block
+        x = np.random.default_rng(30).normal(size=(n, DESK.lookback, DESK.channels))
+        state = ModelState.init(DESK, 31)
+        sizes = []
+
+        def counting_forward(xb, *args, **kwargs):
+            sizes.append(len(xb))
+            return forward(xb, *args, **kwargs)
+
+        with mock.patch.object(model, "forward", counting_forward):
+            batched = decompose_arrays(x, state)
+        assert sizes == [b, b, n - 2 * b]
+        for i in range(n):
+            for whole, single in zip(batched, decompose_arrays(x[i], state)):
+                np.testing.assert_array_equal(whole[i], single)
+
+    def test_output_shapes(self):
+        state = tiny_state(seed=32)
+        L, H, m = TINY.lookback, TINY.horizon, TINY.channels
+        rng = np.random.default_rng(33)
+        with mock.patch.object(model, "_BLOCK_WORDS", 2 * L * TINY.ff_dim):  # 2 windows a block
+            for lead in ((0,), (2, 3), ()):
+                x = rng.normal(size=lead + (L, m))
+                dec, growths, seasonals, level = decompose(x, state)
+                for part in (dec.level, dec.growth, dec.seasonal, dec.total, *growths, *seasonals):
+                    assert part.shape == lead + (H, m)
+                assert level.shape == lead + (L, m)
+                # a (2, 3) batch runs in three blocks, each window as if alone
+                for idx in np.ndindex(*lead):
+                    np.testing.assert_array_equal(dec.total[idx], forecast(x[idx], state).total)
+
+    def test_shape_mismatch_names_the_whole_input(self):
+        state = tiny_state(seed=34)
+        x = np.zeros((2, 3, TINY.lookback - 1, TINY.channels))
+        with mock.patch.object(model, "_BLOCK_WORDS", 2 * TINY.lookback * TINY.ff_dim):
+            with pytest.raises(DataError, match=re.escape(f"shape {x.shape} does not match")):
+                decompose(x, state)
+
+    def test_nan_in_last_block_rejected(self):
+        state = tiny_state(seed=35)
+        x = np.random.default_rng(36).normal(size=(7, TINY.lookback, TINY.channels))
+        x[6, 3, 1] = np.nan
+        with mock.patch.object(model, "_BLOCK_WORDS", 2 * TINY.lookback * TINY.ff_dim):
+            with pytest.raises(DataError, match="non-finite"):
+                decompose(x, state)
+
+    def test_peak_memory_stays_at_one_block(self):
+        b = windows_per_block(DESK)
+        state = ModelState.init(DESK, 37)
+        x = np.random.default_rng(38).normal(size=(8 * b, DESK.lookback, DESK.channels))
+        peaks = []
+        for windows in (x[:b], x):
+            tracemalloc.start()
+            try:
+                forecast(windows, state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def assert_oracle_close(x, state):
+    """Every decompose output within 1e-9 relative of the plain-numpy oracle."""
+    ref = oracle_model.forward(x, state)
+    want = [ref[key] for key in ("level", "growth", "seasonal", "total")]
+    want += ref["stack_growth"] + ref["stack_seasonal"] + [ref["level_series"]]
+    got = decompose_arrays(x, state)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.shape == b.shape, f"output {i}"
+        err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+        assert err.size == 0 or err.max() <= 1e-9, f"output {i}: rel err {err.max():.3g}"
+
+
+class TestForwardOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tiny_configs(self, draw):
+        L = draw.draw(st.integers(1, 20), label="lookback")
+        heads = draw.draw(st.integers(1, 4), label="heads")
+        cfg = ModelConfig(
+            lookback=L,
+            horizon=draw.draw(st.integers(1, 2 * L + 1), label="horizon"),
+            channels=draw.draw(st.integers(1, 3), label="channels"),
+            dim=heads * draw.draw(st.integers(1, 3), label="dim per head"),  # 1: heads = dim
+            ff_dim=draw.draw(st.integers(1, 12), label="ff_dim"),
+            layers=draw.draw(st.integers(1, 3), label="layers"),
+            heads=heads,
+            top_k=draw.draw(st.sampled_from([0, L // 2, L // 4]), label="top_k"),
+            kernel_size=draw.draw(st.sampled_from([1, 3, 5]), label="kernel_size"),
+        )
+        seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
+        lead = draw.draw(st.sampled_from([(), (1,), (3,), (2, 2)]), label="batch")
+        rng = np.random.default_rng(seed)
+        state = ModelState.init(cfg, seed)
+        # move rates, biases and layer-norm affines off their initial values
+        for t in state.params.values():
+            t.data += 0.5 * rng.normal(size=t.shape)
+        # seeded normals: no two FA amplitudes tie within rounding
+        assert_oracle_close(rng.normal(size=lead + (L, cfg.channels)), state)
+
+    @pytest.mark.parametrize("seed", [1, 90017])
+    def test_desk_windows(self, seed):
+        # the benchmark's infer_batch windows and model; decompose runs the
+        # 256 windows in many blocks, which the oracle never splits
+        ds = data.synth_generate(256, 0.05, seed, DESK.lookback, DESK.horizon)
+        stats = data.compute_stats(ds.values[:, : DESK.lookback])
+        x = data.normalize(ds.values[:, : DESK.lookback], stats)
+        assert_oracle_close(x, ModelState.init(DESK, 0))

@@ -14,7 +14,7 @@ from etsfore import data as etsdata
 from etsfore import trainer
 from etsfore.autodiff import Tensor
 from etsfore.data import NormStats, SplitSpec, WindowPair
-from etsfore.errors import ConfigError, DataError, TrainingError
+from etsfore.errors import ConfigError, DataError, DimensionError, TrainingError
 from etsfore.model import (
     ModelConfig, ModelState, forward, is_special_parameter, mse_loss, parameter_shapes,
 )
@@ -223,6 +223,21 @@ class TestEvaluate:
         res = evaluate_state(state, X, Y, stats)
         assert res["mse_raw"] == pytest.approx(4.0 * res["mse"])
         assert res["mae_raw"] == pytest.approx(2.0 * res["mae"])
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_config_error(self, chunk):
+        state = ModelState.init(TINY, 4)
+        with pytest.raises(ConfigError, match=f"chunk must be >= 1, got {chunk}"):
+            evaluate_state(state, np.zeros((3, 16, 1)), np.zeros((3, 4, 1)), chunk=chunk)
+
+    def test_window_count_mismatch_raises_before_any_forecast(self, monkeypatch):
+        def no_forecast(*args):
+            raise AssertionError("forecast ran")
+
+        monkeypatch.setattr(trainer, "forecast", no_forecast)
+        state = ModelState.init(TINY, 4)
+        with pytest.raises(DimensionError, match="3 windows but 2 targets"):
+            evaluate_state(state, np.zeros((3, 16, 1)), np.zeros((2, 4, 1)))
 
 
 DATA = Path(__file__).parent / "data"
