@@ -12,7 +12,7 @@ from .errors import (
     TrainingError,
 )
 from .autodiff import Tensor, grad_check, no_grad
-from .model import DecomposedForecast, ModelConfig, ModelState, decompose, forecast
+from .model import DecomposedForecast, ModelConfig, ModelState, forecast
 from .trainer import Checkpoint, TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "TrainingError",
-    "decompose",
     "evaluate",
     "forecast",
     "grad_check",

@@ -6,7 +6,10 @@ graph once in reverse topological order. Code calls the primitives by
 name (`add`, `mul`, `linear`, ...); the one operator a Tensor defines is
 indexing, `t[...]`, which records a `getitem` node. Only the primitives
 the forecasting model needs are provided, plus `grad_check` and `tsum`,
-the unscaled sum that gradient checks reduce an output with.
+the unscaled sum that gradient checks reduce an output with. `tsum` and
+`tmean` reduce over every entry. `dropout` is the one random primitive:
+it runs exactly when it is handed an rng, so training passes its
+generator and inference passes none.
 """
 
 from __future__ import annotations
@@ -174,31 +177,15 @@ def matmul(a, b) -> Tensor:
     return make_node(out, (a, b), vjp)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return make_node(out, (a,), vjp)
+    return make_node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.size if axis is None else a.data.shape[axis]
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / n, a.shape).copy(),)
-
-    return make_node(out, (a,), vjp)
+    n = a.data.size
+    return make_node(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
 def sigmoid(a) -> Tensor:
@@ -369,7 +356,10 @@ def conv1d_temporal(x, kernel) -> Tensor:
     return make_node(out, (x, kernel), vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+_LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
@@ -379,13 +369,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm: gamma {gamma.shape} and beta {beta.shape} must both be ({d},)"
         )
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     mean = x.data.mean(axis=-1, keepdims=True)
     xm = x.data - mean
     sq = xm * xm
     var = sq.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     # (x - mean) * inv * gamma + beta, reusing the two full-size buffers
     xhat = np.multiply(xm, inv, out=xm)
     out = np.multiply(xhat, gamma.data, out=sq)
@@ -402,15 +390,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return make_node(out, (x, gamma, beta), vjp)
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Zero entries with probability p and rescale survivors; identity at inference."""
+def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Zero entries with probability p and rescale survivors; without an rng, x itself."""
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an explicit rng")
     # (r >= p) / (1 - p), built in the buffer of the uniform draws r
     keep = rng.random(x.shape)
     np.greater_equal(keep, p, out=keep)

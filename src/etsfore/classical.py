@@ -72,8 +72,9 @@ def default_init(x: np.ndarray, period: int) -> HwState:
     )
 
 
-def hw_smooth(x: np.ndarray, params: HwParams, init: HwState | None = None) -> HwState:
-    """Run the level, growth, seasonal recurrences over the whole series.
+def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
+    """Run the level, growth, seasonal recurrences over the whole series,
+    seeded by `default_init`.
 
     The states carry the candidate axis last: level and growth are
     (T+1,) + params.shape and seasonal is (T+p,) + params.shape. Each
@@ -83,10 +84,7 @@ def hw_smooth(x: np.ndarray, params: HwParams, init: HwState | None = None) -> H
     if x.ndim != 1:
         raise DataError(f"expected a univariate series, got shape {x.shape}")
     p = params.period
-    if x.size <= p:
-        raise DataError(f"series length {x.size} must exceed period {p}")
-    if init is None:
-        init = default_init(x, p)
+    init = default_init(x, p)
     T = x.size
     cand = params.shape
     e = np.empty((T + 1,) + cand)
@@ -133,10 +131,10 @@ class HwFitResult:
     degenerate: bool  # constant input: every candidate forecasts perfectly
 
 
-def one_step_errors(x: np.ndarray, params: HwParams, init: HwState | None = None) -> np.ndarray:
+def one_step_errors(x: np.ndarray, params: HwParams) -> np.ndarray:
     """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p},
     shaped (T,) + params.shape."""
-    state = hw_smooth(x, params, init)
+    state = hw_smooth(x, params)
     x = np.asarray(x, dtype=np.float64)
     T = x.size
     # x - (level + phi*growth + seasonal) in one buffer; addition commutes

@@ -40,8 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj))
+def _emit(obj: dict) -> None:
+    """Print obj as one JSON line. JSON has no NaN or infinity: a non-finite
+    value raises EvaluationError (exit 3) showing the object, and nothing is
+    printed."""
+    try:
+        line = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise EvaluationError(f"non-finite value in output {json.dumps(obj)}") from None
+    print(line)
 
 
 def _log(msg: str) -> None:
@@ -185,7 +192,8 @@ def cmd_train(args) -> int:
     ckpt, _ = trainer.train(mcfg, tcfg, train_pairs, val_pairs, stats, log_fn=_emit)
     ckpt.split = split
     trainer.save_checkpoint(ckpt, args.out)
-    _emit({"checkpoint": args.out, "best_epoch": ckpt.best_epoch, "best_val_mse": ckpt.best_val_mse})
+    best = None if math.isnan(ckpt.best_val_mse) else ckpt.best_val_mse  # as the header has it
+    _emit({"checkpoint": args.out, "best_epoch": ckpt.best_epoch, "best_val_mse": best})
     return EXIT_OK
 
 
@@ -215,6 +223,8 @@ def _window_for(args, ckpt) -> data.WindowPair:
 
 
 def _emit_table(columns: list[str], rows: np.ndarray, fmt: str) -> None:
+    if not np.isfinite(rows).all():  # in either format, as _emit does for JSON
+        raise EvaluationError("non-finite value in the horizon table")
     if fmt == "csv":
         print(",".join(columns))
         for row in rows:
@@ -237,11 +247,11 @@ def _horizon_table(args, keep: tuple[str, ...] | None) -> int:
     """
     ckpt = trainer.load_checkpoint(args.model)
     pair = _window_for(args, ckpt)
-    dec, stack_growth, stack_seasonal, _ = model.decompose(pair.lookback, ckpt.to_state())
-    H, m = dec.total.shape
-    parts = {"level": dec.level, "growth": dec.growth, "seasonal": dec.seasonal,
-             "total": dec.total, "target": pair.target}
-    for n, (g, s) in enumerate(zip(stack_growth, stack_seasonal)):
+    out = model.forecast(pair.lookback, ckpt.to_state())
+    H, m = out.total.shape
+    parts = {"level": out.level, "growth": out.growth, "seasonal": out.seasonal,
+             "total": out.total, "target": pair.target}
+    for n, (g, s) in enumerate(zip(out.stack_growth, out.stack_seasonal)):
         parts[f"growth{n}"], parts[f"seasonal{n}"] = g, s
     names = [name for name in parts if keep is None or name in keep]
     rows = np.hstack([np.arange(H)[:, None]] + [parts[name].reshape(H, m) for name in names])

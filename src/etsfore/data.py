@@ -95,6 +95,8 @@ def load_csv(path: str) -> Series:
     has_ts = looks_like_timestamp(rows[0][1][0])
     first_data_col = 1 if has_ts else 0
     names = [h.strip() for h in header[first_data_col:]]
+    if not names:
+        raise DataError(f"{path}: no value columns, only {header}")
     timestamps: list[str] | None = [] if has_ts else None
     values = np.empty((len(rows), len(names)))
     for i, (line_no, row) in enumerate(rows):
@@ -171,15 +173,15 @@ def split_chronological(
     return tuple(parts)
 
 
-def window_dataset(series: Series, lookback: int, horizon: int, stride: int = 1) -> list[WindowPair]:
-    """All contiguous (lookback, target) pairs at the given stride."""
+def window_dataset(series: Series, lookback: int, horizon: int) -> list[WindowPair]:
+    """Every contiguous (lookback, target) pair, one per start step."""
     T = series.length
     if T < lookback + horizon:
         raise DataError(
             f"series length {T} shorter than lookback+horizon = {lookback + horizon}"
         )
     pairs = []
-    for start in range(0, T - lookback - horizon + 1, stride):
+    for start in range(T - lookback - horizon + 1):
         t = start + lookback
         pairs.append(
             WindowPair(
@@ -397,28 +399,29 @@ def is_synth_csv(path: str) -> bool:
 # augmentation and metrics
 
 AUGMENT_SIGMA = 0.2
+AUGMENT_PROB = 0.5  # chance that each stage fires
 
 
 def augment_pair(
     lookback: np.ndarray,
     target: np.ndarray,
     rng: np.random.Generator,
-    stage_prob: float = 0.5,
     scale_one_plus: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scale, shift, jitter — in that order, each firing independently.
+    """Scale, shift, jitter — in that order, each firing independently
+    with probability AUGMENT_PROB.
 
     The same draw is applied to lookback and target so the pair stays
     consistent. Scale multiplies by eps ~ N(0, 0.2) as-is by default;
     scale_one_plus uses (1 + eps) instead.
     """
     joined = np.concatenate([lookback, target], axis=0).astype(np.float64, copy=True)
-    if rng.random() < stage_prob:
+    if rng.random() < AUGMENT_PROB:
         eps = rng.normal(0.0, AUGMENT_SIGMA)
         joined *= (1.0 + eps) if scale_one_plus else eps
-    if rng.random() < stage_prob:
+    if rng.random() < AUGMENT_PROB:
         joined += rng.normal(0.0, AUGMENT_SIGMA)
-    if rng.random() < stage_prob:
+    if rng.random() < AUGMENT_PROB:
         joined += rng.normal(0.0, AUGMENT_SIGMA, size=joined.shape)
     L = lookback.shape[0]
     return joined[:L], joined[L:]

@@ -6,7 +6,7 @@ components whose sum is the forecast.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -162,39 +162,30 @@ class ModelState:
 
 @dataclass
 class DecomposedForecast:
-    """Horizon components; total == level + growth + seasonal by construction."""
+    """total == level + growth + seasonal over the horizon, (..., H, m);
+    growth and seasonal sum the per-layer stacks; level_series is the
+    smoothed lookback, (..., L, m). `forward` fills it with Tensors,
+    `forecast` with ndarrays."""
 
-    level: np.ndarray
-    growth: np.ndarray
-    seasonal: np.ndarray
-    total: np.ndarray
-
-
-@dataclass
-class ForwardPass:
-    """Graph outputs of one forward evaluation (all Tensors)."""
-
-    total: Tensor
-    level_horizon: Tensor
-    growth_horizon: Tensor
-    seasonal_horizon: Tensor
-    level_series: Tensor
-    stack_growth: list[Tensor] = field(default_factory=list)
-    stack_seasonal: list[Tensor] = field(default_factory=list)
+    level: Tensor | np.ndarray
+    growth: Tensor | np.ndarray
+    seasonal: Tensor | np.ndarray
+    total: Tensor | np.ndarray
+    level_series: Tensor | np.ndarray
+    stack_growth: list
+    stack_seasonal: list
 
 
-def input_embed(x: Tensor, state: ModelState, training: bool = False, rng=None) -> Tensor:
+def input_embed(x: Tensor, state: ModelState, rng=None) -> Tensor:
     """Map the lookback window to latent space with a temporal convolution."""
     x = ad.as_tensor(x)
     if not np.isfinite(x.data).all():
         raise DataError("input window contains non-finite values")
     z = ad.conv1d_temporal(x, state["embed.kernel"])
-    return ad.dropout(z, state.config.dropout, training, rng)
+    return ad.dropout(z, state.config.dropout, rng)
 
 
-def encoder_layer(
-    res_in: Tensor, state: ModelState, n: int, training: bool = False, rng=None
-):
+def encoder_layer(res_in: Tensor, state: ModelState, n: int, rng=None):
     """One extraction stage: seasonal removal, growth removal, feedforward.
 
     Returns (res_out, growth_latent, seasonal_latent), each (..., L, d).
@@ -203,7 +194,7 @@ def encoder_layer(
     p = f"enc{n}"
     lookback_idx = np.arange(cfg.lookback)
     s = freq.fourier_extrapolate(res_in, cfg.top_k, lookback_idx)
-    s = ad.dropout(s, cfg.dropout, training, rng)
+    s = ad.dropout(s, cfg.dropout, rng)
     res = ad.sub(res_in, s)
     b = esa.mh_esa(
         res,
@@ -215,10 +206,10 @@ def encoder_layer(
         state[f"{p}.esa.b_out"],
         cfg.heads,
     )
-    b = ad.dropout(b, cfg.dropout, training, rng)
+    b = ad.dropout(b, cfg.dropout, rng)
     res = ad.layer_norm(ad.sub(res, b), state[f"{p}.ln1.gamma"], state[f"{p}.ln1.beta"])
     hidden = ad.sigmoid(ad.linear(res, state[f"{p}.ff.w1"], state[f"{p}.ff.b1"]))
-    hidden = ad.dropout(hidden, cfg.dropout, training, rng)
+    hidden = ad.dropout(hidden, cfg.dropout, rng)
     ff = ad.linear(hidden, state[f"{p}.ff.w2"], state[f"{p}.ff.b2"])
     res_out = ad.layer_norm(ad.add(res, ff), state[f"{p}.ln2.gamma"], state[f"{p}.ln2.beta"])
     return res_out, b, s
@@ -240,18 +231,20 @@ def level_pipeline(
 
 
 def _growth_damping_t(
-    b_last: Tensor, horizon: int, gamma_raw: Tensor, n_heads: int, d: int,
-    p: float, training: bool, rng,
+    b_last: Tensor, horizon: int, gamma_raw: Tensor, n_heads: int, d: int, p: float, rng,
 ) -> Tensor:
     gamma = ad.sigmoid(gamma_raw)
     powers = ad.pow_outer(gamma, np.arange(1, horizon + 1, dtype=np.float64))
     coef = ad.repeat_channels(ad.cumsum(powers, axis=0), d // n_heads)
-    coef = ad.dropout(coef, p, training, rng)
+    coef = ad.dropout(coef, p, rng)
     return ad.mul(coef, b_last)
 
 
-def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPass:
-    """Full forward pass. x: (..., L, m) normalized observations."""
+def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
+    """Full forward pass of x: (..., L, m) normalized observations.
+
+    Dropout runs exactly when an rng is passed, as in training.
+    """
     cfg = state.config
     x = ad.as_tensor(x)
     if x.ndim < 2 or x.shape[-2] != cfg.lookback or x.shape[-1] != cfg.channels:
@@ -259,11 +252,11 @@ def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPa
             f"input window shape {x.shape} does not match (lookback, channels) "
             f"= ({cfg.lookback}, {cfg.channels})"
         )
-    z = input_embed(x, state, training, rng)
+    z = input_embed(x, state, rng)
     seasonal_latents, growth_latents = [], []
     res = z
     for n in range(cfg.layers):
-        res, b, s = encoder_layer(res, state, n, training, rng)
+        res, b, s = encoder_layer(res, state, n, rng)
         growth_latents.append(b)
         seasonal_latents.append(s)
 
@@ -278,7 +271,7 @@ def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPa
         b_last = growth_latents[n][..., cfg.lookback - 1 : cfg.lookback, :]
         g_hor = _growth_damping_t(
             b_last, cfg.horizon, state[f"dec{n}.gamma_raw"], cfg.heads, cfg.dim,
-            cfg.dropout, training, rng,
+            cfg.dropout, rng,
         )
         s_hor = freq.fourier_extrapolate(seasonal_latents[n], cfg.top_k, horizon_idx)
         stack_growth.append(ad.matmul(g_hor, w_head))
@@ -290,24 +283,15 @@ def forward(x, state: ModelState, training: bool = False, rng=None) -> ForwardPa
         growth_horizon = ad.add(growth_horizon, stack_growth[n])
         seasonal_horizon = ad.add(seasonal_horizon, stack_seasonal[n])
     total = ad.add(ad.add(level_horizon, growth_horizon), seasonal_horizon)
-    return ForwardPass(
+    return DecomposedForecast(
+        level=level_horizon,
+        growth=growth_horizon,
+        seasonal=seasonal_horizon,
         total=total,
-        level_horizon=level_horizon,
-        growth_horizon=growth_horizon,
-        seasonal_horizon=seasonal_horizon,
         level_series=level,
         stack_growth=stack_growth,
         stack_seasonal=stack_seasonal,
     )
-
-
-def forecast(x, state: ModelState) -> DecomposedForecast:
-    """Inference-mode decomposed forecast for one (L, m) window or a batch.
-
-    A batch (..., L, m) runs through `decompose` in blocks of windows; each
-    window's forecast is bit-identical to forecasting it alone.
-    """
-    return decompose(x, state)[0]
 
 
 # Windows per inference block are capped so that a block's largest
@@ -318,20 +302,19 @@ def forecast(x, state: ModelState) -> DecomposedForecast:
 _BLOCK_WORDS = 1 << 18
 
 
-def decompose(x, state: ModelState):
-    """Forecast plus the per-stack horizon components and the level series.
+def forecast(x, state: ModelState) -> DecomposedForecast:
+    """Inference: the whole decomposed forecast of one (L, m) window or a batch.
 
-    x is one (L, m) window or a batch (..., L, m). Returns
-    (DecomposedForecast, stack_growth list, stack_seasonal list,
-    level_series), all observation-space ndarrays with x's leading axes.
+    x is one (L, m) window or a batch (..., L, m); every field of the
+    returned record is an observation-space ndarray with x's leading axes.
 
     A batch of more than max(1, _BLOCK_WORDS // (L * max(ff_dim, dim)))
     windows is flattened and run through `forward` that many windows at a
     time, under one no_grad, and each output is concatenated in order. The
-    result is bit-identical to one forward over the whole batch. A shape
-    that does not end in (L, m) goes to `forward` whole, which raises
-    DataError naming it; a non-finite window raises DataError from the block
-    that holds it.
+    result is bit-identical to one forward over the whole batch, and each
+    window's to forecasting it alone. A shape that does not end in (L, m)
+    goes to `forward` whole, which raises DataError naming it; a non-finite
+    window raises DataError from the block that holds it.
     """
     cfg = state.config
     x = ad.as_tensor(x).data
@@ -345,25 +328,26 @@ def decompose(x, state: ModelState):
     outs = []
     with ad.no_grad():
         for block in blocks:
-            fp = forward(block, state, training=False)
+            out = forward(block, state)
             outs.append([t.data for t in (
-                fp.level_horizon, fp.growth_horizon, fp.seasonal_horizon, fp.total,
-                fp.level_series, *fp.stack_growth, *fp.stack_seasonal,
+                out.level, out.growth, out.seasonal, out.total,
+                out.level_series, *out.stack_growth, *out.stack_seasonal,
             )])
     if len(outs) == 1:
         cols = outs[0]
     else:
         cols = [np.concatenate(col).reshape(x.shape[:-2] + col[0].shape[1:]) for col in zip(*outs)]
     level, growth, seasonal, total, level_series, *stacks = cols
-    dec = DecomposedForecast(level=level, growth=growth, seasonal=seasonal, total=total)
-    return dec, stacks[: cfg.layers], stacks[cfg.layers :], level_series
+    return DecomposedForecast(
+        level, growth, seasonal, total, level_series, stacks[: cfg.layers], stacks[cfg.layers :]
+    )
 
 
-def mse_loss(fp: ForwardPass, target) -> Tensor:
+def mse_loss(out: DecomposedForecast, target) -> Tensor:
     target = ad.as_tensor(target)
-    if target.shape != fp.total.shape:
+    if target.shape != out.total.shape:
         raise DimensionError(
-            f"target shape {target.shape} does not match forecast {fp.total.shape}"
+            f"target shape {target.shape} does not match forecast {out.total.shape}"
         )
-    diff = ad.sub(fp.total, target)
+    diff = ad.sub(out.total, target)
     return ad.tmean(ad.mul(diff, diff))

@@ -220,12 +220,18 @@ def load_checkpoint(path: str) -> Checkpoint:
             if arr is not None and (arr.shape != (config.channels,) or not np.isfinite(arr).all()):
                 raise DataError(f"header {key} is not {config.channels} finite values")
             norm[key] = arr
+        best_epoch = header.get("best_epoch", -1)
+        if type(best_epoch) is not int or best_epoch < -1:  # bool is an int subclass
+            raise DataError(f"header best_epoch must be an integer >= -1, got {best_epoch!r}")
         val = header.get("best_val_mse")
+        # NaN fails the comparison; an int is compared exactly, without overflow
+        if val is not None and not (type(val) in (int, float) and abs(val) <= sys.float_info.max):
+            raise DataError(f"header best_val_mse must be a finite number or null, got {val!r}")
         ckpt = Checkpoint(
             config=config,
             params={},
             split=from_dict(SplitSpec, header.get("split", {}), "header split"),
-            best_epoch=int(header.get("best_epoch", -1)),
+            best_epoch=best_epoch,
             best_val_mse=math.nan if val is None else float(val),
             **norm,
         )
@@ -276,7 +282,7 @@ def evaluate_state(
 
     X holds (n, L, m) lookback windows and Y their (n, H, m) targets. The
     forecasts come from `model.forecast`, `chunk` windows per call: chunk
-    bounds how many windows one call's outputs hold, while `decompose`
+    bounds how many windows one call's outputs hold, while `forecast`
     bounds each forward's working set by its own blocks, so any chunk >= 1
     gives the same bits. chunk < 1 raises ConfigError; X and Y of different
     lengths raise DimensionError before any forward runs.
@@ -355,8 +361,7 @@ def train(
                         xb[i], yb[i], rng, scale_one_plus=train_cfg.scale_aug_one_plus
                     )
             state.zero_grad()
-            fp = forward(xb, state, training=True, rng=rng)
-            loss = mse_loss(fp, yb)
+            loss = mse_loss(forward(xb, state, rng), yb)
             if not np.isfinite(loss.data):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // train_cfg.batch_size}"

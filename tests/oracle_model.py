@@ -12,7 +12,8 @@ Every step takes an independent route from the one `model.forward` runs:
 
 Nothing here imports `esa.conv1d_fft`, `freq` or `autodiff`, so a fault in
 the FFT kernels, the top-k ranking or the engine cannot hide in both routes.
-Dropout is the identity at inference and is left out.
+Dropout runs only when `model.forward` is handed an rng, which
+`model.forecast` never does, so it is left out.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def damped_growth(b_last, gamma_raw, horizon, d):
 
 
 def forward(x, state):
-    """Inference forward of x: (..., L, m); returns decompose's outputs by name."""
+    """Inference forward of x: (..., L, m); returns the fields of
+    `model.forecast`'s record by name."""
     cfg = state.config
     p = {name: t.data for name, t in state.params.items()}
     x = np.asarray(x, dtype=np.float64)

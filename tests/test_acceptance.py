@@ -150,7 +150,7 @@ class TestCriterion05GradientIntegrity:
         for name, p in state.params.items():
             state.zero_grad()
             err = ad.grad_check(
-                lambda t: mse_loss(forward(x, state, training=False), y), p, eps=1e-5
+                lambda t: mse_loss(forward(x, state), y), p, eps=1e-5
             )
             if err > worst:
                 worst_name, worst = name, err

@@ -270,20 +270,20 @@ class TestSigmoid:
 class TestDropout:
     def test_inference_is_exact_identity(self):
         x = Tensor(np.random.default_rng(9).normal(size=(4, 4)))
-        assert ad.dropout(x, 0.5, training=False) is x
+        assert ad.dropout(x, 0.5) is x  # no rng: inference
 
     def test_p_zero_is_identity(self):
         x = Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ConfigError):
-            ad.dropout(Tensor(np.ones(2)), 1.0, training=True, rng=np.random.default_rng(0))
+            ad.dropout(Tensor(np.ones(2)), 1.0, np.random.default_rng(0))
 
     def test_survivor_mean_within_binomial_band(self):
         n, p = 100_000, 0.2
         rng = np.random.default_rng(10)
-        out = ad.dropout(Tensor(np.ones(n)), p, training=True, rng=rng).data
+        out = ad.dropout(Tensor(np.ones(n)), p, rng).data
         # mean of mask/(1-p) has std sqrt(p/((1-p)n))
         band = 3.0 * np.sqrt(p / ((1.0 - p) * n))
         assert abs(out.mean() - 1.0) < band
@@ -291,7 +291,7 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         rng = np.random.default_rng(11)
         x = Tensor(np.ones(50), requires_grad=True)
-        out = ad.dropout(x, 0.3, training=True, rng=rng)
+        out = ad.dropout(x, 0.3, rng)
         ad.tsum(out).backward()
         np.testing.assert_array_equal(x.grad, out.data)
 
@@ -311,7 +311,7 @@ class TestDropout:
                 keep = (theirs.random(xd.shape) >= p) / (1.0 - p)
                 g = np.random.default_rng(25).normal(size=xd.shape)
                 with np.errstate(invalid="ignore"):
-                    out = ad.dropout(x, p, training=True, rng=ours)
+                    out = ad.dropout(x, p, ours)
                     out.backward(g)
                     assert out.data.tobytes() == (xd * keep).tobytes()
                     assert x.grad.tobytes() == (0.0 + g * keep).tobytes()
@@ -444,7 +444,7 @@ class TestDeterminism:
         def run():
             rng = np.random.default_rng(99)
             t = Tensor(x, requires_grad=True)
-            out = ad.tmean(ad.mul(d := ad.dropout(ad.sigmoid(t), 0.4, True, rng), d))
+            out = ad.tmean(ad.mul(d := ad.dropout(ad.sigmoid(t), 0.4, rng), d))
             out.backward()
             return out.data.copy(), t.grad.copy()
 

@@ -88,8 +88,11 @@ class TestHwSmooth:
     def test_constant_series_is_fixed_point(self):
         c = 4.25
         x = np.full(20, c)
-        init = hw.HwState(level=np.array([c]), growth=np.zeros(1), seasonal=np.zeros(4), period=4)
-        state = hw.hw_smooth(x, hw.HwParams(0.4, 0.3, 0.2, period=4), init)
+        # default_init seeds a constant series at its fixed point
+        init = hw.default_init(x, 4)
+        assert init.level.tolist() == [c] and init.growth.tolist() == [0.0]
+        assert init.seasonal.tolist() == [0.0] * 4
+        state = hw.hw_smooth(x, hw.HwParams(0.4, 0.3, 0.2, period=4))
         np.testing.assert_allclose(state.level, c)
         np.testing.assert_allclose(state.growth, 0.0)
         np.testing.assert_allclose(state.seasonal, 0.0)
@@ -111,8 +114,8 @@ class TestHwSmooth:
         x = rng.normal(size=30)
         p = 5
         params = hw.HwParams(0.3, 0.2, 0.4, 0.9, period=p)
-        init = hw.default_init(x, p)
-        state = hw.hw_smooth(x, params, init)
+        init = hw.default_init(x, p)  # the seeds hw_smooth starts from
+        state = hw.hw_smooth(x, params)
         # independent recurrence with python scalars
         e, b = init.level[0], init.growth[0]
         s = list(init.seasonal)
@@ -330,7 +333,7 @@ class TestHwFitGrid:
             pos = [np.searchsorted(grid[k], getattr(params, k)) for k in NAMES]
             return np.ravel_multi_index(pos, (res,) * 4)
 
-        def fake_errors(x, params, init=None):
+        def fake_errors(x, params):
             e = scores[index(params)]
             return np.broadcast_to(e, (T,) + np.shape(e)).copy()
 

@@ -8,6 +8,23 @@ import pytest
 from etsfore import cli, data, model, trainer
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which Python's
+    json reads and writes but JSON has no token for."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
+def test_strict_json_refuses_non_json_numbers():
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match=f"{token} is not JSON"):
+            strict_json(f'{{"mse": {token}}}')
+    assert strict_json('{"mse": null, "mae": 1e300}') == {"mse": None, "mae": 1e300}
+
+
 @pytest.fixture()
 def synth_file(tmp_path):
     path = tmp_path / "synth.csv"
@@ -28,6 +45,14 @@ def run_config(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.fixture()
+def timestamps_only(tmp_path):
+    """A plain CSV whose only column is the timestamp: no value columns."""
+    path = tmp_path / "ts.csv"
+    path.write_text("timestamp\n" + "".join(f"2024-01-01T{h:02d}:00:00\n" for h in range(24)))
     return path
 
 
@@ -59,13 +84,13 @@ class TestSynth:
         p = tmp_path / "s.csv"
         assert cli.main(["synth", "--out", str(p), "--n", "2"]) == 0
         assert "noise=0.05" in p.read_text().splitlines()[0]
-        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        summary = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["noise"] == 0.05
 
     def test_summary_is_json(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         assert cli.main(["synth", "--out", str(p), "--n", "3", "--seed", "2"]) == 0
-        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        payload = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["instances"] == 3
 
     @pytest.mark.parametrize("flag, value", [
@@ -87,7 +112,7 @@ class TestTrain:
                        "--out", str(out)])
         assert rc == 0
         captured = capsys.readouterr()
-        lines = [json.loads(s) for s in captured.out.strip().splitlines()]
+        lines = [strict_json(s) for s in captured.out.strip().splitlines()]
         epochs = [l for l in lines if "epoch" in l]
         assert len(epochs) == 2
         assert set(epochs[0]) == {"epoch", "train_mse", "val_mse", "lr"}
@@ -132,6 +157,25 @@ class TestTrain:
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
 
+    def test_zero_epochs_report_no_best_value(self, tmp_path, synth_file, run_config, capsys):
+        cfg = json.loads(run_config.read_text())
+        cfg["train"]["epochs"] = 0
+        run_config.write_text(json.dumps(cfg))
+        out = tmp_path / "m.etsf"
+        assert cli.main(["train", "--config", str(run_config), "--data", str(synth_file),
+                         "--out", str(out)]) == 0
+        last = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+        assert last == {"checkpoint": str(out), "best_epoch": -1, "best_val_mse": None}
+
+    def test_csv_without_value_columns_is_data_error(self, tmp_path, timestamps_only,
+                                                     run_config, capsys):
+        out = tmp_path / "m.etsf"
+        assert cli.main(["train", "--config", str(run_config), "--data", str(timestamps_only),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {timestamps_only}: no value columns" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_plain_csv_loaded_once(self, tmp_path, run_config, capsys, monkeypatch):
         csv_path = tmp_path / "plain.csv"
         t = np.arange(400)
@@ -164,7 +208,7 @@ class TestTrain:
                            str(synth_file), "--out", str(out_path)])
             assert rc == 0
             lines = capsys.readouterr().out.strip().splitlines()
-            return json.loads(lines[0])["train_mse"]
+            return strict_json(lines[0])["train_mse"]
 
         base = first_epoch(tmp_path / "a.etsf")
         monkeypatch.setenv("ETSFORE_SEED", "3")  # same as config: no change
@@ -178,7 +222,7 @@ class TestEvaluate:
         rc = cli.main(["evaluate", "--model", str(trained_model), "--data",
                        str(synth_file), "--split", "test"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip())
+        payload = strict_json(capsys.readouterr().out.strip())
         assert {"mse", "mae"} <= set(payload)
         assert payload["mse"] >= 0
 
@@ -217,7 +261,7 @@ class TestForecastDecompose:
         assert cli.main(args + ["--format", fmt]) == 0
         out = capsys.readouterr().out
         if fmt == "json":
-            payload = json.loads(out)
+            payload = strict_json(out)
             return payload["columns"], np.array(payload["rows"])
         lines = out.strip().splitlines()
         cols = lines[0].split(",")
@@ -246,6 +290,19 @@ class TestForecastDecompose:
         cols, _ = self._rows(capsys, ["decompose", "--model", str(trained_model),
                                       "--data", str(synth_file), "--at", "0"], "json")
         assert "growth0" in cols and "seasonal0" in cols
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_forecast_is_numeric_failure(self, tmp_path, synth_file, trained_model,
+                                                    capsys, fmt):
+        # a NaN weight in a checkpoint with a valid checksum reaches every total
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        ckpt.params["head.w_out"][0, 0] = np.nan
+        nan_model = tmp_path / "nan.etsf"
+        trainer.save_checkpoint(ckpt, str(nan_model))
+        assert cli.main(["forecast", "--model", str(nan_model), "--data", str(synth_file),
+                         "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "non-finite value in the horizon table" in captured.err
 
     def test_window_index_out_of_range(self, synth_file, trained_model, capsys):
         rc = cli.main(["forecast", "--model", str(trained_model), "--data",
@@ -299,7 +356,7 @@ class TestBaseline:
         data.write_csv(data.Series(np.full((60, 1), 3.0), names=["v"]), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "2"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip())
+        payload = strict_json(capsys.readouterr().out.strip())
         assert payload["mse"] == pytest.approx(0.0, abs=1e-20)
         assert payload["channels"][0]["degenerate"]
 
@@ -310,9 +367,26 @@ class TestBaseline:
         data.write_csv(data.Series(x[:, None], names=["v"]), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "3"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out.strip())
+        payload = strict_json(capsys.readouterr().out.strip())
         assert payload["mse"] < np.var(x)
 
+    def test_overflowing_error_is_numeric_failure(self, tmp_path, capsys):
+        # random signs at 1e200: every squared error overflows to infinity
+        x = 1e200 * np.random.default_rng(0).choice([-1.0, 1.0], size=60)
+        p = tmp_path / "big.csv"
+        data.write_csv(data.Series(x[:, None], names=["v"]), str(p))
+        with np.errstate(over="ignore"):
+            rc = cli.main(["baseline", "--data", str(p), "--period", "4"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert 'error: non-finite value in output {"mse": Infinity, ' in captured.err
+
+    def test_csv_without_value_columns_is_data_error(self, timestamps_only, capsys):
+        assert cli.main(["baseline", "--data", str(timestamps_only), "--period", "4"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {timestamps_only}: no value columns" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--test-fraction", "nan", "--test-fraction"), ("--test-fraction", "inf", "--test-fraction"),
@@ -332,7 +406,7 @@ class TestBench:
     def test_schema(self, capsys):
         rc = cli.main(["bench-esa", "--lengths", "64,128", "--d", "2", "--repeats", "1"])
         assert rc == 0
-        lines = [json.loads(s) for s in capsys.readouterr().out.strip().splitlines()]
+        lines = [strict_json(s) for s in capsys.readouterr().out.strip().splitlines()]
         assert [l["L"] for l in lines] == [64, 128]
         for line in lines:
             assert set(line) == {"L", "naive_ms", "fast_ms"}
@@ -396,5 +470,5 @@ class TestExitCodes:
                          str(synth_file), "--out", str(out)]) == 0
         captured = capsys.readouterr()
         for line in captured.out.strip().splitlines():
-            json.loads(line)  # every stdout line parses
+            strict_json(line)  # every stdout line parses, as strict JSON
         assert "training on" in captured.err

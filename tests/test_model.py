@@ -19,7 +19,6 @@ from etsfore.errors import ConfigError, DataError
 from etsfore.model import (
     ModelConfig,
     ModelState,
-    decompose,
     encoder_layer,
     forecast,
     forward,
@@ -196,7 +195,7 @@ def growth_damping(b_last, horizon, gammas):
     g = np.asarray(gammas, dtype=np.float64)
     b = np.asarray(b_last, dtype=np.float64)
     out = model._growth_damping_t(
-        Tensor(b), horizon, Tensor(np.log(g / (1 - g))), len(g), b.shape[-1], 0.0, False, None
+        Tensor(b), horizon, Tensor(np.log(g / (1 - g))), len(g), b.shape[-1], 0.0, None
     )
     return out.data
 
@@ -251,6 +250,13 @@ class TestForecast:
         a, b = forecast(x, state), forecast(x, state)
         assert np.array_equal(a.total, b.total)
 
+    def test_dropout_runs_only_with_an_rng(self):
+        state = tiny_state(seed=40)
+        x = np.random.default_rng(41).normal(size=(16, 2))
+        plain = forward(x, state).total.data
+        np.testing.assert_array_equal(plain, forecast(x, state).total)
+        assert not np.array_equal(plain, forward(x, state, np.random.default_rng(0)).total.data)
+
     def test_batched_matches_single(self):
         state = tiny_state(seed=16)
         xb = np.random.default_rng(17).normal(size=(3, 16, 2))
@@ -264,22 +270,21 @@ class TestDecompose:
     def test_component_sum_reproduces_total(self):
         state = tiny_state(seed=18)
         x = np.random.default_rng(19).normal(size=(16, 2))
-        dec, growths, seasonals, _ = decompose(x, state)
-        total = dec.level + sum(growths) + sum(seasonals)
-        assert np.abs(total - dec.total).max() < 1e-10
+        out = forecast(x, state)
+        total = out.level + sum(out.stack_growth) + sum(out.stack_seasonal)
+        assert np.abs(total - out.total).max() < 1e-10
 
     def test_stack_counts(self):
         cfg = ModelConfig(lookback=16, horizon=4, channels=1, dim=8, ff_dim=16,
                           layers=3, heads=2, top_k=2)
         state = ModelState.init(cfg, 20)
-        _, growths, seasonals, level = decompose(np.random.default_rng(21).normal(size=(16, 1)), state)
-        assert len(growths) == 3 and len(seasonals) == 3
-        assert level.shape == (16, 1)
+        out = forecast(np.random.default_rng(21).normal(size=(16, 1)), state)
+        assert len(out.stack_growth) == 3 and len(out.stack_seasonal) == 3
+        assert out.level_series.shape == (16, 1)
 
     def test_lookback_seasonal_latents_have_near_zero_mean(self):
         state = tiny_state(seed=22)
         x = Tensor(np.random.default_rng(23).normal(size=(16, 2)))
-        fp = forward(x, state, training=False)
         # seasonal latents come from non-DC bases only
         z = input_embed(x, state)
         _, _, s = encoder_layer(z, state, 0)
@@ -307,7 +312,7 @@ class TestFullGradient:
         y = rng.normal(size=(4, 2))
 
         def loss():
-            return mse_loss(forward(x, state, training=False), y)
+            return mse_loss(forward(x, state), y)
 
         for name, p in state.params.items():
             state.zero_grad()
@@ -315,10 +320,11 @@ class TestFullGradient:
             assert err < 1e-4, f"{name}: rel err {err}"
 
 
-def decompose_arrays(x, state):
-    """Every output of decompose, in a fixed order."""
-    dec, growths, seasonals, level = decompose(x, state)
-    return [dec.level, dec.growth, dec.seasonal, dec.total, *growths, *seasonals, level]
+def forecast_arrays(x, state):
+    """Every field of forecast's record, in a fixed order."""
+    out = forecast(x, state)
+    return [out.level, out.growth, out.seasonal, out.total,
+            *out.stack_growth, *out.stack_seasonal, out.level_series]
 
 
 def windows_per_block(cfg):
@@ -338,10 +344,10 @@ class TestBlockedDecompose:
             return forward(xb, *args, **kwargs)
 
         with mock.patch.object(model, "forward", counting_forward):
-            batched = decompose_arrays(x, state)
+            batched = forecast_arrays(x, state)
         assert sizes == [b, b, n - 2 * b]
         for i in range(n):
-            for whole, single in zip(batched, decompose_arrays(x[i], state)):
+            for whole, single in zip(batched, forecast_arrays(x[i], state)):
                 np.testing.assert_array_equal(whole[i], single)
 
     def test_output_shapes(self):
@@ -351,20 +357,21 @@ class TestBlockedDecompose:
         with mock.patch.object(model, "_BLOCK_WORDS", 2 * L * TINY.ff_dim):  # 2 windows a block
             for lead in ((0,), (2, 3), ()):
                 x = rng.normal(size=lead + (L, m))
-                dec, growths, seasonals, level = decompose(x, state)
-                for part in (dec.level, dec.growth, dec.seasonal, dec.total, *growths, *seasonals):
+                out = forecast(x, state)
+                for part in (out.level, out.growth, out.seasonal, out.total,
+                             *out.stack_growth, *out.stack_seasonal):
                     assert part.shape == lead + (H, m)
-                assert level.shape == lead + (L, m)
+                assert out.level_series.shape == lead + (L, m)
                 # a (2, 3) batch runs in three blocks, each window as if alone
                 for idx in np.ndindex(*lead):
-                    np.testing.assert_array_equal(dec.total[idx], forecast(x[idx], state).total)
+                    np.testing.assert_array_equal(out.total[idx], forecast(x[idx], state).total)
 
     def test_shape_mismatch_names_the_whole_input(self):
         state = tiny_state(seed=34)
         x = np.zeros((2, 3, TINY.lookback - 1, TINY.channels))
         with mock.patch.object(model, "_BLOCK_WORDS", 2 * TINY.lookback * TINY.ff_dim):
             with pytest.raises(DataError, match=re.escape(f"shape {x.shape} does not match")):
-                decompose(x, state)
+                forecast(x, state)
 
     def test_nan_in_last_block_rejected(self):
         state = tiny_state(seed=35)
@@ -372,7 +379,7 @@ class TestBlockedDecompose:
         x[6, 3, 1] = np.nan
         with mock.patch.object(model, "_BLOCK_WORDS", 2 * TINY.lookback * TINY.ff_dim):
             with pytest.raises(DataError, match="non-finite"):
-                decompose(x, state)
+                forecast(x, state)
 
     def test_peak_memory_stays_at_one_block(self):
         b = windows_per_block(DESK)
@@ -390,11 +397,11 @@ class TestBlockedDecompose:
 
 
 def assert_oracle_close(x, state):
-    """Every decompose output within 1e-9 relative of the plain-numpy oracle."""
+    """Every forecast field within 1e-9 relative of the plain-numpy oracle."""
     ref = oracle_model.forward(x, state)
     want = [ref[key] for key in ("level", "growth", "seasonal", "total")]
     want += ref["stack_growth"] + ref["stack_seasonal"] + [ref["level_series"]]
-    got = decompose_arrays(x, state)
+    got = forecast_arrays(x, state)
     assert len(got) == len(want)
     for i, (a, b) in enumerate(zip(got, want)):
         assert a.shape == b.shape, f"output {i}"
@@ -431,7 +438,7 @@ class TestForwardOracle:
 
     @pytest.mark.parametrize("seed", [1, 90017])
     def test_desk_windows(self, seed):
-        # the benchmark's infer_batch windows and model; decompose runs the
+        # the benchmark's infer_batch windows and model; forecast runs the
         # 256 windows in many blocks, which the oracle never splits
         ds = data.synth_generate(256, 0.05, seed, DESK.lookback, DESK.horizon)
         stats = data.compute_stats(ds.values[:, : DESK.lookback])

@@ -1,5 +1,6 @@
 """Tests for the optimizer, schedule, training loop, and checkpoint format."""
 
+import json
 import math
 import zlib
 from pathlib import Path
@@ -142,7 +143,7 @@ class TestTrainLoop:
         losses = []
         for _ in range(11):
             state.zero_grad()
-            loss = mse_loss(forward(xb, state, training=False), yb)
+            loss = mse_loss(forward(xb, state), yb)
             losses.append(float(loss.data))
             loss.backward()
             opt.step(state.params, lambda name: 1e-3)
@@ -157,7 +158,7 @@ class TestTrainLoop:
         first = None
         for step in range(200):
             state.zero_grad()
-            loss = mse_loss(forward(xb, state, training=False), yb)
+            loss = mse_loss(forward(xb, state), yb)
             if first is None:
                 first = float(loss.data)
             loss.backward()
@@ -401,6 +402,40 @@ class TestCheckpoint:
             p.write_bytes(saved_bytes.replace(old, new))
             with pytest.raises(DataError, match=f"{where}: expected a finite number"):
                 load_checkpoint(str(p))
+
+    @staticmethod
+    def _with_header_field(saved: bytes, key: str, text: str) -> bytes:
+        """saved with header[key] set to the JSON text, re-framed with a valid CRC."""
+        hlen = int.from_bytes(saved[8:12], "little")
+        header = json.loads(saved[12 : 12 + hlen])
+        header[key] = "@"
+        raw = json.dumps(header, sort_keys=True).replace('"@"', text).encode()
+        body = saved[:8] + len(raw).to_bytes(4, "little") + raw + saved[12 + hlen : -4]
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    @pytest.mark.parametrize("key, text, loaded", [
+        ("best_epoch", "-1", -1), ("best_epoch", "7", 7),
+        ("best_val_mse", "null", None), ("best_val_mse", "2", 2.0),
+        ("best_val_mse", "0.125", 0.125),
+    ])
+    def test_header_best_fields_load(self, saved_bytes, tmp_path, key, text, loaded):
+        p = tmp_path / "best.etsf"
+        p.write_bytes(self._with_header_field(saved_bytes, key, text))
+        got = getattr(load_checkpoint(str(p)), key)
+        assert got == loaded or (loaded is None and math.isnan(got))
+
+    @pytest.mark.parametrize("key, text", [
+        ("best_epoch", "1.9"), ("best_epoch", "true"), ("best_epoch", '"7"'),
+        ("best_epoch", "-2"), ("best_epoch", "null"), ("best_epoch", "7.0"),
+        ("best_val_mse", '"1e5"'), ("best_val_mse", "true"), ("best_val_mse", "NaN"),
+        ("best_val_mse", "Infinity"), ("best_val_mse", "1e999"), ("best_val_mse", "[1.0]"),
+        pytest.param("best_val_mse", "1" + "0" * 400, id="best_val_mse-int_beyond_float"),
+    ])
+    def test_header_best_field_of_wrong_kind_rejected(self, saved_bytes, tmp_path, key, text):
+        p = tmp_path / "best.etsf"
+        p.write_bytes(self._with_header_field(saved_bytes, key, text))
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: header {key} must be"):
+            load_checkpoint(str(p))
 
     def test_trailing_bytes_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "long.etsf"
