@@ -6,10 +6,13 @@ training-time augmentations, and evaluation metrics.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NoReturn
 
 import numpy as np
 
@@ -68,13 +71,16 @@ def load_csv(path: str) -> Series:
     The last line must end with a line break, as in instance CSVs: a file
     cut inside its last value can still end in a number that parses.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [(reader.line_num, row) for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file") from None
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if not _ends_with_line_break(path):
         raise ParseError(f"{path}: line {reader.line_num}: no line break at the end (truncated?)")
     if not rows:
@@ -302,59 +308,58 @@ def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
     return tuple(out)
 
 
+# One instance-CSV row: integer instance, integer t, float value.
+_SYNTH_ROW = np.dtype([("instance", np.int64), ("t", np.int64), ("value", np.float64)])
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def read_synth_csv(path: str) -> SynthDataset:
     """Inverse of write_synth_csv; rows may come in any order.
 
-    Every (instance, t) cell must appear exactly once. A malformed row, a
-    non-finite value, an instance outside [0, instances) or a t outside
-    [1, lookback+horizon] raises ParseError naming its line, as does a
-    repeated cell; a missing cell raises ParseError naming the cell. So do a
-    missing or bad metadata key, a non-positive lookback, horizon or
+    A row is exactly `instance,t,value`: two integer literals and a float,
+    unquoted, ending in LF or CRLF. Every (instance, t) cell must appear
+    exactly once. A line that is not such a row, a non-finite value, an
+    instance outside [0, instances) or a t outside [1, lookback+horizon]
+    raises ParseError naming its line, as does a repeated cell; a missing
+    cell raises ParseError naming the cell. So do bytes that are not UTF-8,
+    a missing or bad metadata key, a non-positive lookback, horizon or
     instance count, a missing header and a last row without its line break,
     which a truncated file cannot be told apart from.
     """
-    with open(path, newline="") as fh:
-        meta_line = fh.readline().strip()
+    with open(path, "rb") as fh:
+        meta_line = _decode(path, 1, fh.readline()).strip()
         if not meta_line.startswith(SYNTH_MAGIC):
             raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
         L, H, n, noise, seed = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header != ["instance", "t", "value"]:
-            raise ParseError(f"{path}: unexpected header {header}")
-        cells: list = []  # instance, t, value of every row, flattened
-        for row in reader:
-            try:
-                cells += (int(row[0]), int(row[1]), float(row[2]))
-            except (ValueError, IndexError):
-                line_no = 3 + len(cells) // 3
-                raise ParseError(f"{path}: line {line_no}: malformed row {row!r}") from None
-    if not _ends_with_line_break(path):
+        header = _decode(path, 2, fh.readline())
+        if _fields(header) != ["instance", "t", "value"]:
+            raise ParseError(f"{path}: unexpected header {_fields(header)}")
+        body = fh.read()
+    lines = body.count(b"\n")
+    if not (body.endswith(b"\n") if body else header.endswith("\n")):
         # a cut inside the last value can still leave a number that parses
-        raise ParseError(f"{path}: line {2 + len(cells) // 3}: no line break at the end (truncated?)")
-    # Checked here, vectorized, rather than row by row; row r is line 3 + r.
+        last = 3 + lines if body else 2
+        raise ParseError(f"{path}: line {last}: no line break at the end (truncated?)")
     T = L + H
-
-    def out_of_range(r: int):
-        i, t = cells[3 * r], cells[3 * r + 1]
-        return ParseError(
-            f"{path}: line {3 + r}: instance {i}, t {t} outside [0, {n}) x [1, {T}]"
-        )
-
+    # One pass parses every row; row r is line 3 + r unless loadtxt skipped
+    # a blank line, which it does silently (and warns when no row is left).
     try:
-        inst, step, vals = np.array(cells, dtype=np.float64).reshape(-1, 3).T
-    except OverflowError:  # an index beyond float64 range
-        raise out_of_range(next(
-            r for r in range(len(cells) // 3)
-            if not (0 <= cells[3 * r] < n and 1 <= cells[3 * r + 1] <= T)
-        )) from None
+        rows = (np.loadtxt(io.BytesIO(body), dtype=_SYNTH_ROW, delimiter=",", comments=None,
+                           ndmin=1, encoding="utf-8")
+                if body and not body.isspace() else np.empty(0, _SYNTH_ROW))
+    except ValueError:  # UnicodeDecodeError too
+        rows = None
+    if rows is None or rows.size != lines:
+        _reject_first_bad_line(path, body, n, T)
+    inst, step, vals = rows["instance"], rows["t"], rows["value"]
     bad = ~np.isfinite(vals)
     if bad.any():
         raise ParseError(f"{path}: line {3 + int(bad.argmax())}: non-finite value")
     bad = (inst < 0) | (inst >= n) | (step < 1) | (step > T)
     if bad.any():
-        raise out_of_range(int(bad.argmax()))
-    cell = inst.astype(np.intp) * T + step.astype(np.intp) - 1
+        r = int(bad.argmax())
+        raise _out_of_range(path, 3 + r, int(inst[r]), int(step[r]), n, T)
+    cell = inst * T + step - 1
     # bincount only runs when there are as many rows as cells, so a bad
     # instance count in the metadata cannot make it allocate more than that
     if cell.size != n * T or np.bincount(cell).max(initial=0) > 1:
@@ -364,7 +369,7 @@ def read_synth_csv(path: str) -> SynthDataset:
             repeat[first] = False
             r = int(repeat.argmax())
             raise ParseError(
-                f"{path}: line {3 + r}: repeated row for instance {cells[3 * r]}, t {cells[3 * r + 1]}"
+                f"{path}: line {3 + r}: repeated row for instance {inst[r]}, t {step[r]}"
             )
         gap = np.flatnonzero(cells_seen != np.arange(cells_seen.size))
         c = int(gap[0]) if gap.size else cells_seen.size
@@ -383,6 +388,46 @@ def read_synth_csv(path: str) -> SynthDataset:
     )
 
 
+def _reject_first_bad_line(path: str, body: bytes, n: int, T: int) -> NoReturn:
+    """Raise ParseError for the first line of a rejected body that is not a row.
+
+    Each line is parsed alone, by the same loadtxt call. An index that is an
+    integer literal outside the range is reported as such, also when it is
+    too large for int64 to hold.
+    """
+    for line_no, raw in enumerate(io.BytesIO(body), start=3):
+        line = _decode(path, line_no, raw)
+        fields = _fields(line)
+        if len(fields) == 3:
+            try:
+                np.loadtxt([line], dtype=_SYNTH_ROW, delimiter=",", comments=None)
+                continue
+            except ValueError:
+                pass
+            if _INTEGER.fullmatch(fields[0]) and _INTEGER.fullmatch(fields[1]):
+                i, t = int(fields[0]), int(fields[1])
+                if not (0 <= i < n and 1 <= t <= T):
+                    raise _out_of_range(path, line_no, i, t, n, T)
+        raise ParseError(f"{path}: line {line_no}: malformed row {fields!r}")
+    raise ParseError(f"{path}: rows do not parse")  # no line alone fails to parse
+
+
+def _out_of_range(path: str, line_no: int, i: int, t: int, n: int, T: int) -> ParseError:
+    return ParseError(f"{path}: line {line_no}: instance {i}, t {t} outside [0, {n}) x [1, {T}]")
+
+
+def _fields(line: str) -> list[str]:
+    """A row's comma-separated fields, without its LF or CRLF line end."""
+    return line.removesuffix("\n").removesuffix("\r").split(",")
+
+
+def _decode(path: str, line_no: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: line {line_no}: not UTF-8 text") from None
+
+
 def _ends_with_line_break(path: str) -> bool:
     with open(path, "rb") as fh:
         size = fh.seek(0, os.SEEK_END)
@@ -391,8 +436,8 @@ def _ends_with_line_break(path: str) -> bool:
 
 
 def is_synth_csv(path: str) -> bool:
-    with open(path) as fh:
-        return fh.readline().startswith(SYNTH_MAGIC)
+    with open(path, "rb") as fh:
+        return _decode(path, 1, fh.readline()).startswith(SYNTH_MAGIC)
 
 
 # ---------------------------------------------------------------------------

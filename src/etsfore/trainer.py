@@ -196,9 +196,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
     The parameter records must be exactly those of the header's model
-    config, with their shapes. From version 2 a CRC-32 of all earlier bytes
-    ends the file; it is checked once the layout has parsed, so a layout
-    error keeps its own message. A header without a split, as older files
+    config, with their shapes and finite values. From version 2 a CRC-32 of
+    all earlier bytes ends the file; it is checked once the layout has
+    parsed, so a layout error keeps its own message. A header without a split, as older files
     have, means SplitSpec(). The Adam records and the Adam step and RNG
     state keys of older files are skipped.
     """
@@ -257,6 +257,8 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"parameter record {name} has shape {ckpt.params[name].shape}, "
                     f"expected {expected[name]}"
                 )
+            if not np.isfinite(ckpt.params[name]).all():
+                raise DataError(f"parameter record {name} has non-finite values")
     # json, a header field or a record's name or dtype code can be malformed too
     except (DataError, ConfigError, ValueError, TypeError, KeyError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from None

@@ -294,15 +294,30 @@ class TestForecastDecompose:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_forecast_is_numeric_failure(self, tmp_path, synth_file, trained_model,
                                                     capsys, fmt):
-        # a NaN weight in a checkpoint with a valid checksum reaches every total
+        # a finite checkpoint whose subnormal norm_std scales the window to
+        # near the float64 limit: the forward overflows and no total is finite
         ckpt = trainer.load_checkpoint(str(trained_model))
-        ckpt.params["head.w_out"][0, 0] = np.nan
-        nan_model = tmp_path / "nan.etsf"
-        trainer.save_checkpoint(ckpt, str(nan_model))
-        assert cli.main(["forecast", "--model", str(nan_model), "--data", str(synth_file),
-                         "--format", fmt]) == 3
+        ckpt.norm_std = np.array([1e-308])
+        overflow_model = tmp_path / "overflow.etsf"
+        trainer.save_checkpoint(ckpt, str(overflow_model))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["forecast", "--model", str(overflow_model), "--data",
+                           str(synth_file), "--format", fmt])
+        assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite value in the horizon table" in captured.err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_record_is_data_error(self, tmp_path, synth_file, trained_model,
+                                                       capsys, bad):
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        ckpt.params["head.w_out"][0, 0] = bad
+        nan_model = tmp_path / "nan.etsf"
+        trainer.save_checkpoint(ckpt, str(nan_model))
+        assert cli.main(["forecast", "--model", str(nan_model), "--data", str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parameter record head.w_out has non-finite values" in captured.err
 
     def test_window_index_out_of_range(self, synth_file, trained_model, capsys):
         rc = cli.main(["forecast", "--model", str(trained_model), "--data",
@@ -463,6 +478,32 @@ class TestExitCodes:
         rc = cli.main(["evaluate", "--model", str(broken), "--data", str(synth_file)])
         assert rc == 2
         assert f"{broken}: malformed checkpoint: checksum mismatch" in capsys.readouterr().err
+
+    @staticmethod
+    def _insert_non_utf8_byte(path, first_line: bool) -> None:
+        raw = path.read_bytes()
+        at = 0 if first_line else len(raw) - 4  # inside the last value
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+
+    @pytest.mark.parametrize("first_line", [True, False])
+    def test_non_utf8_series_is_data_error(self, tmp_path, capsys, first_line):
+        p = tmp_path / "s.csv"
+        data.write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        self._insert_non_utf8_byte(p, first_line)
+        assert cli.main(["baseline", "--data", str(p), "--period", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {p}: not UTF-8 text" in captured.err
+
+    @pytest.mark.parametrize("first_line", [True, False])
+    def test_non_utf8_instance_csv_is_data_error(self, synth_file, trained_model, capsys,
+                                                 first_line):
+        self._insert_non_utf8_byte(synth_file, first_line)
+        assert cli.main(["forecast", "--model", str(trained_model), "--data",
+                         str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        line = 1 if first_line else 2 + 40 * 30  # metadata, header, 40 instances x 30 steps
+        assert captured.out == ""
+        assert f"error: {synth_file}: line {line}: not UTF-8 text" in captured.err
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

@@ -1,6 +1,8 @@
 """Tests for ingestion, normalization, splitting, windowing, the synthetic
 generator, augmentation, and metrics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,6 +230,19 @@ class TestSynth:
         with pytest.raises(ParseError, match=f"line 7: instance 1, t {t} outside"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
+    @pytest.mark.parametrize("row", [
+        "0,4,9,4",  # would load 9.0 if the 4th field were dropped
+        "0,4",
+        "",
+        "0,4.0,4",  # an index that is not an integer literal
+        '0,"4",4',  # quoting, which write_synth_csv never does
+    ])
+    def test_malformed_row_names_line(self, tmp_path, row):
+        rows = self.full_rows()
+        rows[3] = (row,)
+        with pytest.raises(ParseError, match="line 6: malformed row"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+
     def test_repeated_cell_names_line(self, tmp_path):
         rows = self.full_rows()
         rows.insert(5, rows[2])
@@ -305,6 +320,53 @@ class TestSynth:
             except ParseError:
                 continue
             assert self.same(back, ds), f"prefix of {cut} of {len(full)} bytes"
+
+    @staticmethod
+    def replacement_lines(i: str, t: str, v: str):
+        """Strings to put in place of the data line `i,t,v`: near misses of
+        it, and any text or bytes without a line break."""
+        near = [f" {i} ,{t}, {v} ", f"+{i},{t},{v}", f"{i},{t},{v},", f"{i},{t}", f'"{i}",{t},{v}',
+                f"{i}.0,{t},{v}", f"{i}_0,{t},{v}", f"{i},{t},{v}x", f"{i},{t},nan", "",
+                f"{i},{t},{v}0", f"{int(i) + 1},{t},{v}", f"{i},{int(t) + 1},{v}",
+                f"{10**30},{t},{v}", f"{i},{t},{v}\x00"]
+        return st.one_of(
+            st.sampled_from(near).map(str.encode),
+            st.text(st.characters(exclude_characters="\r\n")).map(str.encode),
+            st.binary().map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(datasets(), st.data())
+    def test_replaced_line_loads_as_its_row_or_is_named(self, tmp_path_factory, ds, drawn):
+        p = tmp_path_factory.getbasetemp() / "replaced.csv"
+        data.write_synth_csv(ds, str(p))
+        lines = p.read_bytes().splitlines(keepends=True)
+        k = drawn.draw(st.integers(2, len(lines) - 1))  # line k + 1 of the file
+        i, t, v = lines[k].decode().removesuffix("\r\n").split(",")
+        new = drawn.draw(self.replacement_lines(i, t, v))
+        lines[k] = new + b"\r\n"
+        p.write_bytes(b"".join(lines))
+        try:
+            back = data.read_synth_csv(str(p))
+        except ParseError as e:
+            if f": line {k + 1}: " in str(e):
+                return
+            # else the new line is a row for another cell, and the other
+            # line holding that cell comes later and is named as the repeat
+            T = ds.lookback + ds.horizon
+            m = re.search(r": line (\d+): repeated row for instance (\d+), t (\d+)$", str(e))
+            assert m, str(e)
+            line_no, i2, t2 = map(int, m.groups())
+            assert [int(f) for f in new.decode().split(",")[:2]] == [i2, t2]
+            assert line_no == 3 + i2 * T + t2 - 1 > k + 1
+            return
+        # it loads only as the row of the cell it replaced
+        fields = new.decode().split(",")
+        assert [int(fields[0]), int(fields[1])] == [int(i), int(t)]
+        expect = ds.values.copy()
+        expect[int(i), int(t) - 1, 0] = float(fields[2])
+        assert self.same(back, data.SynthDataset(expect, ds.lookback, ds.horizon, ds.noise_std,
+                                                 ds.seed))
 
     def test_window_pairs_shapes(self):
         ds = data.synth_generate(2, 0.0, seed=0, lookback=12, horizon=3)

@@ -391,6 +391,16 @@ class TestCheckpoint:
             with pytest.raises(DataError, match=message):
                 load_checkpoint(str(p))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_record_rejected(self, tmp_path, bad):
+        state = ModelState.init(TINY, 0)
+        params = {name: t.data.astype(np.float32) for name, t in state.params.items()}
+        params["enc0.ff.b1"][3] = bad
+        p = tmp_path / "records.etsf"
+        save_checkpoint(Checkpoint(config=TINY, params=params), str(p))
+        with pytest.raises(DataError, match="parameter record enc0.ff.b1 has non-finite values"):
+            load_checkpoint(str(p))
+
     def test_non_finite_header_value_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "nan.etsf"
         # same-length edits of the JSON header
