@@ -1,15 +1,18 @@
 """Minimal dense-array engine with reverse-mode differentiation.
 
 All data is float64. A Tensor records the primitive application that
-produced it (parents + vector-Jacobian closure); backward() replays the
-graph once in reverse topological order. Code calls the primitives by
-name (`add`, `mul`, `linear`, ...); the one operator a Tensor defines is
-indexing, `t[...]`, which records a `getitem` node. Only the primitives
-the forecasting model needs are provided, plus `grad_check` and `tsum`,
-the unscaled sum that gradient checks reduce an output with. `tsum` and
-`tmean` reduce over every entry. `dropout` is the one random primitive:
-it runs exactly when it is handed an rng, so training passes its
-generator and inference passes none.
+produced it (parents + vector-Jacobian closure); backward() runs the
+graph once in reverse topological order and consumes it: each node drops
+its closure and parents as its VJP runs, so a graph's activations are
+freed during backward, and a second backward through it raises
+EvaluationError. Code calls the primitives by name (`add`, `mul`,
+`linear`, ...); the one operator a Tensor defines is indexing, `t[...]`,
+which records a `getitem` node. Only the primitives the forecasting
+model needs are provided, plus `grad_check` and `tsum`, the unscaled sum
+that gradient checks reduce an output with. `tsum` and `tmean` reduce
+over every entry. `dropout` is the one random primitive: it runs exactly
+when it is handed an rng, so training passes its generator and inference
+passes none.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def no_grad():
 class Tensor:
     """n-dimensional float64 array participating in reverse-mode differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -67,6 +70,11 @@ class Tensor:
         """Accumulate adjoints into .grad of every reachable requires_grad leaf.
 
         Each node is visited exactly once, in reverse topological order.
+        Backward consumes the graph: as each node's VJP runs, the node lets
+        go of its closure and its parents, so the activations and adjoints
+        they hold are freed once nothing downstream needs them. A second
+        backward that reaches a consumed node raises EvaluationError before
+        any VJP runs.
         """
         if seed is None:
             if self.data.size != 1:
@@ -84,16 +92,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._vjp is _consumed_vjp:
+                raise EvaluationError("graph already consumed by backward")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape)
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+        while order:
+            node = order.pop()
+            vjp, parents = node._vjp, node._parents
+            if vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            node._vjp, node._parents = _consumed_vjp, ()
+            if node.grad is None:
+                continue
+            for parent, g in zip(parents, vjp(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
@@ -107,6 +122,11 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
+
+
+def _consumed_vjp(g):
+    """Marks a node whose graph a backward has released."""
+    raise EvaluationError("graph already consumed by backward")
 
 
 def as_tensor(x) -> Tensor:

@@ -73,10 +73,12 @@ def load_run_config(path: str, channels: int):
     replaces the train seed.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):

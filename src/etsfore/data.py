@@ -305,6 +305,12 @@ def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
             raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}") from None
         if kind is int and key != "seed" and out[-1] < 1:
             raise ParseError(f"{path}: line 1: metadata {key}={out[-1]} must be positive")
+    L, H, n = out[:3]
+    if n * (L + H) > np.iinfo(np.int64).max:  # cell indices are int64
+        raise ParseError(
+            f"{path}: line 1: metadata instances={n} x (lookback={L} + horizon={H}) "
+            "cells do not fit int64"
+        )
     return tuple(out)
 
 
@@ -323,8 +329,9 @@ def read_synth_csv(path: str) -> SynthDataset:
     raises ParseError naming its line, as does a repeated cell; a missing
     cell raises ParseError naming the cell. So do bytes that are not UTF-8,
     a missing or bad metadata key, a non-positive lookback, horizon or
-    instance count, a missing header and a last row without its line break,
-    which a truncated file cannot be told apart from.
+    instance count, more cells than int64 can index, a missing header and a
+    last row without its line break, which a truncated file cannot be told
+    apart from.
     """
     with open(path, "rb") as fh:
         meta_line = _decode(path, 1, fh.readline()).strip()

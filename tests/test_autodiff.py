@@ -4,12 +4,16 @@ Every primitive's adjoint is verified against central finite differences;
 the spot-check values are closed forms.
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from etsfore import autodiff as ad
 from etsfore.autodiff import Tensor
-from etsfore.errors import ConfigError, DimensionError
+from etsfore.errors import ConfigError, DimensionError, EvaluationError
+from etsfore.model import ModelConfig, ModelState, forward, mse_loss
 
 
 def fd_check(f, x, tol=1e-6, eps=1e-5):
@@ -428,12 +432,64 @@ class TestBackward:
         seed = rng.normal(size=(4, 3))
         seed[0, 0] = -0.0
         kept = seed.copy()
+        ref = zeros_plus_add_backward(z, kept)  # before backward, which consumes the graph
         z.backward(seed)
         assert seed.tobytes() == kept.tobytes()
-        ref = zeros_plus_add_backward(z, kept)
         for t in (x, y, w):
             assert t.grad.tobytes() == ref[id(t)].tobytes()
         np.testing.assert_array_equal(w.grad, 2.0 * kept)
+
+    def test_second_backward_raises_before_any_grad(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        out = ad.tsum(ad.mul(x, x))
+        out.backward()
+        first = x.grad.copy()
+        with pytest.raises(EvaluationError, match="graph already consumed by backward"):
+            out.backward()
+        assert x.grad.tobytes() == first.tobytes()
+
+    def test_new_expression_on_consumed_intermediate_raises(self):
+        x = Tensor(np.array([0.5, 3.0]), requires_grad=True)
+        y = ad.sigmoid(x)
+        ad.tsum(y).backward()
+        x.zero_grad()
+        with pytest.raises(EvaluationError, match="graph already consumed by backward"):
+            ad.tsum(ad.mul(y, x)).backward()
+        assert x.grad is None and y.grad is not None
+
+    def test_intermediate_freed_when_backward_returns(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = ad.sigmoid(x)
+        alive = weakref.ref(y)
+        out = ad.tsum(ad.mul(y, y))
+        del y
+        assert alive() is not None  # the graph still holds it
+        out.backward()
+        assert alive() is None
+        s = 1.0 / (1.0 + np.exp(-1.0))
+        np.testing.assert_allclose(x.grad, 2.0 * s * s * (1.0 - s))
+
+    def test_training_steps_retain_no_graph(self):
+        cfg = ModelConfig(lookback=48, horizon=12, dim=16, ff_dim=32)
+        state = ModelState.init(cfg, 3)
+        rng = np.random.default_rng(4)
+        xb = rng.normal(size=(8, cfg.lookback, cfg.channels))
+        yb = rng.normal(size=(8, cfg.horizon, cfg.channels))
+        retained, peaks = [], []  # traced bytes allocated since the first step began
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                state.zero_grad()
+                loss = mse_loss(forward(xb, state, rng), yb)  # held across steps, as in train
+                loss.backward()
+                current, peak = tracemalloc.get_traced_memory()
+                retained.append(current)
+                peaks.append(peak)
+        finally:
+            tracemalloc.stop()
+        assert all(r < 0.05 * p for r, p in zip(retained, peaks)), (retained, peaks)
+        assert all(abs(p - peaks[0]) <= 0.05 * peaks[0] for p in peaks[1:]), peaks
 
 
 class TestDeterminism:

@@ -505,6 +505,28 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"error: {synth_file}: line {line}: not UTF-8 text" in captured.err
 
+    def test_non_utf8_run_config_is_config_error(self, tmp_path, synth_file, run_config,
+                                                 capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + run_config.read_bytes())
+        assert cli.main(["train", "--config", str(bad), "--data", str(synth_file),
+                         "--out", str(tmp_path / "m.etsf")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {bad}: not UTF-8 text" in captured.err
+
+    def test_instance_csv_cells_past_int64_is_data_error(self, synth_file, trained_model,
+                                                         capsys):
+        lines = synth_file.read_bytes().split(b"\n", 1)
+        meta = lines[0].replace(b"lookback=24", b"lookback=10000000000000000000")
+        synth_file.write_bytes(meta + b"\n" + lines[1])
+        assert cli.main(["evaluate", "--model", str(trained_model), "--data",
+                         str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: {synth_file}: line 1: metadata instances=40 x "
+                "(lookback=10000000000000000000 + horizon=6) cells do not fit int64"
+                in captured.err)
+
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"
         assert cli.main(["train", "--config", str(run_config), "--data",
