@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -70,7 +71,7 @@ def load_run_config(path: str, channels: int):
     Unknown sections or keys, missing required keys and values of the wrong
     type raise ConfigError naming the section and key. `channels` fills
     model.channels when the config leaves it out; ETSFORE_SEED, when set,
-    replaces the train seed.
+    replaces the train seed and must be ASCII digits.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -95,8 +96,11 @@ def load_run_config(path: str, channels: int):
     env_seed = os.environ.get("ETSFORE_SEED")
     if env_seed is not None:
         try:
+            # ASCII digits only: int() also reads "7_0", " 7 ", "+7" and "٧"
+            if not re.fullmatch("[0-9]+", env_seed):
+                raise ValueError(env_seed)
             tcfg = dataclasses.replace(tcfg, seed=int(env_seed))
-        except (ValueError, ConfigError):
+        except ValueError:  # int() also refuses more than sys.get_int_max_str_digits() digits
             raise ConfigError(
                 f"ETSFORE_SEED must be a non-negative integer, got {env_seed!r}"
             ) from None

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -71,17 +70,19 @@ def load_csv(path: str) -> Series:
     The last line must end with a line break, as in instance CSVs: a file
     cut inside its last value can still end in a number that parses.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            rows = [(reader.line_num, row) for row in reader if row]
+        text = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
-    if not _ends_with_line_break(path):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    rows = [(reader.line_num, row) for row in reader if row]
+    if not raw.endswith(b"\n"):
         raise ParseError(f"{path}: line {reader.line_num}: no line break at the end (truncated?)")
     if not rows:
         raise DataError(f"{path}: no data rows")
@@ -435,13 +436,6 @@ def _decode(path: str, line_no: int, raw: bytes) -> str:
         raise ParseError(f"{path}: line {line_no}: not UTF-8 text") from None
 
 
-def _ends_with_line_break(path: str) -> bool:
-    with open(path, "rb") as fh:
-        size = fh.seek(0, os.SEEK_END)
-        fh.seek(max(size - 1, 0))
-        return fh.read(1) == b"\n"
-
-
 def is_synth_csv(path: str) -> bool:
     with open(path, "rb") as fh:
         return _decode(path, 1, fh.readline()).startswith(SYNTH_MAGIC)
@@ -455,22 +449,18 @@ AUGMENT_PROB = 0.5  # chance that each stage fires
 
 
 def augment_pair(
-    lookback: np.ndarray,
-    target: np.ndarray,
-    rng: np.random.Generator,
-    scale_one_plus: bool = False,
+    lookback: np.ndarray, target: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scale, shift, jitter — in that order, each firing independently
     with probability AUGMENT_PROB.
 
     The same draw is applied to lookback and target so the pair stays
-    consistent. Scale multiplies by eps ~ N(0, 0.2) as-is by default;
-    scale_one_plus uses (1 + eps) instead.
+    consistent. Scale multiplies by eps ~ N(0, AUGMENT_SIGMA) as drawn,
+    not by 1 + eps.
     """
     joined = np.concatenate([lookback, target], axis=0).astype(np.float64, copy=True)
     if rng.random() < AUGMENT_PROB:
-        eps = rng.normal(0.0, AUGMENT_SIGMA)
-        joined *= (1.0 + eps) if scale_one_plus else eps
+        joined *= rng.normal(0.0, AUGMENT_SIGMA)
     if rng.random() < AUGMENT_PROB:
         joined += rng.normal(0.0, AUGMENT_SIGMA)
     if rng.random() < AUGMENT_PROB:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -68,9 +68,7 @@ def from_dict(cls, d, where: str):
         raise ConfigError(f"{where}: missing required keys {missing}")
     hints = get_type_hints(cls)
     for key, value in d.items():
-        allowed = get_args(hints[key]) or (hints[key],)  # float | None -> (float, NoneType)
-        if float in allowed:
-            allowed += (int,)
+        allowed = (float, int) if hints[key] is float else (hints[key],)
         # exact types, so that JSON true/false (a bool, an int subclass) fills no int field
         if type(value) not in allowed:
             raise ConfigError(f"{where}.{key}: expected {known[key].type}, got {value!r}")

@@ -1,6 +1,10 @@
 """Optimization loop: Adam with two parameter groups (smoothing/damping rates
 train at a fixed 100x rate, everything else follows linear warmup + cosine
 annealing), plus evaluation and binary checkpointing.
+
+A run sets the six keys of `TrainConfig`. The rest of the recipe is fixed
+by module constants: Adam's decay rates and epsilon, the final main-group
+learning rate and the special-group multiple.
 """
 
 from __future__ import annotations
@@ -30,21 +34,21 @@ from .model import (
 )
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+MIN_LR = 1e-30  # the main group's rate at the final step
+SPECIAL_LR_MULT = 100.0  # the special group's fixed rate, as a multiple of base_lr
+
+
 @dataclass
 class TrainConfig:
     base_lr: float = 1e-3
     epochs: int = 15
     warmup_epochs: int = 3
-    min_lr: float = 1e-30
     batch_size: int = 32
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    special_lr_mult: float = 100.0
-    clip_norm: float | None = None
     augment: bool = False
-    scale_aug_one_plus: bool = False
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -53,8 +57,8 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup epochs {self.warmup_epochs} must be < total epochs {self.epochs}"
             )
-        if self.base_lr <= 0 or self.min_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.base_lr <= 0:
+            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -63,8 +67,8 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:
     """(main lr, special lr) at a 0-indexed optimizer step.
 
     Main: linear ramp to base_lr over the warmup span, then cosine decay
-    reaching min_lr exactly at the final step. Special: constant multiple
-    of base_lr, never scheduled.
+    reaching MIN_LR exactly at the final step. Special: SPECIAL_LR_MULT
+    times base_lr, never scheduled.
     """
     if not 0 <= step <= total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps}]")
@@ -74,34 +78,34 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> tuple[float, float]:
     else:
         span = max(1, total_steps - warmup_steps)
         progress = min(1.0, (step - warmup_steps + 1) / span)
-        lr = cfg.min_lr + 0.5 * (cfg.base_lr - cfg.min_lr) * (1.0 + math.cos(math.pi * progress))
-    return lr, cfg.base_lr * cfg.special_lr_mult
+        lr = MIN_LR + 0.5 * (cfg.base_lr - MIN_LR) * (1.0 + math.cos(math.pi * progress))
+    return lr, cfg.base_lr * SPECIAL_LR_MULT
 
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict, with ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS."""
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], beta1: float, beta2: float, eps: float):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.m = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.v = {name: np.zeros(shape) for name, shape in shapes.items()}
         self.t = 0
 
     def step(self, params: dict[str, "ad.Tensor"], lr_of) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for name, p in params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient in parameter {name}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr_of(name) * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= lr_of(name) * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +202,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     The parameter records must be exactly those of the header's model
     config, with their shapes and finite values. From version 2 a CRC-32 of
     all earlier bytes ends the file; it is checked once the layout has
-    parsed, so a layout error keeps its own message. A header without a split, as older files
-    have, means SplitSpec(). The Adam records and the Adam step and RNG
-    state keys of older files are skipped.
+    parsed, so a layout error keeps its own message. The header's norm_mean
+    and norm_std are both null or both set, and norm_std is > 0. A header
+    without a split, as older files have, means SplitSpec(). The Adam
+    records and the Adam step and RNG state keys of older files are skipped.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -220,6 +225,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             if arr is not None and (arr.shape != (config.channels,) or not np.isfinite(arr).all()):
                 raise DataError(f"header {key} is not {config.channels} finite values")
             norm[key] = arr
+        for key, other in (("norm_mean", "norm_std"), ("norm_std", "norm_mean")):
+            if norm[key] is None and norm[other] is not None:
+                raise DataError(f"header {key} is null but {other} is set")
+        if norm["norm_std"] is not None and not (norm["norm_std"] > 0).all():
+            raise DataError(f"header norm_std must be positive, got {header['norm_std']}")
         best_epoch = header.get("best_epoch", -1)
         if type(best_epoch) is not int or best_epoch < -1:  # bool is an int subclass
             raise DataError(f"header best_epoch must be an integer >= -1, got {best_epoch!r}")
@@ -335,8 +345,7 @@ def train(
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     state = ModelState.init(model_cfg, train_cfg.seed)
-    shapes = {name: t.shape for name, t in state.params.items()}
-    adam = Adam(shapes, train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+    adam = Adam({name: t.shape for name, t in state.params.items()})
     steps_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
@@ -359,9 +368,7 @@ def train(
             if train_cfg.augment:
                 xb, yb = xb.copy(), yb.copy()
                 for i in range(len(idx)):
-                    xb[i], yb[i] = augment_pair(
-                        xb[i], yb[i], rng, scale_one_plus=train_cfg.scale_aug_one_plus
-                    )
+                    xb[i], yb[i] = augment_pair(xb[i], yb[i], rng)
             state.zero_grad()
             loss = mse_loss(forward(xb, state, rng), yb)
             if not np.isfinite(loss.data):
@@ -369,16 +376,6 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch {b0 // train_cfg.batch_size}"
                 )
             loss.backward()
-            if train_cfg.clip_norm is not None:
-                sq = sum(
-                    float((t.grad**2).sum()) for t in state.params.values() if t.grad is not None
-                )
-                norm = math.sqrt(sq)
-                if norm > train_cfg.clip_norm:
-                    scale = train_cfg.clip_norm / norm
-                    for t in state.params.values():
-                        if t.grad is not None:
-                            t.grad *= scale
             lr_main, lr_special = lr_at(step, total_steps, train_cfg)
             adam.step(
                 state.params,

@@ -1,6 +1,8 @@
 """Tests for the command-line surface: payload formats, exit codes, seeds."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,15 +149,35 @@ class TestTrain:
     def test_config_value_of_wrong_type_rejected(self, tmp_path, synth_file, capsys):
         model = {"lookback": 24, "horizon": 6, "dim": 8, "ff_dim": 16, "layers": 1, "heads": 2}
         for config, where in (
-            ({"model": model, "train": {"epochs": 1, "warmup_epochs": 0, "clip_norm": "x"}},
-             "train.clip_norm: expected float | None, got 'x'"),
+            ({"model": model, "train": {"epochs": 1, "warmup_epochs": 0, "base_lr": "x"}},
+             "train.base_lr: expected float, got 'x'"),
             ({"model": {**model, "top_k": 1.5}}, "model.top_k: expected int, got 1.5"),
-            ({"model": model, "train": {"clip_norm": float("nan")}},
-             "train.clip_norm: expected a finite number, got nan"),
-            ({"model": model, "train": {"min_lr": float("inf")}},
-             "train.min_lr: expected a finite number, got inf"),
+            ({"model": model, "train": {"base_lr": float("nan")}},
+             "train.base_lr: expected a finite number, got nan"),
+            ({"model": model, "train": {"base_lr": float("inf")}},
+             "train.base_lr: expected a finite number, got inf"),
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
+
+    @pytest.mark.parametrize("key", ["min_lr", "beta1", "beta2", "eps", "special_lr_mult",
+                                     "clip_norm", "scale_aug_one_plus"])
+    def test_fixed_recipe_key_is_unknown(self, tmp_path, synth_file, capsys, key):
+        # the Adam and schedule constants are not run settings, and there is no clipping
+        config = {"model": {"lookback": 24, "horizon": 6}, "train": {key: 1.0}}
+        assert f"train: unknown keys ['{key}']" in self._train_error(
+            tmp_path, synth_file, capsys, config
+        )
+
+    def test_readme_run_config_loads(self, tmp_path, monkeypatch):
+        # the README's example config must pass the same checks as a user's
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"cat > run\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+        assert block is not None, "README has no run.json block"
+        path = tmp_path / "run.json"
+        path.write_text(block.group(1))
+        monkeypatch.delenv("ETSFORE_SEED", raising=False)
+        _, tcfg, _ = cli.load_run_config(str(path), 1)
+        assert tcfg.seed == json.loads(block.group(1))["train"]["seed"]
 
     def test_zero_epochs_report_no_best_value(self, tmp_path, synth_file, run_config, capsys):
         cfg = json.loads(run_config.read_text())
@@ -192,7 +214,7 @@ class TestTrain:
 
     def test_bad_env_seed_rejected(self, tmp_path, synth_file, run_config, capsys,
                                    monkeypatch):
-        for value in ("abc", "-1"):
+        for value in ("abc", "-1", "7_0", " 7 ", "+7", "\u0667"):
             monkeypatch.setenv("ETSFORE_SEED", value)
             rc = cli.main(["train", "--config", str(run_config), "--data",
                            str(synth_file), "--out", str(tmp_path / "m.etsf")])
@@ -306,6 +328,27 @@ class TestForecastDecompose:
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite value in the horizon table" in captured.err
+
+    @pytest.mark.parametrize("mean, std, message", [
+        ("keep", None, "header norm_std is null but norm_mean is set"),
+        (None, "keep", "header norm_mean is null but norm_std is set"),
+        ("keep", [-0.2], "header norm_std must be positive, got [-0.2]"),
+        ("keep", [0.0], "header norm_std must be positive, got [0.0]"),
+    ], ids=["std_null", "mean_null", "std_negative", "std_zero"])
+    def test_bad_norm_stats_are_data_error(self, tmp_path, synth_file, trained_model, capsys,
+                                           mean, std, message):
+        # CRC-valid files, so only the header rule stands between a bad std
+        # and a TypeError in normalize or a sign-flipped forecast
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        if mean != "keep":
+            ckpt.norm_mean = mean
+        if std != "keep":
+            ckpt.norm_std = None if std is None else np.array(std)
+        bad_model = tmp_path / "bad_norm.etsf"
+        trainer.save_checkpoint(ckpt, str(bad_model))
+        assert cli.main(["forecast", "--model", str(bad_model), "--data", str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_record_is_data_error(self, tmp_path, synth_file, trained_model,

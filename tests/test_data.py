@@ -437,7 +437,7 @@ class TestAugment:
         band = 3 * np.sqrt(0.25 / n)
         assert np.all(np.abs(rates - 0.5) < band)
 
-    def test_scale_one_plus_mode(self):
+    def test_scale_multiplies_by_the_draw(self):
         class ScaleOnly:
             def __init__(self):
                 self.calls = 0
@@ -450,10 +450,8 @@ class TestAugment:
                 return 0.5
 
         lb, tg = np.ones((4, 1)), np.ones((2, 1))
-        out_lb, _ = data.augment_pair(lb, tg, ScaleOnly(), scale_one_plus=True)
-        np.testing.assert_allclose(out_lb, 1.5)
-        out_lb2, _ = data.augment_pair(lb, tg, ScaleOnly(), scale_one_plus=False)
-        np.testing.assert_allclose(out_lb2, 0.5)
+        out_lb, _ = data.augment_pair(lb, tg, ScaleOnly())
+        np.testing.assert_allclose(out_lb, 0.5)  # eps as drawn, not 1 + eps
 
 
 class TestMetrics:

@@ -75,12 +75,12 @@ class TestConfig:
         from etsfore.data import SplitSpec
         from etsfore.trainer import TrainConfig
 
-        # json reads all of these; NaN would silently turn clipping off
+        # json reads all of these; NaN would pass the base_lr > 0 check unseen
         for cls, text, key in (
-            (TrainConfig, '{"clip_norm": NaN}', "clip_norm"),
-            (TrainConfig, '{"min_lr": Infinity}', "min_lr"),
+            (TrainConfig, '{"base_lr": NaN}', "base_lr"),
+            (TrainConfig, '{"base_lr": Infinity}', "base_lr"),
             (TrainConfig, '{"base_lr": -Infinity}', "base_lr"),
-            (TrainConfig, '{"eps": 1e999}', "eps"),
+            (TrainConfig, '{"base_lr": 1e999}', "base_lr"),
             (ModelConfig, '{"lookback": 8, "horizon": 2, "dropout": NaN}', "dropout"),
             (SplitSpec, '{"train": NaN}', "train"),
         ):
@@ -314,6 +314,33 @@ class TestFullGradient:
         def loss():
             return mse_loss(forward(x, state), y)
 
+        for name, p in state.params.items():
+            state.zero_grad()
+            err = ad.grad_check(lambda t: loss(), p, eps=1e-5)
+            assert err < 1e-4, f"{name}: rel err {err}"
+
+    def test_training_path_two_layers_with_dropout(self):
+        # forward as train() runs it: 2 layers, dropout, a batch. The rng is
+        # re-seeded per evaluation so every one draws the same masks, and the
+        # parameters leave their init so that no gradient is trivially zero.
+        cfg = ModelConfig(lookback=16, horizon=4, channels=2, dim=8, ff_dim=16, layers=2,
+                          heads=2, top_k=2, dropout=0.2)
+        state = ModelState.init(cfg, seed=40)
+        rng = np.random.default_rng(41)
+        for p in state.params.values():
+            p.data += rng.normal(0.0, 0.1, size=p.shape)
+        x = rng.normal(size=(3, 16, 2))
+        y = rng.normal(size=(3, 4, 2))
+
+        def loss():
+            return mse_loss(forward(x, state, np.random.default_rng(42)), y)
+
+        state.zero_grad()
+        loss().backward()
+        # the last encoder layer's residual output reaches no forecast
+        no_grad = {name for name, p in state.params.items() if p.grad is None}
+        assert no_grad == {"enc1.ff.w1", "enc1.ff.b1", "enc1.ff.w2", "enc1.ff.b2",
+                           "enc1.ln1.gamma", "enc1.ln1.beta", "enc1.ln2.gamma", "enc1.ln2.beta"}
         for name, p in state.params.items():
             state.zero_grad()
             err = ad.grad_check(lambda t: loss(), p, eps=1e-5)

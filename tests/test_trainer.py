@@ -46,13 +46,13 @@ class TestAdam:
     def test_zero_gradient_leaves_fresh_params_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         p.grad = np.zeros(2)
-        opt = Adam({"p": (2,)}, 0.9, 0.999, 1e-8)
+        opt = Adam({"p": (2,)})
         opt.step({"p": p}, lambda name: 0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_moments_decay_on_zero_gradient(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam({"p": (1,)}, 0.9, 0.999, 1e-8)
+        opt = Adam({"p": (1,)})
         p.grad = np.array([2.0])
         opt.step({"p": p}, lambda name: 0.0)
         m1 = opt.m["p"].copy()
@@ -63,7 +63,7 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
         p.grad = np.array([5.0, -3.0])
-        opt = Adam({"p": (2,)}, 0.9, 0.999, 1e-8)
+        opt = Adam({"p": (2,)})
         opt.step({"p": p}, lambda name: 0.01)
         np.testing.assert_allclose(p.data, [-0.01, 0.01], rtol=1e-6)
 
@@ -71,7 +71,7 @@ class TestAdam:
         # frozen from an explicit scalar recurrence evaluated separately
         expected = [0.900000002, 0.8808501989417752, 0.846107430790882]
         p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam({"p": (1,)}, 0.9, 0.999, 1e-8)
+        opt = Adam({"p": (1,)})
         for g, want in zip([0.5, -0.3, 0.2], expected):
             p.grad = np.array([g])
             opt.step({"p": p}, lambda name: 0.1)
@@ -80,7 +80,7 @@ class TestAdam:
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([np.nan])
-        opt = Adam({"bad.weight": (1,)}, 0.9, 0.999, 1e-8)
+        opt = Adam({"bad.weight": (1,)})
         with pytest.raises(TrainingError, match="bad.weight"):
             opt.step({"bad.weight": p}, lambda name: 0.1)
 
@@ -139,7 +139,7 @@ class TestTrainLoop:
         state = ModelState.init(TINY, 1)
         xb = np.stack([p.lookback for p in sine_pairs(8, seed=2)])
         yb = np.stack([p.target for p in sine_pairs(8, seed=2)])
-        opt = Adam({n: t.shape for n, t in state.params.items()}, 0.9, 0.999, 1e-8)
+        opt = Adam({n: t.shape for n, t in state.params.items()})
         losses = []
         for _ in range(11):
             state.zero_grad()
@@ -154,7 +154,7 @@ class TestTrainLoop:
         pairs = sine_pairs(8, seed=3)
         xb = np.stack([p.lookback for p in pairs])
         yb = np.stack([p.target for p in pairs])
-        opt = Adam({n: t.shape for n, t in state.params.items()}, 0.9, 0.999, 1e-8)
+        opt = Adam({n: t.shape for n, t in state.params.items()})
         first = None
         for step in range(200):
             state.zero_grad()
