@@ -79,9 +79,11 @@ def load_csv(path: str) -> Series:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
+        rows = [(reader.line_num, row) for row in reader if row]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
-    rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as e:  # a field past csv.field_size_limit(), say
+        raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
     if not raw.endswith(b"\n"):
         raise ParseError(f"{path}: line {reader.line_num}: no line break at the end (truncated?)")
     if not rows:
@@ -117,13 +119,20 @@ def load_csv(path: str) -> Series:
             timestamps.append(row[0])
         for j, cell in enumerate(row[first_data_col:]):
             try:
-                v = float(cell)
+                v = _ascii_float(cell)
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: non-numeric value {cell!r}") from None
             if not math.isfinite(v):
                 raise ParseError(f"{path}: line {line_no}: non-finite value {cell!r}")
             values[i, j] = v
     return Series(values=values, timestamps=timestamps, names=names)
+
+
+def _ascii_float(text: str) -> float:
+    """float() without the grammar loadtxt lacks: no `_` and no non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain float literal: {text!r}")
+    return float(text)
 
 
 def write_csv(series: Series, path: str) -> None:
@@ -288,51 +297,63 @@ def write_synth_csv(ds: SynthDataset, path: str) -> None:
 
 
 def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
-    """(lookback, horizon, instances, noise, seed) from the metadata row."""
+    """(lookback, horizon, instances, noise, seed) from the metadata row.
+
+    Integer values are plain digits, `[0-9]+`; noise is a finite float >= 0,
+    the value `synth --noise` accepts. A key may appear once.
+    """
     meta = {}
     for token in tokens.split():
         key, eq, value = token.partition("=")
         if not eq:
             raise ParseError(f"{path}: line 1: metadata token {token!r} is not key=value")
+        if key in meta:
+            raise ParseError(f"{path}: line 1: repeated metadata key {key!r}")
         meta[key] = value
-    out = []
-    for key, kind in (("lookback", int), ("horizon", int), ("instances", int),
-                      ("noise", float), ("seed", int)):
-        try:
-            out.append(kind(meta[key]))
-        except KeyError:
-            raise ParseError(f"{path}: line 1: missing metadata key {key!r}") from None
-        except ValueError:
-            raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}") from None
-        if kind is int and key != "seed" and out[-1] < 1:
-            raise ParseError(f"{path}: line 1: metadata {key}={out[-1]} must be positive")
-    L, H, n = out[:3]
+    for key in ("lookback", "horizon", "instances", "noise", "seed"):
+        if key not in meta:
+            raise ParseError(f"{path}: line 1: missing metadata key {key!r}")
+    integers = ("lookback", "horizon", "instances", "seed")
+    for key in integers:
+        if not re.fullmatch("[0-9]+", meta[key]):
+            raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}")
+    L, H, n, seed = (int(meta[key]) for key in integers)
+    for key, size in (("lookback", L), ("horizon", H), ("instances", n)):
+        if size < 1:
+            raise ParseError(f"{path}: line 1: metadata {key}={size} must be positive")
+    try:
+        noise = _ascii_float(meta["noise"])
+    except ValueError:
+        raise ParseError(f"{path}: line 1: bad metadata value noise={meta['noise']!r}") from None
+    if not 0.0 <= noise < math.inf:
+        raise ParseError(f"{path}: line 1: metadata noise={meta['noise']} must be finite and >= 0")
     if n * (L + H) > np.iinfo(np.int64).max:  # cell indices are int64
         raise ParseError(
             f"{path}: line 1: metadata instances={n} x (lookback={L} + horizon={H}) "
             "cells do not fit int64"
         )
-    return tuple(out)
+    return L, H, n, noise, seed
 
 
 # One instance-CSV row: integer instance, integer t, float value.
 _SYNTH_ROW = np.dtype([("instance", np.int64), ("t", np.int64), ("value", np.float64)])
-_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def read_synth_csv(path: str) -> SynthDataset:
-    """Inverse of write_synth_csv; rows may come in any order.
+    """Inverse of write_synth_csv, in the row order it writes.
 
     A row is exactly `instance,t,value`: two integer literals and a float,
-    unquoted, ending in LF or CRLF. Every (instance, t) cell must appear
-    exactly once. A line that is not such a row, a non-finite value, an
-    instance outside [0, instances) or a t outside [1, lookback+horizon]
-    raises ParseError naming its line, as does a repeated cell; a missing
-    cell raises ParseError naming the cell. So do bytes that are not UTF-8,
-    a missing or bad metadata key, a non-positive lookback, horizon or
-    instance count, more cells than int64 can index, a missing header and a
-    last row without its line break, which a truncated file cannot be told
-    apart from.
+    unquoted, ending in LF or CRLF. Row r of the body (line 3 + r) must be
+    the cell (instance r // T, t r % T + 1), T = lookback + horizon, so the
+    values are the value column in row order. A line that is not such a
+    row or holds a non-finite value raises ParseError naming its line; so
+    does the first row out of place (naming the cell expected there and
+    the cell found) and a row past the last cell. A file that stops short
+    raises ParseError naming the first missing cell. So do bytes that are
+    not UTF-8, a missing or bad metadata key, a non-positive lookback,
+    horizon or instance count, more cells than int64 can index, a missing
+    header and a last row without its line break, which a truncated file
+    cannot be told apart from.
     """
     with open(path, "rb") as fh:
         meta_line = _decode(path, 1, fh.readline()).strip()
@@ -358,37 +379,14 @@ def read_synth_csv(path: str) -> SynthDataset:
     except ValueError:  # UnicodeDecodeError too
         rows = None
     if rows is None or rows.size != lines:
-        _reject_first_bad_line(path, body, n, T)
-    inst, step, vals = rows["instance"], rows["t"], rows["value"]
-    bad = ~np.isfinite(vals)
+        _reject_first_bad_line(path, body)
+    bad = ~np.isfinite(rows["value"])
     if bad.any():
         raise ParseError(f"{path}: line {3 + int(bad.argmax())}: non-finite value")
-    bad = (inst < 0) | (inst >= n) | (step < 1) | (step > T)
-    if bad.any():
-        r = int(bad.argmax())
-        raise _out_of_range(path, 3 + r, int(inst[r]), int(step[r]), n, T)
-    cell = inst * T + step - 1
-    # bincount only runs when there are as many rows as cells, so a bad
-    # instance count in the metadata cannot make it allocate more than that
-    if cell.size != n * T or np.bincount(cell).max(initial=0) > 1:
-        cells_seen, first = np.unique(cell, return_index=True)
-        if cells_seen.size < cell.size:
-            repeat = np.ones(cell.size, dtype=bool)
-            repeat[first] = False
-            r = int(repeat.argmax())
-            raise ParseError(
-                f"{path}: line {3 + r}: repeated row for instance {inst[r]}, t {step[r]}"
-            )
-        gap = np.flatnonzero(cells_seen != np.arange(cells_seen.size))
-        c = int(gap[0]) if gap.size else cells_seen.size
-        raise ParseError(
-            f"{path}: no row for instance {c // T}, t {c % T + 1} "
-            f"({cell.size} rows for {n} instances x {T} steps)"
-        )
-    values = np.empty(n * T)
-    values[cell] = vals
+    _reject_first_row_out_of_place(path, rows, n, T)
     return SynthDataset(
-        values=values.reshape(n, T, 1),
+        # an owned C-contiguous copy, so the parsed rows can be freed
+        values=rows["value"].reshape(n, T, 1).copy(),
         lookback=L,
         horizon=H,
         noise_std=noise,
@@ -396,12 +394,11 @@ def read_synth_csv(path: str) -> SynthDataset:
     )
 
 
-def _reject_first_bad_line(path: str, body: bytes, n: int, T: int) -> NoReturn:
+def _reject_first_bad_line(path: str, body: bytes) -> NoReturn:
     """Raise ParseError for the first line of a rejected body that is not a row.
 
-    Each line is parsed alone, by the same loadtxt call. An index that is an
-    integer literal outside the range is reported as such, also when it is
-    too large for int64 to hold.
+    Each line is parsed alone, by the same loadtxt call, so an index too
+    large for int64 is a malformed row.
     """
     for line_no, raw in enumerate(io.BytesIO(body), start=3):
         line = _decode(path, line_no, raw)
@@ -412,16 +409,30 @@ def _reject_first_bad_line(path: str, body: bytes, n: int, T: int) -> NoReturn:
                 continue
             except ValueError:
                 pass
-            if _INTEGER.fullmatch(fields[0]) and _INTEGER.fullmatch(fields[1]):
-                i, t = int(fields[0]), int(fields[1])
-                if not (0 <= i < n and 1 <= t <= T):
-                    raise _out_of_range(path, line_no, i, t, n, T)
         raise ParseError(f"{path}: line {line_no}: malformed row {fields!r}")
     raise ParseError(f"{path}: rows do not parse")  # no line alone fails to parse
 
 
-def _out_of_range(path: str, line_no: int, i: int, t: int, n: int, T: int) -> ParseError:
-    return ParseError(f"{path}: line {line_no}: instance {i}, t {t} outside [0, {n}) x [1, {T}]")
+def _reject_first_row_out_of_place(path: str, rows: np.ndarray, n: int, T: int) -> None:
+    """Raise ParseError unless row r is the cell (r // T, r % T + 1), r < n * T."""
+    # at most n * T rows are compared, whatever instance count the metadata gives
+    inst, step = np.divmod(np.arange(min(rows.size, n * T)), T)
+    step += 1
+    found = rows[: inst.size]
+    bad = (found["instance"] != inst) | (found["t"] != step)
+    if bad.any():
+        r = int(bad.argmax())
+        raise ParseError(
+            f"{path}: line {3 + r}: expected instance {inst[r]}, t {step[r]}, "
+            f"found instance {found['instance'][r]}, t {found['t'][r]}"
+        )
+    if rows.size > n * T:
+        raise ParseError(f"{path}: line {3 + n * T}: row past the last cell, instance {n - 1}, t {T}")
+    if rows.size < n * T:
+        raise ParseError(
+            f"{path}: no row for instance {rows.size // T}, t {rows.size % T + 1} "
+            f"({rows.size} rows for {n} instances x {T} steps)"
+        )
 
 
 def _fields(line: str) -> list[str]:

@@ -446,6 +446,18 @@ class TestBaseline:
         assert f"error: {timestamps_only}: no value columns" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_is_data_error(self, tmp_path, capsys, line):
+        # past csv's field size limit, which stays where it is
+        lines = ["v"] + [str(float(i)) for i in range(40)]
+        lines[line - 1] = "9" * 200_000
+        p = tmp_path / "big.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert cli.main(["baseline", "--data", str(p), "--period", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {p}: line {line}: field larger than field limit" in captured.err
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--test-fraction", "nan", "--test-fraction"), ("--test-fraction", "inf", "--test-fraction"),
         ("--test-fraction", "-1", "--test-fraction"), ("--test-fraction", "0", "--test-fraction"),

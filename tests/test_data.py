@@ -1,8 +1,6 @@
 """Tests for ingestion, normalization, splitting, windowing, the synthetic
 generator, augmentation, and metrics."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,10 +42,17 @@ class TestCsv:
             data.load_csv(str(p))
 
     def test_non_numeric_names_line(self, tmp_path):
+        # float() reads `1_0` as 10.0 and Arabic-Indic digits as 12.0; loadtxt does not
         p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,2\n3,oops\n")
-        with pytest.raises(ParseError, match="line 3"):
-            data.load_csv(str(p))
+        for cell in ["oops", "1_0", "\u0661\u0662"]:
+            p.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+            with pytest.raises(ParseError, match=f"line 3: non-numeric value '{cell}'"):
+                data.load_csv(str(p))
+
+    def test_cells_both_readers_accept_load(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b,c\n+5,1e3, 1.5 \n")
+        np.testing.assert_array_equal(data.load_csv(str(p)).values, [[5.0, 1000.0, 1.5]])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -210,16 +215,20 @@ class TestSynth:
     def full_rows(n=2, T=4):
         return [(i, t, 10 * i + t) for i in range(n) for t in range(1, T + 1)]
 
-    def test_rows_in_any_order_load(self, tmp_path):
+    def test_reversed_rows_name_line_3(self, tmp_path):
         rows = self.full_rows()[::-1]
-        ds = data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
-        np.testing.assert_array_equal(ds.values[..., 0], [[1, 2, 3, 4], [11, 12, 13, 14]])
+        with pytest.raises(ParseError, match="line 3: expected instance 0, t 1, "
+                                             "found instance 1, t 4$"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     @pytest.mark.parametrize("bad", [(2, 1, 0.5), (-1, 1, 0.5), (10**400, 1, 0.5)])
     def test_instance_out_of_range_names_line(self, tmp_path, bad):
         rows = self.full_rows()
         rows[3] = bad
-        with pytest.raises(ParseError, match="line 6: instance .* outside"):
+        # an index too large for int64 cannot be the expected cell
+        match = ("line 6: malformed row" if bad[0] > 2**63 else
+                 f"line 6: expected instance 0, t 4, found instance {bad[0]}, t 1$")
+        with pytest.raises(ParseError, match=match):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     @pytest.mark.parametrize("t", [0, 5])
@@ -227,7 +236,13 @@ class TestSynth:
         # t=0 used to land in the last column through index -1
         rows = self.full_rows()
         rows[4] = (1, t, 0.5)
-        with pytest.raises(ParseError, match=f"line 7: instance 1, t {t} outside"):
+        with pytest.raises(ParseError, match=f"line 7: expected instance 1, t 1, "
+                                             f"found instance 1, t {t}$"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+
+    def test_row_past_the_last_cell_names_line(self, tmp_path):
+        rows = self.full_rows() + [(2, 1, 0.5)]
+        with pytest.raises(ParseError, match="line 11: row past the last cell, instance 1, t 4$"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     @pytest.mark.parametrize("row", [
@@ -246,7 +261,8 @@ class TestSynth:
     def test_repeated_cell_names_line(self, tmp_path):
         rows = self.full_rows()
         rows.insert(5, rows[2])
-        with pytest.raises(ParseError, match="line 8: repeated row for instance 0, t 3"):
+        with pytest.raises(ParseError, match="line 8: expected instance 1, t 2, "
+                                             "found instance 0, t 3$"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     def test_truncated_file_names_missing_cell(self, tmp_path):
@@ -259,7 +275,8 @@ class TestSynth:
             data.read_synth_csv(str(p))
 
     def write_meta(self, path, meta):
-        path.write_text(f"{data.SYNTH_MAGIC} {meta}\ninstance,t,value\n0,1,0.5\n")
+        path.write_text(f"{data.SYNTH_MAGIC} {meta}\ninstance,t,value\n0,1,0.5\n",
+                        encoding="utf-8")
         return str(path)
 
     def test_missing_instances_key_named(self, tmp_path):
@@ -279,10 +296,35 @@ class TestSynth:
 
     @pytest.mark.parametrize("key", ["lookback", "horizon", "instances"])
     def test_non_positive_size_named(self, tmp_path, key):
-        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: -2}
+        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: 0}
         line = " ".join(f"{k}={v}" for k, v in meta.items()) + " noise=0.0 seed=0"
-        with pytest.raises(ParseError, match=f"line 1: metadata {key}=-2 must be positive"):
+        with pytest.raises(ParseError, match=f"line 1: metadata {key}=0 must be positive"):
             data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+
+    @pytest.mark.parametrize("key, value, error", [
+        # integers are plain digits, the ETSFORE_SEED rule
+        ("lookback", "1_2", "bad metadata value lookback='1_2'"),
+        ("lookback", "\u0663", "bad metadata value lookback='\u0663'"),
+        ("lookback", "+3", r"bad metadata value lookback='\+3'"),
+        ("lookback", "-2", "bad metadata value lookback='-2'"),
+        ("seed", "-5", "bad metadata value seed='-5'"),
+        # noise is what synth --noise accepts
+        ("noise", "nan", "metadata noise=nan must be finite and >= 0"),
+        ("noise", "inf", "metadata noise=inf must be finite and >= 0"),
+        ("noise", "-0.5", "metadata noise=-0.5 must be finite and >= 0"),
+        ("noise", "1_0", "bad metadata value noise='1_0'"),
+    ])
+    def test_metadata_value_grammar(self, tmp_path, key, value, error):
+        meta = {"lookback": 3, "horizon": 1, "noise": 0.0, "seed": 0, "instances": 1, key: value}
+        line = " ".join(f"{k}={v}" for k, v in meta.items())
+        with pytest.raises(ParseError, match=f"line 1: {error}$"):
+            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+
+    def test_repeated_metadata_key_named(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv",
+                            "lookback=3 horizon=1 noise=0.0 seed=0 instances=1 instances=2")
+        with pytest.raises(ParseError, match="line 1: repeated metadata key 'instances'$"):
+            data.read_synth_csv(p)
 
     @staticmethod
     @st.composite
@@ -349,16 +391,7 @@ class TestSynth:
         try:
             back = data.read_synth_csv(str(p))
         except ParseError as e:
-            if f": line {k + 1}: " in str(e):
-                return
-            # else the new line is a row for another cell, and the other
-            # line holding that cell comes later and is named as the repeat
-            T = ds.lookback + ds.horizon
-            m = re.search(r": line (\d+): repeated row for instance (\d+), t (\d+)$", str(e))
-            assert m, str(e)
-            line_no, i2, t2 = map(int, m.groups())
-            assert [int(f) for f in new.decode().split(",")[:2]] == [i2, t2]
-            assert line_no == 3 + i2 * T + t2 - 1 > k + 1
+            assert f": line {k + 1}: " in str(e), str(e)
             return
         # it loads only as the row of the cell it replaced
         fields = new.decode().split(",")
@@ -367,6 +400,19 @@ class TestSynth:
         expect[int(i), int(t) - 1, 0] = float(fields[2])
         assert self.same(back, data.SynthDataset(expect, ds.lookback, ds.horizon, ds.noise_std,
                                                  ds.seed))
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), st.data())
+    def test_swapped_lines_name_the_earlier_line(self, tmp_path_factory, ds, drawn):
+        p = tmp_path_factory.getbasetemp() / "swapped.csv"
+        data.write_synth_csv(ds, str(p))
+        lines = p.read_bytes().splitlines(keepends=True)
+        a, b = sorted(drawn.draw(st.lists(st.integers(2, len(lines) - 1), min_size=2,
+                                          max_size=2, unique=True)))
+        lines[a], lines[b] = lines[b], lines[a]
+        p.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=f": line {a + 1}: expected instance"):
+            data.read_synth_csv(str(p))
 
     def test_window_pairs_shapes(self):
         ds = data.synth_generate(2, 0.0, seed=0, lookback=12, horizon=3)
