@@ -32,6 +32,11 @@ class Series:
             raise DataError(f"series values must be (T, m) with T >= 1, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise DataError("series contains non-finite values")
+        T, m = self.values.shape
+        if self.timestamps is not None and len(self.timestamps) != T:
+            raise DataError(f"series has {T} rows but {len(self.timestamps)} timestamps")
+        if self.names is not None and len(self.names) != m:
+            raise DataError(f"series has {m} channels but {len(self.names)} names")
 
     @property
     def length(self) -> int:
@@ -66,6 +71,9 @@ class WindowPair:
 
 def load_csv(path: str) -> Series:
     """Parse a header-ed CSV of numeric channels, optional ISO-8601 first column.
+
+    Timestamps must increase strictly from row to row and be all naive or
+    all UTC-offset-aware.
 
     The last line must end with a line break, as in instance CSVs: a file
     cut inside its last value can still end in a number that parses.
@@ -108,14 +116,28 @@ def load_csv(path: str) -> Series:
         raise DataError(f"{path}: no value columns, only {header}")
     timestamps: list[str] | None = [] if has_ts else None
     values = np.empty((len(rows), len(names)))
+    prev = None
     for i, (line_no, row) in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
         if has_ts:
             try:
-                datetime.fromisoformat(row[0])
+                when = datetime.fromisoformat(row[0])
             except ValueError:
                 raise ParseError(f"{path}: line {line_no}: bad timestamp {row[0]!r}") from None
+            # the splits are chronological by row order, so time must run forwards
+            if prev is not None:
+                if (when.utcoffset() is None) != (prev.utcoffset() is None):
+                    raise ParseError(
+                        f"{path}: line {line_no}: timestamp {row[0]!r} mixes naive and "
+                        f"UTC-offset times with {timestamps[-1]!r}"
+                    )
+                if when <= prev:
+                    raise ParseError(
+                        f"{path}: line {line_no}: timestamp {row[0]!r} does not come after "
+                        f"{timestamps[-1]!r}"
+                    )
+            prev = when
             timestamps.append(row[0])
         for j, cell in enumerate(row[first_data_col:]):
             try:

@@ -184,9 +184,11 @@ def input_embed(x: Tensor, state: ModelState, rng=None) -> Tensor:
 
 
 def encoder_layer(res_in: Tensor, state: ModelState, n: int, rng=None):
-    """One extraction stage: seasonal removal, growth removal, feedforward.
+    """One extraction stage: seasonal removal, then growth extraction.
 
-    Returns (res_out, growth_latent, seasonal_latent), each (..., L, d).
+    Returns (res, growth_latent, seasonal_latent), each (..., L, d): res is
+    res_in less its seasonal latent, and `feed_forward(res, growth_latent,
+    ...)` turns the pair into the next layer's input.
     """
     cfg = state.config
     p = f"enc{n}"
@@ -205,12 +207,18 @@ def encoder_layer(res_in: Tensor, state: ModelState, n: int, rng=None):
         cfg.heads,
     )
     b = ad.dropout(b, cfg.dropout, rng)
+    return res, b, s
+
+
+def feed_forward(res: Tensor, b: Tensor, state: ModelState, n: int, rng=None) -> Tensor:
+    """Layer n's residual output: ln2(r + FF(r)) with r = ln1(res - b)."""
+    cfg = state.config
+    p = f"enc{n}"
     res = ad.layer_norm(ad.sub(res, b), state[f"{p}.ln1.gamma"], state[f"{p}.ln1.beta"])
     hidden = ad.sigmoid(ad.linear(res, state[f"{p}.ff.w1"], state[f"{p}.ff.b1"]))
     hidden = ad.dropout(hidden, cfg.dropout, rng)
     ff = ad.linear(hidden, state[f"{p}.ff.w2"], state[f"{p}.ff.b2"])
-    res_out = ad.layer_norm(ad.add(res, ff), state[f"{p}.ln2.gamma"], state[f"{p}.ln2.beta"])
-    return res_out, b, s
+    return ad.layer_norm(ad.add(res, ff), state[f"{p}.ln2.gamma"], state[f"{p}.ln2.beta"])
 
 
 def level_pipeline(
@@ -257,6 +265,12 @@ def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
         res, b, s = encoder_layer(res, state, n, rng)
         growth_latents.append(b)
         seasonal_latents.append(s)
+        # The last layer's residual output reaches no forecast, so inference
+        # skips its feed-forward. Training still runs it: its hidden dropout
+        # draw comes before the decoder's damping masks in the rng stream,
+        # so dropping it would change the bits of every seeded training run.
+        if n < cfg.layers - 1 or rng is not None:
+            res = feed_forward(res, b, state, n, rng)
 
     level = level_pipeline(x, seasonal_latents, growth_latents, state)
     e_last = level[..., cfg.lookback - 1 : cfg.lookback, :]
@@ -293,8 +307,8 @@ def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
 
 
 # Windows per inference block are capped so that a block's largest
-# activation, the (L, ff_dim) feed-forward hidden of each window, holds at
-# most this many float64 words (2 MiB, a per-core L2 cache). Every window's
+# activation, the (L, ff_dim) feed-forward hidden of each window (run by
+# every layer but the last), holds at most this many float64 words (2 MiB, a per-core L2 cache). Every window's
 # forward is independent of the others, so the split changes no bit of any
 # output; only the temporaries stay cache-sized.
 _BLOCK_WORDS = 1 << 18

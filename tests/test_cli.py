@@ -446,6 +446,17 @@ class TestBaseline:
         assert f"error: {timestamps_only}: no value columns" in captured.err
         assert captured.out == ""
 
+    def test_timestamps_running_backwards_are_data_error(self, tmp_path, capsys):
+        p = tmp_path / "back.csv"
+        p.write_text("timestamp,v\n" + "".join(
+            f"2024-01-{d:02d},{d % 4}\n" for d in (*range(1, 20), 18, *range(20, 29))
+        ))
+        assert cli.main(["baseline", "--data", str(p), "--period", "4"]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: {p}: line 21: timestamp '2024-01-18' does not come after '2024-01-19'"
+                in captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("line", [1, 3])
     def test_oversized_field_is_data_error(self, tmp_path, capsys, line):
         # past csv's field size limit, which stays where it is

@@ -1,6 +1,8 @@
 """Tests for ingestion, normalization, splitting, windowing, the synthetic
 generator, augmentation, and metrics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,28 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3: no line break at the end"):
             data.load_csv(str(p))
 
+    def test_increasing_timestamps_of_one_kind_load(self, tmp_path):
+        p = tmp_path / "t.csv"
+        for stamps in (["2024-01-01", "2024-01-01T00:00:01", "2024-03-01"],
+                       ["2024-01-01T00:00:00+05:00", "2024-01-01T00:00:00+00:00",
+                        "2024-01-01T02:00:00Z"]):
+            p.write_text("time,v\n" + "".join(f"{ts},{i}\n" for i, ts in enumerate(stamps)))
+            assert data.load_csv(str(p)).timestamps == stamps
+
+    @pytest.mark.parametrize("prev, ts, error", [
+        ("2024-01-03", "2024-01-01", "does not come after '2024-01-03'"),
+        ("2024-01-01", "2024-01-01", "does not come after '2024-01-01'"),
+        # the same instant written with two offsets repeats it
+        ("2024-01-01T05:00:00+05:00", "2024-01-01T00:00:00+00:00", "does not come after"),
+        ("2024-01-01", "2024-01-02T00:00:00+05:00", "mixes naive and UTC-offset times with '2024-01-01'"),
+        ("2024-01-01T00:00:00Z", "2024-01-02", "mixes naive and UTC-offset times"),
+    ])
+    def test_out_of_order_or_mixed_timestamp_names_line(self, tmp_path, prev, ts, error):
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,v\n2023-12-31{prev[10:]},0\n{prev},1\n{ts},2\n")
+        with pytest.raises(ParseError, match=f"line 4: timestamp '{re.escape(ts)}' {re.escape(error)}"):
+            data.load_csv(str(p))
+
     @staticmethod
     @st.composite
     def series(draw):
@@ -102,6 +126,18 @@ class TestCsv:
             assert back.values.tobytes() == s.values[:k].tobytes(), f"prefix of {cut} bytes"
             assert back.names == s.names
             assert back.timestamps == (None if s.timestamps is None else s.timestamps[:k])
+
+
+class TestSeriesMetadata:
+    def test_timestamp_count_must_match_rows(self):
+        with pytest.raises(DataError, match="5 rows but 3 timestamps"):
+            data.Series(np.zeros((5, 2)), timestamps=["a", "b", "c"])
+
+    def test_name_count_must_match_channels(self):
+        with pytest.raises(DataError, match="2 channels but 1 names"):
+            data.Series(np.zeros((5, 2)), names=["a"])
+        with pytest.raises(DataError, match="2 channels but 3 names"):
+            data.Series(np.zeros((5, 2)), names=["a", "b", "c"])
 
 
 class TestNormalize:

@@ -3,7 +3,7 @@
 import json
 import re
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +20,7 @@ from etsfore.model import (
     ModelConfig,
     ModelState,
     encoder_layer,
+    feed_forward,
     forecast,
     forward,
     input_embed,
@@ -149,15 +150,16 @@ class TestEncoderLayer:
     def test_output_shapes(self):
         state = tiny_state()
         res_in = Tensor(np.random.default_rng(3).normal(size=(16, 8)))
-        res_out, b, s = encoder_layer(res_in, state, 0)
-        assert res_out.shape == b.shape == s.shape == (16, 8)
+        res, b, s = encoder_layer(res_in, state, 0)
+        res_out = feed_forward(res, b, state, 0)
+        assert res.shape == res_out.shape == b.shape == s.shape == (16, 8)
 
     def test_gradient_through_one_layer(self):
         state = tiny_state()
         res_in = Tensor(np.random.default_rng(4).normal(size=(16, 8)), requires_grad=True)
 
         def f(t):
-            res_out, b, s = encoder_layer(t, state, 0)
+            res_out = feed_forward(*encoder_layer(t, state, 0)[:2], state, 0)
             return ad.tmean(ad.mul(res_out, res_out))
 
         assert ad.grad_check(f, res_in, eps=1e-5) < 1e-4
@@ -421,6 +423,75 @@ class TestBlockedDecompose:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def dead_block(cfg):
+    """Parameter names of the last encoder layer's ln1 -> feedforward -> ln2."""
+    p = f"enc{cfg.layers - 1}"
+    return {f"{p}.ff.{w}" for w in ("w1", "b1", "w2", "b2")} | {
+        f"{p}.{ln}.{a}" for ln in ("ln1", "ln2") for a in ("gamma", "beta")
+    }
+
+
+def count_ff_sigmoids(cfg, run):
+    """How many ad.sigmoid calls of run() take an (..., L, ff_dim) input."""
+    shapes, sigmoid = [], ad.sigmoid
+
+    def counting_sigmoid(a):
+        shapes.append(a.shape)
+        return sigmoid(a)
+
+    with mock.patch.object(ad, "sigmoid", counting_sigmoid):
+        run()
+    assert shapes  # the patch took effect
+    return sum(s[-2:] == (cfg.lookback, cfg.ff_dim) for s in shapes)
+
+
+class TestDeadFeedForward:
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_nan_in_last_feedforward_changes_no_forecast(self, layers):
+        cfg = replace(DESK, layers=layers)
+        state = ModelState.init(cfg, 50)
+        dead = dead_block(cfg)
+        poisoned = ModelState(cfg, {
+            name: Tensor(np.full(t.shape, np.nan)) if name in dead else t
+            for name, t in state.params.items()
+        })
+        x = np.random.default_rng(51).normal(size=(12, cfg.lookback, cfg.channels))
+        assert len(x) > windows_per_block(cfg)
+        for clean, nan in zip(forecast_arrays(x, state), forecast_arrays(x, poisoned)):
+            np.testing.assert_array_equal(clean, nan)
+
+    def test_one_layer_inference_runs_no_feedforward(self):
+        cfg = replace(TINY, layers=1)
+        state = ModelState.init(cfg, 52)
+        x = np.random.default_rng(53).normal(size=(3, cfg.lookback, cfg.channels))
+        assert count_ff_sigmoids(cfg, lambda: forecast(x, state)) == 0
+        # training keeps the block, whose dropout draw the rng stream depends on
+        rng = np.random.default_rng(54)
+        assert count_ff_sigmoids(cfg, lambda: forward(x, state, rng)) == 1
+
+    def test_inference_runs_every_feedforward_but_the_last(self):
+        cfg = replace(TINY, layers=3)
+        state = ModelState.init(cfg, 55)
+        x = np.random.default_rng(56).normal(size=(cfg.lookback, cfg.channels))
+        assert count_ff_sigmoids(cfg, lambda: forecast(x, state)) == 2
+
+
+class TestTrainingRngStream:
+    def test_forward_draws_every_dropout_mask(self):
+        # the embedding, each layer's seasonal, growth and feedforward hidden
+        # (the last layer's too) and each decoder damping coefficient
+        cfg = replace(TINY, layers=2)
+        B = 3
+        per_window = cfg.lookback * (cfg.dim * (1 + 2 * cfg.layers) + cfg.ff_dim * cfg.layers)
+        draws = B * per_window + cfg.layers * cfg.horizon * cfg.dim
+        state = ModelState.init(cfg, 57)
+        x = np.random.default_rng(58).normal(size=(B, cfg.lookback, cfg.channels))
+        rng, fresh = np.random.default_rng(59), np.random.default_rng(59)
+        forward(x, state, rng)
+        fresh.random(draws)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def assert_oracle_close(x, state):
