@@ -181,6 +181,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require(not os.path.isdir(args.out), "--out", "not be a directory", args.out)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"checkpoint directory not writable: {out_dir}")

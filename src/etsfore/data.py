@@ -15,7 +15,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParseError
+from .errors import ConfigError, DataError, DimensionError, ParseError
 
 
 @dataclass
@@ -55,9 +55,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if min(self.train, self.val, self.test) <= 0:
-            raise DataError(f"split fractions must be positive: {self}")
+            raise ConfigError(f"split fractions must be positive: {self}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise DataError(f"split fractions must sum to 1: {self}")
+            raise ConfigError(f"split fractions must sum to 1: {self}")
 
 
 @dataclass

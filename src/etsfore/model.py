@@ -31,7 +31,8 @@ class ModelConfig:
     kernel_size: int = 3
 
     def __post_init__(self):
-        for name in ("lookback", "horizon", "channels", "dim", "ff_dim", "layers", "heads"):
+        for name in ("lookback", "horizon", "channels", "dim", "ff_dim", "layers", "heads",
+                     "kernel_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"model config: {name} must be positive, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
@@ -43,7 +44,7 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.kernel_size % 2 == 0:
-            raise ConfigError(f"kernel size must be odd, got {self.kernel_size}")
+            raise ConfigError(f"model config: kernel_size must be odd, got {self.kernel_size}")
 
 
 def from_dict(cls, d, where: str):

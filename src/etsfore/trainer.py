@@ -5,11 +5,14 @@ annealing), plus evaluation and binary checkpointing.
 A run sets the six keys of `TrainConfig`. The rest of the recipe is fixed
 by module constants: Adam's decay rates and epsilon, the final main-group
 learning rate and the special-group multiple.
+
+A checkpoint's header holds the model config, and that config alone fixes
+which parameters follow and their shapes: the file stores their values
+only, and no file of an older layout loads.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -112,9 +115,9 @@ class Adam:
 # checkpoint format
 
 CKPT_MAGIC = b"ETSF"
-CKPT_VERSION = 2  # version 1 lacks the trailing CRC-32 and still loads
-_DTYPES = {0: "<f8", 1: "<f4"}
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
+CKPT_VERSION = 3
+_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_HEADER_KEYS = {"model", "split", "norm_mean", "norm_std", "best_epoch", "best_val_mse"}
 
 
 @dataclass
@@ -141,39 +144,18 @@ class Checkpoint:
         return NormStats(mean=self.norm_mean, std=self.norm_std)
 
 
-def _write_record(buf: io.BytesIO, name: str, arr: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-    code = _DTYPE_CODES[arr.dtype]
-    buf.write(struct.pack("<BB", code, arr.ndim))
-    for dim in arr.shape:
-        buf.write(struct.pack("<Q", dim))
-    buf.write(np.ascontiguousarray(arr).tobytes())
-
-
-def _read(buf: io.BytesIO, n: int, what: str) -> bytes:
-    chunk = buf.read(min(n, sys.maxsize))  # a record's u64 dims can ask for more
-    if len(chunk) != n:
-        raise DataError(f"truncated {what}: {len(chunk)} of {n} bytes")
-    return chunk
-
-
-def _unpack(buf: io.BytesIO, fmt: str, what: str) -> tuple:
-    return struct.unpack(fmt, _read(buf, struct.calcsize(fmt), what))
-
-
-def _read_record(buf: io.BytesIO) -> tuple[str, np.ndarray]:
-    (name_len,) = _unpack(buf, "<I", "record header")
-    name = _read(buf, name_len, "record name").decode("utf-8")
-    code, rank = _unpack(buf, "<BB", f"record {name}")
-    shape = _unpack(buf, f"<{rank}Q", f"record {name}")
-    dtype = np.dtype(_DTYPES[code])
-    payload = _read(buf, math.prod(shape) * dtype.itemsize, f"record {name}")
-    return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-
-
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write ckpt in the version-3 layout; parameters that are not exactly
+    those of `parameter_shapes(ckpt.config)` raise DimensionError before
+    anything is written."""
+    shapes = parameter_shapes(ckpt.config)
+    got = {name: np.shape(arr) for name, arr in ckpt.params.items()}
+    if got != shapes:
+        name = min(n for n in got.keys() | shapes.keys() if got.get(n) != shapes.get(n))
+        raise DimensionError(
+            f"checkpoint parameter {name} has shape {got.get(name)}, "
+            f"the model config wants {shapes.get(name)}"
+        )
     header = {
         "model": asdict(ckpt.config),
         "split": asdict(ckpt.split),
@@ -183,42 +165,49 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "best_val_mse": None if math.isnan(ckpt.best_val_mse) else ckpt.best_val_mse,
     }
     raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<I", CKPT_VERSION))
-    buf.write(struct.pack("<I", len(raw_header)))
-    buf.write(raw_header)
-    buf.write(struct.pack("<I", len(ckpt.params)))
-    for name, arr in ckpt.params.items():
-        _write_record(buf, name, arr.astype("<f4"))
-    buf.write(struct.pack("<I", zlib.crc32(buf.getvalue())))
+    body = b"".join(
+        [_PREFIX.pack(CKPT_MAGIC, CKPT_VERSION, len(raw_header)), raw_header]
+        + [np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes() for name in shapes]
+    )
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
-    The parameter records must be exactly those of the header's model
-    config, with their shapes and finite values. From version 2 a CRC-32 of
-    all earlier bytes ends the file; it is checked once the layout has
-    parsed, so a layout error keeps its own message. The header's norm_mean
-    and norm_std are both null or both set, and norm_std is > 0. A header
-    without a split, as older files have, means SplitSpec(). The Adam
-    records and the Adam step and RNG state keys of older files are skipped.
+    The layout (version 3) is the magic, a u32 version and a u32 header
+    length, the JSON header with exactly the keys that `save_checkpoint`
+    writes, then every `parameter_shapes(header model)` entry in that order
+    as little-endian float32, and last a CRC-32 of all earlier bytes. The
+    checks run in that order: magic, version (older versions are
+    unsupported), header, the file length the header implies, the CRC and
+    last each parameter's finiteness. The header's norm_mean and norm_std
+    are both null or both set, and norm_std is > 0.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    buf = io.BytesIO(raw)
     try:
-        if buf.read(4) != CKPT_MAGIC:
+        if raw[:4] != CKPT_MAGIC:
             raise DataError("not a checkpoint file (bad magic)")
-        (version,) = _unpack(buf, "<I", "version")
-        if version not in (1, CKPT_VERSION):
+        if len(raw) < _PREFIX.size:
+            raise DataError(f"truncated file: {len(raw)} bytes")
+        _, version, hlen = _PREFIX.unpack_from(raw)
+        if version != CKPT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        (hlen,) = _unpack(buf, "<I", "header length")
-        header = json.loads(_read(buf, hlen, "header"))
+        at = _PREFIX.size + hlen  # where the parameter values begin
+        if len(raw) < at:
+            raise DataError(f"truncated header: {len(raw) - _PREFIX.size} of {hlen} bytes")
+        header = json.loads(raw[_PREFIX.size : at])
+        if not isinstance(header, dict):
+            raise DataError("header is not a JSON object")
+        if header.keys() != _HEADER_KEYS:
+            raise DataError(
+                f"header keys: missing {sorted(_HEADER_KEYS - header.keys())}, "
+                f"unknown {sorted(header.keys() - _HEADER_KEYS)}"
+            )
         config = from_dict(ModelConfig, header["model"], "header model")
+        split = from_dict(SplitSpec, header["split"], "header split")
         norm = {}
         for key in ("norm_mean", "norm_std"):
             arr = header[key] if header[key] is None else np.asarray(header[key], dtype=np.float64)
@@ -230,49 +219,37 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise DataError(f"header {key} is null but {other} is set")
         if norm["norm_std"] is not None and not (norm["norm_std"] > 0).all():
             raise DataError(f"header norm_std must be positive, got {header['norm_std']}")
-        best_epoch = header.get("best_epoch", -1)
+        best_epoch = header["best_epoch"]
         if type(best_epoch) is not int or best_epoch < -1:  # bool is an int subclass
             raise DataError(f"header best_epoch must be an integer >= -1, got {best_epoch!r}")
-        val = header.get("best_val_mse")
+        val = header["best_val_mse"]
         # NaN fails the comparison; an int is compared exactly, without overflow
         if val is not None and not (type(val) in (int, float) and abs(val) <= sys.float_info.max):
             raise DataError(f"header best_val_mse must be a finite number or null, got {val!r}")
-        ckpt = Checkpoint(
-            config=config,
-            params={},
-            split=from_dict(SplitSpec, header.get("split", {}), "header split"),
-            best_epoch=best_epoch,
-            best_val_mse=math.nan if val is None else float(val),
-            **norm,
-        )
-        (n_records,) = _unpack(buf, "<I", "record count")
-        for _ in range(n_records):
-            name, arr = _read_record(buf)
-            if not name.startswith("adam."):
-                ckpt.params[name] = arr
-        end = buf.tell()
-        (crc,) = _unpack(buf, "<I", "checksum") if version > 1 else (None,)
-        if buf.read(1):
-            raise DataError(f"trailing bytes after record {n_records}")
-        if crc is not None and crc != zlib.crc32(raw[:end]):
+        shapes = parameter_shapes(config)
+        size = at + 4 * sum(math.prod(shape) for shape in shapes.values()) + 4
+        if len(raw) != size:
+            raise DataError(f"file is {len(raw)} bytes, its header implies {size}")
+        if int.from_bytes(raw[-4:], "little") != zlib.crc32(memoryview(raw)[:-4]):
             raise DataError("checksum mismatch (corrupted file)")
-        expected = parameter_shapes(config)
-        for name in sorted(set(expected) | set(ckpt.params)):
-            if name not in ckpt.params:
-                raise DataError(f"missing parameter record {name}")
-            if name not in expected:
-                raise DataError(f"unexpected parameter record {name}")
-            if ckpt.params[name].shape != expected[name]:
-                raise DataError(
-                    f"parameter record {name} has shape {ckpt.params[name].shape}, "
-                    f"expected {expected[name]}"
-                )
-            if not np.isfinite(ckpt.params[name]).all():
-                raise DataError(f"parameter record {name} has non-finite values")
-    # json, a header field or a record's name or dtype code can be malformed too
-    except (DataError, ConfigError, ValueError, TypeError, KeyError) as e:
+        params = {}
+        for name, shape in shapes.items():
+            arr = np.frombuffer(raw, "<f4", math.prod(shape), at).reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataError(f"parameter {name} has non-finite values")
+            params[name] = arr
+            at += arr.nbytes
+    # json or a header field can be malformed too, and json can nest past the recursion limit
+    except (DataError, ConfigError, ValueError, TypeError, RecursionError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from None
-    return ckpt
+    return Checkpoint(
+        config=config,
+        params=params,
+        split=split,
+        best_epoch=best_epoch,
+        best_val_mse=math.nan if val is None else float(val),
+        **norm,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import re
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,27 @@ class TestTrain:
              "train.base_lr: expected a finite number, got inf"),
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
+
+    @pytest.mark.parametrize("kernel_size", [-1, -3, 0])
+    def test_non_positive_kernel_size_named(self, tmp_path, synth_file, capsys, kernel_size):
+        config = {"model": {"lookback": 24, "horizon": 6, "kernel_size": kernel_size}}
+        err = self._train_error(tmp_path, synth_file, capsys, config)
+        assert f"kernel_size must be positive, got {kernel_size}" in err
+
+    def test_bad_split_is_config_error(self, tmp_path, synth_file, capsys):
+        config = {"model": {"lookback": 24, "horizon": 6},
+                  "split": {"train": 0.5, "val": 0.1, "test": 0.1}}
+        assert "split fractions must sum to 1" in self._train_error(
+            tmp_path, synth_file, capsys, config
+        )
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, run_config, capsys):
+        # rejected before the data is read: the data path does not exist
+        rc = cli.main(["train", "--config", str(run_config), "--data",
+                       str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert f"error: --out must not be a directory, got {tmp_path}" in captured.err
 
     @pytest.mark.parametrize("key", ["min_lr", "beta1", "beta2", "eps", "special_lr_mult",
                                      "clip_norm", "scale_aug_one_plus"])
@@ -360,7 +382,7 @@ class TestForecastDecompose:
         assert cli.main(["forecast", "--model", str(nan_model), "--data", str(synth_file)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "parameter record head.w_out has non-finite values" in captured.err
+        assert "parameter head.w_out has non-finite values" in captured.err
 
     def test_window_index_out_of_range(self, synth_file, trained_model, capsys):
         rc = cli.main(["forecast", "--model", str(trained_model), "--data",
@@ -528,13 +550,52 @@ class TestExitCodes:
 
     def test_checkpoint_without_a_parameter_record(self, tmp_path, synth_file,
                                                     trained_model, capsys):
-        ckpt = trainer.load_checkpoint(str(trained_model))
-        del ckpt.params["head.w_out"]
+        # head.w_out's (8, 1) float32 values come last; cut them, keep a valid CRC
+        raw = trained_model.read_bytes()
+        body = raw[: -4 - 8 * 4]
         broken = tmp_path / "broken.etsf"
-        trainer.save_checkpoint(ckpt, str(broken))
+        broken.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         rc = cli.main(["evaluate", "--model", str(broken), "--data", str(synth_file)])
         assert rc == 2
-        assert "missing parameter record head.w_out" in capsys.readouterr().err
+        assert (f"{broken}: malformed checkpoint: file is {len(raw) - 32} bytes, "
+                f"its header implies {len(raw)}") in capsys.readouterr().err
+
+    @staticmethod
+    def _reheadered(raw: bytes, edit) -> bytes:
+        """raw with edit applied to its JSON header, re-framed with a valid CRC."""
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + hlen])
+        edit(header)
+        text = json.dumps(header, sort_keys=True).encode()
+        body = raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen : -4]
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    @pytest.mark.parametrize("case, message", [
+        ("v1", "unsupported checkpoint version 1"),
+        ("v2", "unsupported checkpoint version 2"),
+        ("no_split", "header keys: missing ['split'], unknown []"),
+        ("adam_key", "header keys: missing [], unknown ['adam_step']"),
+        ("other_dim", "bytes, its header implies"),
+    ])
+    def test_checkpoint_layout_error_is_data_error(self, tmp_path, synth_file, trained_model,
+                                                   capsys, case, message):
+        raw = trained_model.read_bytes()
+        model = trainer.load_checkpoint(str(trained_model)).config
+        files = {
+            "v1": Path(__file__).parent / "data" / "ckpt_v1_with_adam.etsf",
+            "v2": raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+            "no_split": self._reheadered(raw, lambda h: h.pop("split")),
+            "adam_key": self._reheadered(raw, lambda h: h.update(adam_step=3)),
+            "other_dim": self._reheadered(raw, lambda h: h["model"].update(dim=2 * model.dim)),
+        }
+        path = files[case]
+        if isinstance(path, bytes):
+            (tmp_path / "old.etsf").write_bytes(path)
+            path = tmp_path / "old.etsf"
+        rc = cli.main(["evaluate", "--model", str(path), "--data", str(synth_file)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"{path}: malformed checkpoint: " in captured.err and message in captured.err
 
     def test_corrupted_checkpoint(self, tmp_path, synth_file, trained_model, capsys):
         raw = bytearray(trained_model.read_bytes())

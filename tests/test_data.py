@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from etsfore import data
-from etsfore.errors import DataError, DimensionError, ParseError
+from etsfore.errors import ConfigError, DataError, DimensionError, ParseError
 
 
 def make_series(T, m=2, seed=0, timestamps=False):
@@ -178,9 +178,9 @@ class TestSplit:
             data.split_chronological(s, data.SplitSpec(), min_len=24)
 
     def test_fraction_validation(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="split fractions must be positive"):
             data.SplitSpec(0.7, 0.0, 0.3)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="split fractions must sum to 1"):
             data.SplitSpec(0.5, 0.2, 0.2)
 
 

@@ -53,6 +53,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(lookback=8, horizon=2, top_k=5)
 
+    # an odd negative size passes the odd check; it must not reach numpy
+    @pytest.mark.parametrize("kernel_size, rule", [
+        (-1, "be positive"), (-3, "be positive"), (0, "be positive"), (4, "be odd"),
+    ])
+    def test_bad_kernel_size_named(self, kernel_size, rule):
+        with pytest.raises(ConfigError, match=f"model config: kernel_size must {rule}, "
+                                              f"got {kernel_size}"):
+            model.from_dict(ModelConfig, {"lookback": 8, "horizon": 2,
+                                          "kernel_size": kernel_size}, "model")
+
     def test_round_trip_dict(self):
         cfg = model.from_dict(ModelConfig, asdict(TINY), "model")
         assert cfg == TINY

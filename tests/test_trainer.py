@@ -17,7 +17,7 @@ from etsfore.autodiff import Tensor
 from etsfore.data import NormStats, SplitSpec, WindowPair
 from etsfore.errors import ConfigError, DataError, DimensionError, TrainingError
 from etsfore.model import (
-    ModelConfig, ModelState, forward, is_special_parameter, mse_loss, parameter_shapes,
+    ModelConfig, ModelState, forward, is_special_parameter, mse_loss,
 )
 from etsfore.trainer import (
     Adam,
@@ -314,19 +314,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.norm_mean, ckpt.norm_mean)
         assert back.split == ckpt.split
 
-    def test_file_with_adam_state_still_loads(self, tmp_path):
-        # Written by an earlier version, from the same training run as
-        # _trained, together with Adam moments, the Adam step and the RNG state
-        # that nothing read. It has no split, which means the default one.
-        back = load_checkpoint(str(DATA / "ckpt_v1_with_adam.etsf"))
-        ckpt, path, _ = self._trained(tmp_path)
-        assert back.config == ckpt.config and back.split == SplitSpec()
-        assert (back.best_epoch, back.best_val_mse) == (ckpt.best_epoch, ckpt.best_val_mse)
-        assert set(back.params) == set(parameter_shapes(TINY))
-        for name in ckpt.params:
-            np.testing.assert_array_equal(back.params[name], ckpt.params[name])
-        save_checkpoint(back, str(tmp_path / "again.etsf"))
-        assert (tmp_path / "again.etsf").read_bytes() == path.read_bytes()
+    def test_older_versions_rejected(self, saved_bytes, tmp_path):
+        # a version-1 file of an earlier etsfore, with Adam records and no
+        # split, and a version-2 prefix on a current body
+        v2 = tmp_path / "v2.etsf"
+        v2.write_bytes(saved_bytes[:4] + (2).to_bytes(4, "little") + saved_bytes[8:])
+        for p, version in ((DATA / "ckpt_v1_with_adam.etsf", 1), (v2, 2)):
+            with pytest.raises(DataError, match=f"{p}: malformed checkpoint: "
+                               f"unsupported checkpoint version {version}$"):
+                load_checkpoint(str(p))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -350,7 +346,7 @@ class TestCheckpoint:
 
     def test_checksum_ends_the_file(self, saved_bytes, tmp_path):
         body, crc = saved_bytes[:-4], saved_bytes[-4:]
-        assert saved_bytes[4:8] == (2).to_bytes(4, "little")
+        assert saved_bytes[4:8] == (3).to_bytes(4, "little")
         assert int.from_bytes(crc, "little") == zlib.crc32(body)
         # a parameter value changed in place keeps the layout valid
         p = tmp_path / "flipped.etsf"
@@ -358,13 +354,11 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=f"{p}: malformed checkpoint: checksum mismatch"):
             load_checkpoint(str(p))
 
-    def test_record_larger_than_the_file_rejected(self, saved_bytes, tmp_path):
-        # the first record is embed.kernel; its first u64 dim follows its dtype and rank
-        hlen = int.from_bytes(saved_bytes[8:12], "little")
-        at = 12 + hlen + 4 + 4 + len(b"embed.kernel") + 2
+    def test_header_length_larger_than_the_file_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "huge.etsf"
-        p.write_bytes(saved_bytes[:at] + b"\xff" * 8 + saved_bytes[at + 8 :])
-        with pytest.raises(DataError, match="truncated record embed.kernel"):
+        p.write_bytes(saved_bytes[:8] + b"\xff" * 4 + saved_bytes[12:])
+        with pytest.raises(DataError, match=f"truncated header: {len(saved_bytes) - 12} "
+                                            f"of {2**32 - 1} bytes"):
             load_checkpoint(str(p))
 
     def test_bad_normalization_stats_rejected(self, saved_bytes, tmp_path):
@@ -376,20 +370,21 @@ class TestCheckpoint:
                 load_checkpoint(str(p))
 
     def test_parameter_records_must_match_the_config(self, tmp_path):
+        # the config fixes the parameter set, so save refuses any other and writes nothing
         state = ModelState.init(TINY, 0)
         params = {name: t.data.astype(np.float32) for name, t in state.params.items()}
         missing = {k: v for k, v in params.items() if k != "head.w_out"}
         misshapen = {**params, "enc0.ff.b1": np.zeros(3, dtype=np.float32)}
         p = tmp_path / "records.etsf"
         for bad, message in (
-            (missing, "missing parameter record head.w_out"),
+            (missing, r"parameter head.w_out has shape None, the model config wants \(8, 1\)"),
             ({**params, "enc9.ff.w1": np.zeros(2, dtype=np.float32)},
-             "unexpected parameter record enc9.ff.w1"),
-            (misshapen, r"parameter record enc0.ff.b1 has shape \(3,\), expected \(16,\)"),
+             r"parameter enc9.ff.w1 has shape \(2,\), the model config wants None"),
+            (misshapen, r"parameter enc0.ff.b1 has shape \(3,\), the model config wants \(16,\)"),
         ):
-            save_checkpoint(Checkpoint(config=TINY, params=bad), str(p))
-            with pytest.raises(DataError, match=message):
-                load_checkpoint(str(p))
+            with pytest.raises(DimensionError, match=message):
+                save_checkpoint(Checkpoint(config=TINY, params=bad), str(p))
+            assert not p.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_record_rejected(self, tmp_path, bad):
@@ -398,7 +393,7 @@ class TestCheckpoint:
         params["enc0.ff.b1"][3] = bad
         p = tmp_path / "records.etsf"
         save_checkpoint(Checkpoint(config=TINY, params=params), str(p))
-        with pytest.raises(DataError, match="parameter record enc0.ff.b1 has non-finite values"):
+        with pytest.raises(DataError, match="parameter enc0.ff.b1 has non-finite values"):
             load_checkpoint(str(p))
 
     def test_non_finite_header_value_rejected(self, saved_bytes, tmp_path):
@@ -414,14 +409,57 @@ class TestCheckpoint:
                 load_checkpoint(str(p))
 
     @staticmethod
-    def _with_header_field(saved: bytes, key: str, text: str) -> bytes:
-        """saved with header[key] set to the JSON text, re-framed with a valid CRC."""
+    def _header(saved: bytes) -> dict:
+        return json.loads(saved[12 : 12 + int.from_bytes(saved[8:12], "little")])
+
+    @staticmethod
+    def _reframed(saved: bytes, raw: bytes) -> bytes:
+        """saved with raw as its JSON header, re-framed with a valid CRC."""
         hlen = int.from_bytes(saved[8:12], "little")
-        header = json.loads(saved[12 : 12 + hlen])
-        header[key] = "@"
-        raw = json.dumps(header, sort_keys=True).replace('"@"', text).encode()
         body = saved[:8] + len(raw).to_bytes(4, "little") + raw + saved[12 + hlen : -4]
         return body + zlib.crc32(body).to_bytes(4, "little")
+
+    @classmethod
+    def _with_header_field(cls, saved: bytes, key: str, text: str) -> bytes:
+        """saved with header[key] set to the JSON text, re-framed with a valid CRC."""
+        header = cls._header(saved)
+        header[key] = "@"
+        return cls._reframed(saved, json.dumps(header, sort_keys=True).replace('"@"', text).encode())
+
+    def test_header_keys_are_exactly_the_saved_ones(self, saved_bytes, tmp_path):
+        p = tmp_path / "keys.etsf"
+        header = self._header(saved_bytes)
+        del header["split"]  # older files had none, and it meant 0.7/0.1/0.2
+        p.write_bytes(self._reframed(saved_bytes, json.dumps(header).encode()))
+        with pytest.raises(DataError, match=r"header keys: missing \['split'\], unknown \[\]"):
+            load_checkpoint(str(p))
+        p.write_bytes(self._with_header_field(saved_bytes, "adam_step", "3"))
+        with pytest.raises(DataError, match=r"header keys: missing \[\], unknown \['adam_step'\]"):
+            load_checkpoint(str(p))
+
+    @pytest.mark.parametrize("edit", [{"dim": 16}, {"layers": 2}, {"kernel_size": 1}])
+    def test_payload_must_have_the_length_the_header_implies(self, saved_bytes, tmp_path, edit):
+        p = tmp_path / "length.etsf"
+        text = json.dumps({**self._header(saved_bytes)["model"], **edit})
+        p.write_bytes(self._with_header_field(saved_bytes, "model", text))
+        size = len(p.read_bytes())
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: file is {size} bytes, "
+                                            f"its header implies [0-9]+$") as info:
+            load_checkpoint(str(p))
+        assert int(str(info.value).rsplit(" ", 1)[1]) != size
+
+    def test_deeply_nested_header_rejected(self, saved_bytes, tmp_path):
+        p = tmp_path / "deep.etsf"
+        p.write_bytes(self._reframed(saved_bytes, b"[" * 100_000 + b"]" * 100_000))
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: maximum recursion depth"):
+            load_checkpoint(str(p))
+
+    def test_header_with_a_bad_split_is_data_error(self, saved_bytes, tmp_path):
+        p = tmp_path / "split.etsf"
+        p.write_bytes(self._with_header_field(
+            saved_bytes, "split", '{"test": 0.1, "train": 0.5, "val": 0.1}'))
+        with pytest.raises(DataError, match="malformed checkpoint: split fractions must sum to 1"):
+            load_checkpoint(str(p))
 
     @pytest.mark.parametrize("key, text, loaded", [
         ("best_epoch", "-1", -1), ("best_epoch", "7", 7),
@@ -450,7 +488,8 @@ class TestCheckpoint:
     def test_trailing_bytes_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "long.etsf"
         p.write_bytes(saved_bytes + b"\x00")
-        with pytest.raises(DataError, match="trailing bytes"):
+        with pytest.raises(DataError, match=f"file is {len(saved_bytes) + 1} bytes, "
+                                            f"its header implies {len(saved_bytes)}$"):
             load_checkpoint(str(p))
         p.write_bytes(saved_bytes)
         assert load_checkpoint(str(p)).split == SplitSpec(0.5, 0.25, 0.25)
