@@ -1,11 +1,17 @@
 """Minimal dense-array engine with reverse-mode differentiation.
 
-All data is float64. A Tensor records the primitive application that
-produced it (parents + vector-Jacobian closure); backward() runs the
-graph once in reverse topological order and consumes it: each node drops
-its closure and parents as its VJP runs, so a graph's activations are
-freed during backward, and a second backward through it raises
-EvaluationError. Code calls the primitives by name (`add`, `mul`,
+All data is float64. A Tensor holds its value, `data`; a Tensor that
+takes part in differentiation also holds a small graph record (`_Node`):
+its shape, its adjoint and, when a primitive application produced it, the
+parents' records and the vector-Jacobian closure. A record never holds a
+value, and each VJP closes over only the arrays and shapes it reads, so a
+value that no VJP reads is freed as soon as the caller drops its Tensor,
+before backward. backward() runs the graph once in reverse topological
+order and consumes it: each record drops its closure and parents as its
+VJP runs, so a graph's activations are freed during backward, and a
+second backward through it raises EvaluationError. A Tensor computed
+outside any graph (under `no_grad`, or from constants only) carries no
+record at all. Code calls the primitives by name (`add`, `mul`,
 `linear`, ...); the one operator a Tensor defines is indexing, `t[...]`,
 which records a `getitem` node. Only the primitives the forecasting
 model needs are provided, plus `grad_check` and `tsum`, the unscaled sum
@@ -39,17 +45,35 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """n-dimensional float64 array participating in reverse-mode differentiation."""
+class _Node:
+    """Graph record of one Tensor that requires grad; holds no value.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "__weakref__")
+    `parents` holds one entry per operand of the primitive, the operand's
+    record or None for an operand outside the graph; a leaf has none and
+    no `vjp`.
+    """
+
+    __slots__ = ("shape", "parents", "vjp", "grad", "__weakref__")
+
+    def __init__(self, shape: tuple[int, ...], parents: tuple = (), vjp=None):
+        self.shape = shape
+        self.parents = parents
+        self.vjp = vjp
+        self.grad: np.ndarray | None = None
+
+
+class Tensor:
+    """n-dimensional float64 array participating in reverse-mode differentiation.
+
+    `requires_grad`, `grad` and `_vjp` read the graph record, which only a
+    Tensor that requires grad has.
+    """
+
+    __slots__ = ("data", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[np.ndarray], tuple] | None = None
+        self._node: _Node | None = _Node(self.data.shape) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -59,12 +83,35 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self._node is None:
+            raise EvaluationError("grad set on a Tensor that does not require grad")
+        self._node.grad = g
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._node.vjp = vjp
+
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate adjoints into .grad of every reachable requires_grad leaf.
@@ -74,7 +121,7 @@ class Tensor:
         go of its closure and its parents, so the activations and adjoints
         they hold are freed once nothing downstream needs them. A second
         backward that reaches a consumed node raises EvaluationError before
-        any VJP runs.
+        any VJP runs. On a Tensor outside any graph it does nothing.
         """
         if seed is None:
             if self.data.size != 1:
@@ -82,9 +129,12 @@ class Tensor:
                     f"backward() without seed needs a scalar output, got shape {self.data.shape}"
                 )
             seed = np.ones_like(self.data)
-        order: list[Tensor] = []
+        root = self._node
+        if root is None:
+            return
+        order: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -92,31 +142,31 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._vjp is _consumed_vjp:
+            if node.vjp is _consumed_vjp:
                 raise EvaluationError("graph already consumed by backward")
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
+            for p in node.parents:
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape)
+        root.grad = np.asarray(seed, dtype=np.float64).reshape(root.shape)
         while order:
             node = order.pop()
-            vjp, parents = node._vjp, node._parents
+            vjp, parents = node.vjp, node.parents
             if vjp is None:
                 continue
-            node._vjp, node._parents = _consumed_vjp, ()
+            node.vjp, node.parents = _consumed_vjp, ()
             if node.grad is None:
                 continue
             for parent, g in zip(parents, vjp(node.grad)):
-                if g is None or not parent.requires_grad:
+                if g is None or parent is None:
                     continue
                 if parent.grad is None:
                     # An owned array, since a VJP may hand one array to
                     # several parents. 0.0 + g, not a copy: a sum stores
                     # -0.0 as +0.0, so an adjoint's bits do not depend on
                     # whether a contribution arrived first.
-                    parent.grad = np.add(0.0, g, out=np.empty_like(parent.data))
+                    parent.grad = np.add(0.0, g, out=np.empty(parent.shape))
                 else:
                     parent.grad += g
 
@@ -134,12 +184,17 @@ def as_tensor(x) -> Tensor:
 
 
 def make_node(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
-    """Build a graph node; prunes recording when grad is off or unneeded."""
-    req = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req)
-    if req:
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    """Wrap a primitive's output; records it only when grad is on and needed.
+
+    vjp maps the output's adjoint to one adjoint (or None) per parent. It
+    must close over the arrays and shapes it reads, never over a Tensor,
+    so that the graph keeps no value alive that backward does not need.
+    """
+    out = Tensor(data)
+    if _grad_enabled:
+        nodes = tuple(p._node for p in parents)
+        if any(n is not None for n in nodes):
+            out._node = _Node(out.data.shape, nodes, vjp)
     return out
 
 
@@ -164,22 +219,25 @@ def add(a, b) -> Tensor:
 
 def _add_node(out: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Record out = a + b; the VJP reads only the operands' shapes."""
-    return make_node(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return make_node(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-    return make_node(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return make_node(
+        a.data - b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb))
+    )
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    av, bv = a.data, b.data
     return make_node(
-        out,
+        av * bv,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
+        lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)),
     )
 
 
@@ -187,25 +245,26 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    av, bv = a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape)
+        gb = _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape)
         return ga, gb
 
-    return make_node(out, (a, b), vjp)
+    return make_node(av @ bv, (a, b), vjp)
 
 
 def tsum(a) -> Tensor:
     a = as_tensor(a)
-    return make_node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    shape = a.shape
+    return make_node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def tmean(a) -> Tensor:
     a = as_tensor(a)
-    n = a.data.size
-    return make_node(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+    shape, n = a.shape, a.data.size
+    return make_node(a.data.mean(), (a,), lambda g: (np.broadcast_to(g / n, shape).copy(),))
 
 
 def sigmoid(a) -> Tensor:
@@ -247,10 +306,10 @@ def _is_basic_index(idx) -> bool:
 def getitem(a, idx) -> Tensor:
     a = as_tensor(a)
     out = a.data[idx]
-    basic = _is_basic_index(idx)
+    shape, basic = a.shape, _is_basic_index(idx)
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         if basic:
             ga[idx] = g
         else:  # advanced indices may repeat an entry: accumulate
@@ -262,14 +321,15 @@ def getitem(a, idx) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = a.data.reshape(shape)
-    return make_node(out, (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return make_node(a.data.reshape(shape), (a,), lambda g: (g.reshape(in_shape),))
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = as_tensor(a)
+    in_shape = a.shape
     out = np.broadcast_to(a.data, shape).copy()
-    return make_node(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    return make_node(out, (a,), lambda g: (_unbroadcast(g, in_shape),))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
@@ -298,9 +358,10 @@ def repeat_channels(a, reps: int) -> Tensor:
     """Repeat each entry of the last axis `reps` times (head -> channel fan-out)."""
     a = as_tensor(a)
     out = np.repeat(a.data, reps, axis=-1)
+    shape = a.shape
 
     def vjp(g):
-        return (g.reshape(*a.shape[:-1], a.shape[-1], reps).sum(axis=-1),)
+        return (g.reshape(*shape, reps).sum(axis=-1),)
 
     return make_node(out, (a,), vjp)
 
@@ -315,11 +376,12 @@ def pow_outer(base, exponents) -> Tensor:
     if exps.ndim != 1:
         raise DimensionError(f"exponents must be a vector, got shape {exps.shape}")
     e = exps.reshape((-1,) + (1,) * base.ndim)
-    out = base.data ** e
+    bd = base.data
+    out = bd ** e
 
     def vjp(g):
         # d(base**e)/dbase = e * base**(e-1); e=0 rows contribute zero.
-        d = np.where(e > 0, e * base.data ** np.maximum(e - 1.0, 0.0), 0.0)
+        d = np.where(e > 0, e * bd ** np.maximum(e - 1.0, 0.0), 0.0)
         return ((g * d).sum(axis=0),)
 
     return make_node(out, (base,), vjp)
@@ -359,16 +421,17 @@ def conv1d_temporal(x, kernel) -> Tensor:
     half = (k - 1) // 2
     pad = [(0, 0)] * (x.ndim - 2) + [(half, half), (0, 0)]
     xp = np.pad(x.data, pad)
+    kd = kernel.data
     out = np.zeros(x.shape[:-1] + (d,))
     for dt in range(k):
-        out += xp[..., dt : dt + L, :] @ kernel.data[dt]
+        out += xp[..., dt : dt + L, :] @ kd[dt]
 
     def vjp(g):
         gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernel.data)
+        gk = np.zeros_like(kd)
         for dt in range(k):
             seg = xp[..., dt : dt + L, :]
-            gxp[..., dt : dt + L, :] += g @ kernel.data[dt].T
+            gxp[..., dt : dt + L, :] += g @ kd[dt].T
             gk[dt] = np.tensordot(seg, g, axes=(tuple(range(seg.ndim - 1)),) * 2)
         gx = gxp[..., half : half + L, :] if half else gxp
         return gx, gk
@@ -396,11 +459,12 @@ def layer_norm(x, gamma, beta) -> Tensor:
     inv = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     # (x - mean) * inv * gamma + beta, reusing the two full-size buffers
     xhat = np.multiply(xm, inv, out=xm)
-    out = np.multiply(xhat, gamma.data, out=sq)
+    gd = gamma.data
+    out = np.multiply(xhat, gd, out=sq)
     out += beta.data
 
     def vjp(g):
-        dxhat = g * gamma.data
+        dxhat = g * gd
         # standard layer-norm backward; the mean(xm)=0 identity keeps it short
         dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
@@ -417,11 +481,19 @@ def dropout(x, p: float, rng: np.random.Generator | None = None) -> Tensor:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return x
-    # (r >= p) / (1 - p), built in the buffer of the uniform draws r
-    keep = rng.random(x.shape)
-    np.greater_equal(keep, p, out=keep)
-    np.divide(keep, 1.0 - p, out=keep)
-    return make_node(x.data * keep, (x,), lambda g: (g * keep,))
+    # The graph keeps the one-byte mask r >= p; the float scale
+    # (r >= p) / (1 - p) and then the output reuse the buffer of the draws r.
+    shape = x.shape
+    r = rng.random(shape)
+    mask = r >= p
+    out = np.divide(mask, 1.0 - p, out=r)
+    np.multiply(x.data, out, out=out)
+
+    def vjp(g):
+        gx = np.divide(mask, 1.0 - p, out=np.empty(shape))
+        return (np.multiply(g, gx, out=gx),)
+
+    return make_node(out, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +507,8 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> f
     |adjoint - fd| / max(1, |fd|).
     """
     x = as_tensor(x)
-    x.requires_grad = True
+    if x._node is None:
+        x._node = _Node(x.shape)
     x.zero_grad()
     out = f(x)
     if not np.isfinite(out.data).all():

@@ -82,6 +82,8 @@ def load_run_config(path: str, channels: int):
         raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config root must be a JSON object")
     sections = {"model": model.ModelConfig, "train": trainer.TrainConfig, "split": data.SplitSpec}

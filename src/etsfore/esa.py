@@ -121,20 +121,21 @@ def level_recurrence(
 def conv1d_fft_t(V: Tensor, weight: Tensor) -> Tensor:
     """Differentiable conv1d_fft; gradients for V and weight run through FFTs too."""
     V, weight = ad.as_tensor(V), ad.as_tensor(weight)
-    out = conv1d_fft(V.data, weight.data)
-    L = V.shape[-2]
+    v, w = V.data, weight.data
+    out = conv1d_fft(v, w)
+    L = v.shape[-2]
 
     def vjp(g):
         # transpose of a causal Toeplitz product = time-reversed product
-        gv = np.flip(conv1d_fft(np.flip(g, axis=-2), weight.data), axis=-2)
+        gv = np.flip(conv1d_fft(np.flip(g, axis=-2), w), axis=-2)
         n = next_fast_len(2 * L - 1)
-        spec = np.fft.rfft(g, n=n, axis=-2) * np.conj(np.fft.rfft(V.data, n=n, axis=-2))
+        spec = np.fft.rfft(g, n=n, axis=-2) * np.conj(np.fft.rfft(v, n=n, axis=-2))
         corr = np.fft.irfft(spec, n=n, axis=-2)[..., :L, :]
         gw = np.flip(corr, axis=-2)
         gw = gw.reshape((-1, L, gw.shape[-1])).sum(axis=0)
-        if weight.data.ndim == 1:
+        if w.ndim == 1:
             gw = gw.sum(axis=-1)
-        elif weight.shape[1] == 1:
+        elif w.shape[1] == 1:
             gw = gw.sum(axis=-1, keepdims=True)
         return gv, gw
 

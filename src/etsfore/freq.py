@@ -102,9 +102,10 @@ def fourier_extrapolate(
     # no residue repeats while j spans at most L steps, as in every model call
     distinct = np.unique(residues).size == residues.size
     out = _project_selected(x.data, bins)[..., residues, :]
+    shape = x.shape
 
     def vjp(g):
-        gathered = np.zeros(x.shape)
+        gathered = np.zeros(shape)
         if distinct:
             gathered[..., residues, :] = g
         else:  # j wraps past L: several outputs share a residue

@@ -173,6 +173,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def _value_count(config: ModelConfig) -> int:
+    """Number of parameter values config implies, without listing every layer's.
+
+    Each layer adds the same parameters, so the count is that of one layer's
+    model plus (layers - 1) times what a second layer adds.
+    """
+    one, two = (
+        sum(math.prod(shape) for shape in parameter_shapes(replace(config, layers=n)).values())
+        for n in (1, 2)
+    )
+    return one + (config.layers - 1) * (two - one)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
@@ -226,10 +239,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         # NaN fails the comparison; an int is compared exactly, without overflow
         if val is not None and not (type(val) in (int, float) and abs(val) <= sys.float_info.max):
             raise DataError(f"header best_val_mse must be a finite number or null, got {val!r}")
-        shapes = parameter_shapes(config)
-        size = at + 4 * sum(math.prod(shape) for shape in shapes.values()) + 4
+        # the length check runs before parameter_shapes(config), whose dict
+        # grows with config.layers however few bytes the file holds
+        size = at + 4 * _value_count(config) + 4
         if len(raw) != size:
             raise DataError(f"file is {len(raw)} bytes, its header implies {size}")
+        shapes = parameter_shapes(config)
         if int.from_bytes(raw[-4:], "little") != zlib.crc32(memoryview(raw)[:-4]):
             raise DataError("checksum mismatch (corrupted file)")
         params = {}

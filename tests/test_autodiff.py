@@ -399,25 +399,29 @@ class TestGradCheckUtility:
 
 
 def zeros_plus_add_backward(root, seed):
-    """Reference replay: every node's adjoint starts as zeros and is added to."""
+    """Reference replay over graph records: every adjoint starts as zeros and is added to.
+
+    Keyed by the id of each Tensor's record, `t._node`.
+    """
     order, seen = [], set()
 
     def visit(node):
         if id(node) not in seen:
             seen.add(id(node))
-            for p in node._parents:
-                visit(p)
+            for p in node.parents:
+                if p is not None:
+                    visit(p)
             order.append(node)
 
-    visit(root)
-    grads = {id(root): np.asarray(seed, dtype=np.float64).reshape(root.shape)}
+    visit(root._node)
+    grads = {id(root._node): np.asarray(seed, dtype=np.float64).reshape(root.shape)}
     for node in reversed(order):
-        if node._vjp is None or id(node) not in grads:
+        if node.vjp is None or id(node) not in grads:
             continue
-        for parent, g in zip(node._parents, node._vjp(grads[id(node)])):
-            if g is None or not parent.requires_grad:
+        for parent, g in zip(node.parents, node.vjp(grads[id(node)])):
+            if g is None or parent is None:
                 continue
-            acc = grads.setdefault(id(parent), np.zeros_like(parent.data))
+            acc = grads.setdefault(id(parent), np.zeros(parent.shape))
             acc += g
     return grads
 
@@ -436,7 +440,7 @@ class TestBackward:
         z.backward(seed)
         assert seed.tobytes() == kept.tobytes()
         for t in (x, y, w):
-            assert t.grad.tobytes() == ref[id(t)].tobytes()
+            assert t.grad.tobytes() == ref[id(t._node)].tobytes()
         np.testing.assert_array_equal(w.grad, 2.0 * kept)
 
     def test_second_backward_raises_before_any_grad(self):
@@ -460,14 +464,64 @@ class TestBackward:
     def test_intermediate_freed_when_backward_returns(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = ad.sigmoid(x)
-        alive = weakref.ref(y)
+        alive = weakref.ref(y._node)
         out = ad.tsum(ad.mul(y, y))
         del y
-        assert alive() is not None  # the graph still holds it
+        assert alive() is not None  # the graph still holds the record
         out.backward()
         assert alive() is None
         s = 1.0 / (1.0 + np.exp(-1.0))
         np.testing.assert_allclose(x.grad, 2.0 * s * s * (1.0 - s))
+
+    def test_values_no_vjp_reads_die_before_backward(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        W = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        total = ad.add(x, x)  # add's VJP reads only shapes
+        pre = ad.linear(x, W, b)  # sigmoid's VJP reads its output, not its input
+        out = ad.add(ad.tsum(ad.sigmoid(total)), ad.tsum(ad.sigmoid(pre)))
+        alive = [weakref.ref(o) for t in (total, pre) for o in (t, t.data)]
+        del total, pre
+        assert [r() for r in alive] == [None] * 4
+        out.backward()
+        s2, sp = (1.0 / (1.0 + np.exp(-v)) for v in (2.0 * x.data, x.data @ W.data + b.data))
+        dp = sp * (1.0 - sp)
+        np.testing.assert_allclose(x.grad, 2.0 * s2 * (1.0 - s2) + dp @ W.data.T, rtol=1e-12)
+        np.testing.assert_allclose(W.grad, x.data.T @ dp, rtol=1e-12)
+        np.testing.assert_allclose(b.grad, dp.sum(axis=0), rtol=1e-12)
+
+    def test_dropout_record_keeps_one_byte_per_entry(self):
+        n = 1 << 16
+        x = Tensor(np.ones(n), requires_grad=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.tsum(ad.dropout(x, 0.3, np.random.default_rng(27)))
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert n <= retained < n + 4096, retained
+        out.backward()
+        keep = (np.random.default_rng(27).random(n) >= 0.3) / (1.0 - 0.3)
+        assert x.grad.tobytes() == (0.0 + keep).tobytes()
+
+    def test_no_record_outside_a_graph(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        assert ad.sigmoid(ad.add(Tensor(np.ones(3)), 1.0))._node is None
+        with ad.no_grad():
+            out = ad.sigmoid(ad.mul(w, w))
+        assert out._node is None and out._vjp is None and not out.requires_grad
+        out.backward(np.ones(3))
+        assert out.grad is None and w.grad is None
+        with pytest.raises(EvaluationError, match="does not require grad"):
+            out.grad = np.ones(3)
+
+    def test_grad_check_records_a_plain_tensor(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        assert ad.grad_check(lambda t: ad.tsum(ad.mul(t, t)), x) < 1e-8
+        assert x.requires_grad
+        np.testing.assert_allclose(x.grad, [2.0, -4.0])
 
     def test_training_steps_retain_no_graph(self):
         cfg = ModelConfig(lookback=48, horizon=12, dim=16, ff_dim=32)

@@ -641,6 +641,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {bad}: not UTF-8 text" in captured.err
 
+    def test_run_config_nested_past_recursion_limit_is_config_error(self, tmp_path,
+                                                                   synth_file, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        assert cli.main(["train", "--config", str(bad), "--data", str(synth_file),
+                         "--out", str(tmp_path / "m.etsf")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: invalid JSON: nested too deeply" in captured.err
+
     def test_instance_csv_cells_past_int64_is_data_error(self, synth_file, trained_model,
                                                          capsys):
         lines = synth_file.read_bytes().split(b"\n", 1)

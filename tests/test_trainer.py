@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from etsfore.autodiff import Tensor
 from etsfore.data import NormStats, SplitSpec, WindowPair
 from etsfore.errors import ConfigError, DataError, DimensionError, TrainingError
 from etsfore.model import (
-    ModelConfig, ModelState, forward, is_special_parameter, mse_loss,
+    ModelConfig, ModelState, forward, is_special_parameter, mse_loss, parameter_shapes,
 )
 from etsfore.trainer import (
     Adam,
@@ -447,6 +449,28 @@ class TestCheckpoint:
                                             f"its header implies [0-9]+$") as info:
             load_checkpoint(str(p))
         assert int(str(info.value).rsplit(" ", 1)[1]) != size
+
+    def test_header_implying_a_billion_layers_rejected_before_listing_them(self, saved_bytes,
+                                                                           tmp_path):
+        p = tmp_path / "layers.etsf"
+        text = json.dumps({**self._header(saved_bytes)["model"], "layers": 10**9})
+        p.write_bytes(self._with_header_field(saved_bytes, "model", text))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=f"{p}: malformed checkpoint: file is "
+                                                f"{len(p.read_bytes())} bytes, its header implies"):
+                load_checkpoint(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("edit", [{}, {"layers": 1}, {"layers": 5, "channels": 3},
+                                      {"dim": 12, "heads": 3, "ff_dim": 7, "kernel_size": 5}])
+    def test_value_count_matches_the_parameter_shapes(self, edit):
+        cfg = ModelConfig(**{**asdict(TINY), **edit})
+        want = sum(math.prod(shape) for shape in parameter_shapes(cfg).values())
+        assert trainer._value_count(cfg) == want
 
     def test_deeply_nested_header_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "deep.etsf"
