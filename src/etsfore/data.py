@@ -157,21 +157,6 @@ def _ascii_float(text: str) -> float:
     return float(text)
 
 
-def write_csv(series: Series, path: str) -> None:
-    """Inverse of load_csv; full float precision so round-trips are exact."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = series.names or [f"ch{j}" for j in range(series.channels)]
-        if series.timestamps is not None:
-            writer.writerow(["timestamp"] + names)
-            for ts, row in zip(series.timestamps, series.values):
-                writer.writerow([ts] + [f"{v:.17g}" for v in row])
-        else:
-            writer.writerow(names)
-            for row in series.values:
-                writer.writerow([f"{v:.17g}" for v in row])
-
-
 @dataclass
 class NormStats:
     mean: np.ndarray  # (m,)

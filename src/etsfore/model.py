@@ -6,7 +6,9 @@ components whose sum is the forecast.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import MISSING, dataclass, fields
+from itertools import groupby
 from typing import get_type_hints
 
 import numpy as np
@@ -79,75 +81,99 @@ def from_dict(cls, d, where: str):
     return cls(**d)
 
 
-def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Fixed name -> shape map of every learnable parameter."""
-    k, m, d, ff, nh = cfg.kernel_size, cfg.channels, cfg.dim, cfg.ff_dim, cfg.heads
-    shapes: dict[str, tuple[int, ...]] = {"embed.kernel": (k, m, d)}
-    for n in range(cfg.layers):
-        p = f"enc{n}"
-        shapes[f"{p}.esa.w_in"] = (d, d)
-        shapes[f"{p}.esa.b_in"] = (d,)
-        shapes[f"{p}.esa.w_out"] = (d, d)
-        shapes[f"{p}.esa.b_out"] = (d,)
-        shapes[f"{p}.esa.alpha_raw"] = (nh,)
-        shapes[f"{p}.esa.v0"] = (d,)
-        shapes[f"{p}.ff.w1"] = (d, ff)
-        shapes[f"{p}.ff.b1"] = (ff,)
-        shapes[f"{p}.ff.w2"] = (ff, d)
-        shapes[f"{p}.ff.b2"] = (d,)
-        shapes[f"{p}.ln1.gamma"] = (d,)
-        shapes[f"{p}.ln1.beta"] = (d,)
-        shapes[f"{p}.ln2.gamma"] = (d,)
-        shapes[f"{p}.ln2.beta"] = (d,)
-        shapes[f"{p}.level.w_season"] = (d, m)
-        shapes[f"{p}.level.b_season"] = (m,)
-        shapes[f"{p}.level.w_growth"] = (d, m)
-        shapes[f"{p}.level.b_growth"] = (m,)
-        shapes[f"dec{n}.gamma_raw"] = (nh,)
-    shapes["level.alpha_raw"] = (m,)
+# Every learnable parameter once, in checkpoint and init-draw order: name,
+# shape as ModelConfig fields, init kind. A run of entries named with "{n}"
+# repeats as one block per layer n. "normal" draws N(0, 1/fan_in), fan_in the
+# product of all but the last axis; "rate" is zero-init in the special group.
+PARAMETERS = (
+    ("embed.kernel", ("kernel_size", "channels", "dim"), "normal"),
+    ("enc{n}.esa.w_in", ("dim", "dim"), "normal"),
+    ("enc{n}.esa.b_in", ("dim",), "zeros"),
+    ("enc{n}.esa.w_out", ("dim", "dim"), "normal"),
+    ("enc{n}.esa.b_out", ("dim",), "zeros"),
+    ("enc{n}.esa.alpha_raw", ("heads",), "rate"),
+    ("enc{n}.esa.v0", ("dim",), "zeros"),
+    ("enc{n}.ff.w1", ("dim", "ff_dim"), "normal"),
+    ("enc{n}.ff.b1", ("ff_dim",), "zeros"),
+    ("enc{n}.ff.w2", ("ff_dim", "dim"), "normal"),
+    ("enc{n}.ff.b2", ("dim",), "zeros"),
+    ("enc{n}.ln1.gamma", ("dim",), "ones"),
+    ("enc{n}.ln1.beta", ("dim",), "zeros"),
+    ("enc{n}.ln2.gamma", ("dim",), "ones"),
+    ("enc{n}.ln2.beta", ("dim",), "zeros"),
+    ("enc{n}.level.w_season", ("dim", "channels"), "normal"),
+    ("enc{n}.level.b_season", ("channels",), "zeros"),
+    ("enc{n}.level.w_growth", ("dim", "channels"), "normal"),
+    ("enc{n}.level.b_growth", ("channels",), "zeros"),
+    ("dec{n}.gamma_raw", ("heads",), "rate"),
+    ("level.alpha_raw", ("channels",), "rate"),
     # bias-free so the per-component projection sums exactly to the total
-    shapes["head.w_out"] = (d, m)
+    ("head.w_out", ("dim", "channels"), "normal"),
+)
+MAX_PARAMETER_VALUES = 2**24  # ModelState.init refuses a config with more
+_RATE_NAME = re.compile("|".join(
+    re.escape(name).replace(r"\{n\}", "[0-9]+") for name, _, init in PARAMETERS if init == "rate"))
+
+
+def _parameter_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, init kind) of every parameter of cfg, in PARAMETERS order."""
+    table, size = [], vars(cfg)
+    for per_layer, run in groupby(PARAMETERS, lambda entry: "{n}" in entry[0]):
+        rows = [(name, tuple(map(size.__getitem__, dims)), init) for name, dims, init in run]
+        table += [(name.replace("{n}", n), shape, init) for n in map(str, range(cfg.layers))
+                  for name, shape, init in rows] if per_layer else rows
+    return table
+
+
+def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every learnable parameter, in PARAMETERS order."""
+    return {name: shape for name, shape, _ in _parameter_table(cfg)}
+
+
+def value_count(cfg: ModelConfig) -> int:
+    """Number of parameter values cfg implies, without listing any layer's."""
+    return sum(math.prod(map(vars(cfg).get, dims)) * (cfg.layers if "{n}" in name else 1)
+               for name, dims, _ in PARAMETERS)
+
+
+def check_parameters(cfg: ModelConfig, params: dict) -> dict[str, tuple[int, ...]]:
+    """parameter_shapes(cfg), once params (arrays or Tensors by name) has exactly
+    those names and shapes; else DimensionError names the first mismatch in sorted order."""
+    shapes = parameter_shapes(cfg)
+    got = {name: t.shape for name, t in params.items()}
+    if got != shapes:
+        name = min(n for n in got.keys() | shapes.keys() if got.get(n) != shapes.get(n))
+        raise DimensionError(f"parameter {name} has shape {got.get(name)}, "
+                             f"the model config wants {shapes.get(name)}")
     return shapes
-
-
-SPECIAL_SUFFIXES = ("alpha_raw", "gamma_raw")
 
 
 def is_special_parameter(name: str) -> bool:
     """Smoothing/damping rates get the enlarged, unscheduled learning rate."""
-    return name.endswith(SPECIAL_SUFFIXES)
+    return _RATE_NAME.fullmatch(name) is not None
 
 
 class ModelState:
     """Named parameter tensors plus the architecture they belong to."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
-        expected = parameter_shapes(config)
-        if set(params) != set(expected):
-            missing = sorted(set(expected) - set(params))
-            extra = sorted(set(params) - set(expected))
-            raise ConfigError(f"parameter names mismatch: missing {missing}, unexpected {extra}")
-        for name, t in params.items():
-            if t.shape != expected[name]:
-                raise DimensionError(
-                    f"parameter {name} has shape {t.shape}, expected {expected[name]}"
-                )
         self.config = config
-        self.params = {name: params[name] for name in expected}
+        self.params = {name: params[name] for name in check_parameters(config, params)}
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelState":
+        """Each parameter at its init kind, the normal ones drawn in table order
+        from one rng; over MAX_PARAMETER_VALUES values is a ConfigError."""
+        if (count := value_count(config)) > MAX_PARAMETER_VALUES:
+            raise ConfigError(f"model config implies {count} parameter values, more than "
+                              f"the {MAX_PARAMETER_VALUES} allowed")
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
-        for name, shape in parameter_shapes(config).items():
-            if name.endswith((".b_in", ".b_out", ".b1", ".b2", ".beta", ".v0",
-                              ".b_season", ".b_growth", "alpha_raw", "gamma_raw")):
-                data = np.zeros(shape)
-            elif name.endswith(".gamma"):
-                data = np.ones(shape)
+        for name, shape, init in _parameter_table(config):
+            if init == "normal":
+                data = rng.normal(0.0, 1.0 / np.sqrt(math.prod(shape[:-1])), size=shape)
             else:
-                fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-                data = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
+                data = np.ones(shape) if init == "ones" else np.zeros(shape)
             params[name] = Tensor(data, requires_grad=True)
         return cls(config, params)
 

@@ -28,12 +28,14 @@ from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .model import (
     ModelConfig,
     ModelState,
+    check_parameters,
     forecast,
     forward,
     from_dict,
     is_special_parameter,
     mse_loss,
     parameter_shapes,
+    value_count,
 )
 
 
@@ -145,17 +147,10 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write ckpt in the version-3 layout; parameters that are not exactly
-    those of `parameter_shapes(ckpt.config)` raise DimensionError before
-    anything is written."""
-    shapes = parameter_shapes(ckpt.config)
-    got = {name: np.shape(arr) for name, arr in ckpt.params.items()}
-    if got != shapes:
-        name = min(n for n in got.keys() | shapes.keys() if got.get(n) != shapes.get(n))
-        raise DimensionError(
-            f"checkpoint parameter {name} has shape {got.get(name)}, "
-            f"the model config wants {shapes.get(name)}"
-        )
+    """Write ckpt in the version-3 layout, its values in model.PARAMETERS
+    order; parameters that are not exactly those of ckpt.config raise
+    DimensionError (`model.check_parameters`) before anything is written."""
+    shapes = check_parameters(ckpt.config, ckpt.params)
     header = {
         "model": asdict(ckpt.config),
         "split": asdict(ckpt.split),
@@ -173,26 +168,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         fh.write(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def _value_count(config: ModelConfig) -> int:
-    """Number of parameter values config implies, without listing every layer's.
-
-    Each layer adds the same parameters, so the count is that of one layer's
-    model plus (layers - 1) times what a second layer adds.
-    """
-    one, two = (
-        sum(math.prod(shape) for shape in parameter_shapes(replace(config, layers=n)).values())
-        for n in (1, 2)
-    )
-    return one + (config.layers - 1) * (two - one)
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
     The layout (version 3) is the magic, a u32 version and a u32 header
     length, the JSON header with exactly the keys that `save_checkpoint`
-    writes, then every `parameter_shapes(header model)` entry in that order
-    as little-endian float32, and last a CRC-32 of all earlier bytes. The
+    writes, then the values of every parameter in model.PARAMETERS order as
+    little-endian float32, and last a CRC-32 of all earlier bytes. The
     checks run in that order: magic, version (older versions are
     unsupported), header, the file length the header implies, the CRC and
     last each parameter's finiteness. The header's norm_mean and norm_std
@@ -241,14 +223,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise DataError(f"header best_val_mse must be a finite number or null, got {val!r}")
         # the length check runs before parameter_shapes(config), whose dict
         # grows with config.layers however few bytes the file holds
-        size = at + 4 * _value_count(config) + 4
+        size = at + 4 * value_count(config) + 4
         if len(raw) != size:
             raise DataError(f"file is {len(raw)} bytes, its header implies {size}")
-        shapes = parameter_shapes(config)
         if int.from_bytes(raw[-4:], "little") != zlib.crc32(memoryview(raw)[:-4]):
             raise DataError("checksum mismatch (corrupted file)")
         params = {}
-        for name, shape in shapes.items():
+        for name, shape in parameter_shapes(config).items():
             arr = np.frombuffer(raw, "<f4", math.prod(shape), at).reshape(shape).copy()
             if not np.isfinite(arr).all():
                 raise DataError(f"parameter {name} has non-finite values")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csv_files import write_csv
 from etsfore import cli, data, model, trainer
 
 
@@ -166,6 +167,24 @@ class TestTrain:
         err = self._train_error(tmp_path, synth_file, capsys, config)
         assert f"kernel_size must be positive, got {kernel_size}" in err
 
+    # each of these would exhaust memory drawing its parameters
+    @pytest.mark.parametrize("edit, count", [
+        ({"dim": 10**6, "heads": 1}, 4000536000265),
+        ({"ff_dim": 10**11}, 13000000004885),
+        ({"layers": 10**8}, 1069800000129),
+        ({"kernel_size": 1000001}, 32021461),
+    ])
+    def test_config_over_the_parameter_cap_named(self, tmp_path, synth_file, capsys, edit,
+                                                 count):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"model": {"lookback": 24, "horizon": 6, **edit}}))
+        rc = cli.main(["train", "--config", str(cfg), "--data", str(synth_file),
+                       "--out", str(tmp_path / "m.etsf")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert (f"error: model config implies {count} parameter values, more than the "
+                f"{model.MAX_PARAMETER_VALUES} allowed") in captured.err
+
     def test_bad_split_is_config_error(self, tmp_path, synth_file, capsys):
         config = {"model": {"lookback": 24, "horizon": 6},
                   "split": {"train": 0.5, "val": 0.1, "test": 0.1}}
@@ -224,7 +243,7 @@ class TestTrain:
         csv_path = tmp_path / "plain.csv"
         t = np.arange(400)
         values = np.stack([np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 7)], axis=1)
-        data.write_csv(data.Series(values, names=["a", "b"]), str(csv_path))
+        write_csv(data.Series(values, names=["a", "b"]), str(csv_path))
         calls = []
         load_csv = data.load_csv
         monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or load_csv(path))
@@ -396,7 +415,7 @@ class TestForecastDecompose:
         series = data.Series(np.stack([np.sin(t / 3), np.cos(t / 5) + 0.01 * t], axis=1),
                              names=["a", "b"])
         csv_path, model_path = tmp_path / "two.csv", tmp_path / "two.etsf"
-        data.write_csv(series, str(csv_path))
+        write_csv(series, str(csv_path))
         cfg = model.ModelConfig(lookback=24, horizon=6, channels=2, dim=8, ff_dim=16,
                                 layers=2, heads=2, top_k=2)
         stats = data.compute_stats(series.values[:210])
@@ -433,7 +452,7 @@ class TestForecastDecompose:
 class TestBaseline:
     def test_constant_series_has_zero_error(self, tmp_path, capsys):
         p = tmp_path / "const.csv"
-        data.write_csv(data.Series(np.full((60, 1), 3.0), names=["v"]), str(p))
+        write_csv(data.Series(np.full((60, 1), 3.0), names=["v"]), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "2"])
         assert rc == 0
         payload = strict_json(capsys.readouterr().out.strip())
@@ -444,7 +463,7 @@ class TestBaseline:
         t = np.arange(80)
         x = 5 + 0.1 * t + 2 * np.sin(2 * np.pi * t / 4)
         p = tmp_path / "s.csv"
-        data.write_csv(data.Series(x[:, None], names=["v"]), str(p))
+        write_csv(data.Series(x[:, None], names=["v"]), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "3"])
         assert rc == 0
         payload = strict_json(capsys.readouterr().out.strip())
@@ -454,7 +473,7 @@ class TestBaseline:
         # random signs at 1e200: every squared error overflows to infinity
         x = 1e200 * np.random.default_rng(0).choice([-1.0, 1.0], size=60)
         p = tmp_path / "big.csv"
-        data.write_csv(data.Series(x[:, None], names=["v"]), str(p))
+        write_csv(data.Series(x[:, None], names=["v"]), str(p))
         with np.errstate(over="ignore"):
             rc = cli.main(["baseline", "--data", str(p), "--period", "4"])
         assert rc == 3
@@ -499,7 +518,7 @@ class TestBaseline:
     ])
     def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value, named):
         p = tmp_path / "s.csv"
-        data.write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", flag, value])
         assert rc == 1
         assert named in capsys.readouterr().err
@@ -615,7 +634,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("first_line", [True, False])
     def test_non_utf8_series_is_data_error(self, tmp_path, capsys, first_line):
         p = tmp_path / "s.csv"
-        data.write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
         self._insert_non_utf8_byte(p, first_line)
         assert cli.main(["baseline", "--data", str(p), "--period", "4"]) == 2
         captured = capsys.readouterr()

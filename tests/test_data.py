@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from csv_files import write_csv
 from etsfore import data
 from etsfore.errors import ConfigError, DataError, DimensionError, ParseError
 
@@ -65,7 +66,7 @@ class TestCsv:
     def test_write_read_roundtrip(self, tmp_path):
         s = make_series(10, 3, timestamps=True)
         p = tmp_path / "t.csv"
-        data.write_csv(s, str(p))
+        write_csv(s, str(p))
         back = data.load_csv(str(p))
         np.testing.assert_array_equal(back.values, s.values)
         assert back.timestamps == s.timestamps
@@ -114,7 +115,7 @@ class TestCsv:
     @given(series())
     def test_every_prefix_loads_leading_rows_or_raises(self, tmp_path_factory, s):
         p = tmp_path_factory.getbasetemp() / "prefix.csv"
-        data.write_csv(s, str(p))
+        write_csv(s, str(p))
         full = p.read_bytes()
         for cut in range(len(full) + 1):
             p.write_bytes(full[:cut])

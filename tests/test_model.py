@@ -1,5 +1,6 @@
 """Tests for the assembled forecasting network."""
 
+import hashlib
 import json
 import re
 import tracemalloc
@@ -29,6 +30,7 @@ from etsfore.model import (
     mse_loss,
     parameter_shapes,
 )
+from etsfore.trainer import Checkpoint, save_checkpoint
 
 TINY = ModelConfig(
     lookback=16, horizon=4, channels=2, dim=8, ff_dim=16, layers=1, heads=2, top_k=2,
@@ -117,6 +119,42 @@ class TestModelState:
         params["head.w_out"] = Tensor(np.zeros((3, 3)), requires_grad=True)
         with pytest.raises(Exception, match="head.w_out"):
             ModelState(TINY, params)
+
+
+class TestParameterTable:
+    """SHA-256 pins of the parameter names, shapes, init values and
+    checkpoint bytes: a change to model.PARAMETERS, to an init kind or to the
+    init draw order moves them."""
+
+    @staticmethod
+    def _digest(state):
+        h = hashlib.sha256()
+        for name, t in state.params.items():
+            h.update(f"{name} {t.shape} ".encode())
+            h.update(t.data.astype("<f8").tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("cfg, seed, digest", [
+        (TINY, 0, "82a4c1ca808e0d70658231cecc91dc271d5fa53c738abcdb78d14fe7e791e730"),
+        (TINY, 90017, "3e66e7d73b471f30b3864245d73ff901e5da49032765d77e9634f26cdff7bb43"),
+        (DESK, 1, "fa6987cbc07be0fd2c63d6e537bd23a16aebbde281aeb5ccb8620ab97d379f02"),
+    ], ids=["tiny-0", "tiny-90017", "desk-1"])
+    def test_init_is_pinned(self, cfg, seed, digest):
+        assert self._digest(ModelState.init(cfg, seed)) == digest
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        state = ModelState.init(TINY, 90017)
+        ckpt = Checkpoint(
+            config=TINY,
+            params={name: t.data.astype(np.float32) for name, t in state.params.items()},
+            norm_mean=np.array([0.5, -1.0]),
+            norm_std=np.array([2.0, 0.25]),
+        )
+        p = tmp_path / "pinned.etsf"
+        save_checkpoint(ckpt, str(p))
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "ea24258caf57769440fb714e7bf6dac02d836c3093d0d44ba7dab2541e06949c"
+        )
 
 
 class TestInputEmbed:

@@ -20,6 +20,7 @@ from etsfore.data import NormStats, SplitSpec, WindowPair
 from etsfore.errors import ConfigError, DataError, DimensionError, TrainingError
 from etsfore.model import (
     ModelConfig, ModelState, forward, is_special_parameter, mse_loss, parameter_shapes,
+    value_count,
 )
 from etsfore.trainer import (
     Adam,
@@ -371,22 +372,28 @@ class TestCheckpoint:
             with pytest.raises(DataError, match="norm_std is not 1 finite values"):
                 load_checkpoint(str(p))
 
-    def test_parameter_records_must_match_the_config(self, tmp_path):
-        # the config fixes the parameter set, so save refuses any other and writes nothing
+    @pytest.mark.parametrize("case, message", [
+        ("missing", r"^parameter head.w_out has shape None, the model config wants \(8, 1\)$"),
+        ("extra", r"^parameter enc9.ff.w1 has shape \(2,\), the model config wants None$"),
+        ("misshapen",
+         r"^parameter enc0.ff.b1 has shape \(3,\), the model config wants \(16,\)$"),
+    ], ids=["missing", "extra", "misshapen"])
+    def test_parameter_records_must_match_the_config(self, tmp_path, case, message):
+        # the config fixes the parameter set: save refuses any other and writes
+        # nothing, and a ModelState refuses it with the same message
         state = ModelState.init(TINY, 0)
         params = {name: t.data.astype(np.float32) for name, t in state.params.items()}
-        missing = {k: v for k, v in params.items() if k != "head.w_out"}
-        misshapen = {**params, "enc0.ff.b1": np.zeros(3, dtype=np.float32)}
+        bad = {
+            "missing": {k: v for k, v in params.items() if k != "head.w_out"},
+            "extra": {**params, "enc9.ff.w1": np.zeros(2, dtype=np.float32)},
+            "misshapen": {**params, "enc0.ff.b1": np.zeros(3, dtype=np.float32)},
+        }[case]
         p = tmp_path / "records.etsf"
-        for bad, message in (
-            (missing, r"parameter head.w_out has shape None, the model config wants \(8, 1\)"),
-            ({**params, "enc9.ff.w1": np.zeros(2, dtype=np.float32)},
-             r"parameter enc9.ff.w1 has shape \(2,\), the model config wants None"),
-            (misshapen, r"parameter enc0.ff.b1 has shape \(3,\), the model config wants \(16,\)"),
-        ):
-            with pytest.raises(DimensionError, match=message):
-                save_checkpoint(Checkpoint(config=TINY, params=bad), str(p))
-            assert not p.exists()
+        with pytest.raises(DimensionError, match=message):
+            save_checkpoint(Checkpoint(config=TINY, params=bad), str(p))
+        assert not p.exists()
+        with pytest.raises(DimensionError, match=message):
+            ModelState(TINY, {name: Tensor(arr.astype(np.float64)) for name, arr in bad.items()})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_record_rejected(self, tmp_path, bad):
@@ -466,11 +473,12 @@ class TestCheckpoint:
         assert peak < 1 << 20, peak
 
     @pytest.mark.parametrize("edit", [{}, {"layers": 1}, {"layers": 5, "channels": 3},
-                                      {"dim": 12, "heads": 3, "ff_dim": 7, "kernel_size": 5}])
+                                      {"dim": 12, "heads": 3, "ff_dim": 7, "kernel_size": 5},
+                                      {"layers": 3, "kernel_size": 1}])
     def test_value_count_matches_the_parameter_shapes(self, edit):
         cfg = ModelConfig(**{**asdict(TINY), **edit})
         want = sum(math.prod(shape) for shape in parameter_shapes(cfg).values())
-        assert trainer._value_count(cfg) == want
+        assert value_count(cfg) == want
 
     def test_deeply_nested_header_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "deep.etsf"
