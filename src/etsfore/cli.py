@@ -161,6 +161,9 @@ def cmd_synth(args) -> int:
         _require(getattr(args, flag) >= 1, f"--{flag}", "be >= 1", getattr(args, flag))
     _require(args.seed >= 0, "--seed", "be >= 0", args.seed)
     _require(0.0 <= args.noise < math.inf, "--noise", "be finite and >= 0", args.noise)
+    cells = args.n * (args.lookback + args.horizon)
+    _require(cells <= data.MAX_INSTANCE_CELLS, "--n x (--lookback + --horizon)",
+             f"be at most {data.MAX_INSTANCE_CELLS} cells", cells)
     ds = data.synth_generate(
         args.n, args.noise, args.seed, lookback=args.lookback, horizon=args.horizon
     )
@@ -201,24 +204,18 @@ def cmd_train(args) -> int:
     ckpt, _ = trainer.train(mcfg, tcfg, train_pairs, val_pairs, stats, log_fn=_emit)
     ckpt.split = split
     trainer.save_checkpoint(ckpt, args.out)
-    best = None if math.isnan(ckpt.best_val_mse) else ckpt.best_val_mse  # as the header has it
+    # the run's result, which the checkpoint does not keep; null when no epoch ran
+    best = None if math.isnan(ckpt.best_val_mse) else ckpt.best_val_mse
     _emit({"checkpoint": args.out, "best_epoch": ckpt.best_epoch, "best_val_mse": best})
     return EXIT_OK
-
-
-def _checkpoint_stats(ckpt: trainer.Checkpoint, path: str) -> data.NormStats:
-    # evaluation must reuse the training-time normalization, not the file's
-    stats = ckpt.stats
-    if stats is None:
-        raise DataError(f"{path}: checkpoint has no normalization stats")
-    return stats
 
 
 def cmd_evaluate(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
     groups = _prepare_splits(args.data, ckpt.config, ckpt.split)
     pairs = {"train": groups[0], "val": groups[1], "test": groups[2]}[args.split]
-    result = trainer.evaluate(ckpt, _normalize_pairs(pairs, _checkpoint_stats(ckpt, args.model)))
+    # the training-time normalization, not the data file's
+    result = trainer.evaluate(ckpt, _normalize_pairs(pairs, ckpt.stats))
     _emit(result)
     return EXIT_OK
 
@@ -228,7 +225,7 @@ def _window_for(args, ckpt) -> data.WindowPair:
     pairs = [p for g in groups[:3] for p in g]
     if not 0 <= args.at < len(pairs):
         raise DataError(f"window index {args.at} outside [0, {len(pairs) - 1}]")
-    return _normalize_pairs([pairs[args.at]], _checkpoint_stats(ckpt, args.model))[0]
+    return _normalize_pairs([pairs[args.at]], ckpt.stats)[0]
 
 
 def _emit_table(columns: list[str], rows: np.ndarray, fmt: str) -> None:

@@ -287,6 +287,9 @@ def synth_generate(
 
 
 SYNTH_MAGIC = "# etsfore-synth"
+# The most cells (instances x (lookback + horizon)) an instance dataset may
+# have: `synth` writes no larger one and `read_synth_csv` reads none.
+MAX_INSTANCE_CELLS = 2**24
 
 
 def write_synth_csv(ds: SynthDataset, path: str) -> None:
@@ -334,10 +337,10 @@ def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
         raise ParseError(f"{path}: line 1: bad metadata value noise={meta['noise']!r}") from None
     if not 0.0 <= noise < math.inf:
         raise ParseError(f"{path}: line 1: metadata noise={meta['noise']} must be finite and >= 0")
-    if n * (L + H) > np.iinfo(np.int64).max:  # cell indices are int64
+    if (cells := n * (L + H)) > MAX_INSTANCE_CELLS:
         raise ParseError(
             f"{path}: line 1: metadata instances={n} x (lookback={L} + horizon={H}) "
-            "cells do not fit int64"
+            f"is {cells} cells, more than the {MAX_INSTANCE_CELLS} allowed"
         )
     return L, H, n, noise, seed
 
@@ -358,7 +361,7 @@ def read_synth_csv(path: str) -> SynthDataset:
     the cell found) and a row past the last cell. A file that stops short
     raises ParseError naming the first missing cell. So do bytes that are
     not UTF-8, a missing or bad metadata key, a non-positive lookback,
-    horizon or instance count, more cells than int64 can index, a missing
+    horizon or instance count, more than MAX_INSTANCE_CELLS cells, a missing
     header and a last row without its line break, which a truncated file
     cannot be told apart from.
     """

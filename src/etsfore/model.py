@@ -47,6 +47,9 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.kernel_size % 2 == 0:
             raise ConfigError(f"model config: kernel_size must be odd, got {self.kernel_size}")
+        if (count := value_count(self)) > MAX_PARAMETER_VALUES:
+            raise ConfigError(f"model config implies {count} parameter values, more than "
+                              f"the {MAX_PARAMETER_VALUES} allowed")
 
 
 def from_dict(cls, d, where: str):
@@ -110,7 +113,7 @@ PARAMETERS = (
     # bias-free so the per-component projection sums exactly to the total
     ("head.w_out", ("dim", "channels"), "normal"),
 )
-MAX_PARAMETER_VALUES = 2**24  # ModelState.init refuses a config with more
+MAX_PARAMETER_VALUES = 2**24  # a ModelConfig implying more is a ConfigError
 _RATE_NAME = re.compile("|".join(
     re.escape(name).replace(r"\{n\}", "[0-9]+") for name, _, init in PARAMETERS if init == "rate"))
 
@@ -163,10 +166,7 @@ class ModelState:
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "ModelState":
         """Each parameter at its init kind, the normal ones drawn in table order
-        from one rng; over MAX_PARAMETER_VALUES values is a ConfigError."""
-        if (count := value_count(config)) > MAX_PARAMETER_VALUES:
-            raise ConfigError(f"model config implies {count} parameter values, more than "
-                              f"the {MAX_PARAMETER_VALUES} allowed")
+        from one rng."""
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
         for name, shape, init in _parameter_table(config):

@@ -6,9 +6,11 @@ A run sets the six keys of `TrainConfig`. The rest of the recipe is fixed
 by module constants: Adam's decay rates and epsilon, the final main-group
 learning rate and the special-group multiple.
 
-A checkpoint's header holds the model config, and that config alone fixes
-which parameters follow and their shapes: the file stores their values
-only, and no file of an older layout loads.
+A checkpoint is what inference reads and nothing else: the model config,
+the split and the normalization the model was trained on, then the values
+of the parameters that config fixes. A run's best epoch and validation MSE
+stay on the in-memory record `train` returns; the file does not keep them,
+and no file of an older layout loads.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 import zlib
 from dataclasses import asdict, dataclass, field, replace
 
@@ -117,18 +118,19 @@ class Adam:
 # checkpoint format
 
 CKPT_MAGIC = b"ETSF"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
-_HEADER_KEYS = {"model", "split", "norm_mean", "norm_std", "best_epoch", "best_val_mse"}
+_HEADER_KEYS = {"model", "split", "norm_mean", "norm_std"}
 
 
 @dataclass
 class Checkpoint:
     config: ModelConfig
     params: dict[str, np.ndarray]  # float32 payloads
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
+    norm_mean: np.ndarray  # the normalization the model's inputs went through
+    norm_std: np.ndarray
     split: SplitSpec = field(default_factory=SplitSpec)  # the split the model was trained on
+    # the run's result as `train` returns it; not stored in the file
     best_epoch: int = -1
     best_val_mse: float = math.nan
 
@@ -140,24 +142,20 @@ class Checkpoint:
         return ModelState(self.config, tensors)
 
     @property
-    def stats(self) -> NormStats | None:
-        if self.norm_mean is None:
-            return None
+    def stats(self) -> NormStats:
         return NormStats(mean=self.norm_mean, std=self.norm_std)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write ckpt in the version-3 layout, its values in model.PARAMETERS
+    """Write ckpt in the version-4 layout, its values in model.PARAMETERS
     order; parameters that are not exactly those of ckpt.config raise
     DimensionError (`model.check_parameters`) before anything is written."""
     shapes = check_parameters(ckpt.config, ckpt.params)
     header = {
         "model": asdict(ckpt.config),
         "split": asdict(ckpt.split),
-        "norm_mean": None if ckpt.norm_mean is None else list(map(float, ckpt.norm_mean)),
-        "norm_std": None if ckpt.norm_std is None else list(map(float, ckpt.norm_std)),
-        "best_epoch": ckpt.best_epoch,
-        "best_val_mse": None if math.isnan(ckpt.best_val_mse) else ckpt.best_val_mse,
+        "norm_mean": list(map(float, ckpt.norm_mean)),
+        "norm_std": list(map(float, ckpt.norm_std)),
     }
     raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
     body = b"".join(
@@ -171,14 +169,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
-    The layout (version 3) is the magic, a u32 version and a u32 header
-    length, the JSON header with exactly the keys that `save_checkpoint`
-    writes, then the values of every parameter in model.PARAMETERS order as
-    little-endian float32, and last a CRC-32 of all earlier bytes. The
-    checks run in that order: magic, version (older versions are
-    unsupported), header, the file length the header implies, the CRC and
-    last each parameter's finiteness. The header's norm_mean and norm_std
-    are both null or both set, and norm_std is > 0.
+    The layout (version 4) is the magic, a u32 version and a u32 header
+    length, the JSON header with exactly the keys `model`, `split`,
+    `norm_mean` and `norm_std`, then the values of every parameter in
+    model.PARAMETERS order as little-endian float32, and last a CRC-32 of
+    all earlier bytes. The checks run in that order: magic, version (older
+    versions are unsupported), header, the file length the header implies,
+    the CRC and last each parameter's finiteness. norm_mean and norm_std
+    are each `channels` finite values, and norm_std is > 0. The loaded
+    record's best_epoch and best_val_mse are their defaults, -1 and NaN.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -205,22 +204,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         split = from_dict(SplitSpec, header["split"], "header split")
         norm = {}
         for key in ("norm_mean", "norm_std"):
-            arr = header[key] if header[key] is None else np.asarray(header[key], dtype=np.float64)
-            if arr is not None and (arr.shape != (config.channels,) or not np.isfinite(arr).all()):
+            arr = np.asarray(header[key], dtype=np.float64)
+            if arr.shape != (config.channels,) or not np.isfinite(arr).all():
                 raise DataError(f"header {key} is not {config.channels} finite values")
             norm[key] = arr
-        for key, other in (("norm_mean", "norm_std"), ("norm_std", "norm_mean")):
-            if norm[key] is None and norm[other] is not None:
-                raise DataError(f"header {key} is null but {other} is set")
-        if norm["norm_std"] is not None and not (norm["norm_std"] > 0).all():
+        if not (norm["norm_std"] > 0).all():
             raise DataError(f"header norm_std must be positive, got {header['norm_std']}")
-        best_epoch = header["best_epoch"]
-        if type(best_epoch) is not int or best_epoch < -1:  # bool is an int subclass
-            raise DataError(f"header best_epoch must be an integer >= -1, got {best_epoch!r}")
-        val = header["best_val_mse"]
-        # NaN fails the comparison; an int is compared exactly, without overflow
-        if val is not None and not (type(val) in (int, float) and abs(val) <= sys.float_info.max):
-            raise DataError(f"header best_val_mse must be a finite number or null, got {val!r}")
         # the length check runs before parameter_shapes(config), whose dict
         # grows with config.layers however few bytes the file holds
         size = at + 4 * value_count(config) + 4
@@ -238,14 +227,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     # json or a header field can be malformed too, and json can nest past the recursion limit
     except (DataError, ConfigError, ValueError, TypeError, RecursionError) as e:
         raise DataError(f"{path}: malformed checkpoint: {e}") from None
-    return Checkpoint(
-        config=config,
-        params=params,
-        split=split,
-        best_epoch=best_epoch,
-        best_val_mse=math.nan if val is None else float(val),
-        **norm,
-    )
+    return Checkpoint(config=config, params=params, split=split, **norm)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +290,11 @@ def train(
     stats: NormStats | None = None,
     log_fn=None,
 ) -> tuple[Checkpoint, list[dict]]:
-    """Fit the model; returns the best-validation checkpoint and per-epoch log."""
+    """Fit the model; returns the best-validation checkpoint and per-epoch log.
+
+    The checkpoint stores `stats`, which normalized the pairs; None stores
+    the identity, mean 0 and std 1 per channel.
+    """
     if not train_pairs:
         raise DataError("training split yields no windows")
     if not val_pairs:
@@ -324,11 +310,13 @@ def train(
 
     log: list[dict] = []
     best_val = math.inf
+    if stats is None:
+        stats = NormStats(mean=np.zeros(model_cfg.channels), std=np.ones(model_cfg.channels))
     best = Checkpoint(
         config=model_cfg,
         params=_snapshot_f32(state.params),
-        norm_mean=None if stats is None else stats.mean,
-        norm_std=None if stats is None else stats.std,
+        norm_mean=stats.mean,
+        norm_std=stats.std,
     )
     step = 0
     for epoch in range(train_cfg.epochs):

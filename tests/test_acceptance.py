@@ -206,6 +206,7 @@ def synthetic_run():
     return dict(ckpt=ckpt, log=log, test_pairs=te, stats=stats, elapsed=elapsed)
 
 
+@pytest.mark.slow
 class TestCriterion07SyntheticEndToEnd:
     def test_forecast_quality_and_seasonal_recovery(self, synthetic_run):
         spec = BASELINE["synthetic"]

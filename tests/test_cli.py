@@ -107,6 +107,15 @@ class TestSynth:
         assert f"error: {flag} must" in capsys.readouterr().err
         assert not p.exists()
 
+    def test_dataset_over_the_cell_cap_is_usage_error(self, tmp_path, capsys):
+        # 10**12 x 240 cells would be a raw MemoryError at the first allocation
+        p = tmp_path / "s.csv"
+        assert cli.main(["synth", "--out", str(p), "--n", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not p.exists()
+        assert ("error: --n x (--lookback + --horizon) must be at most "
+                f"{data.MAX_INSTANCE_CELLS} cells, got 240000000000000") in captured.err
+
 
 class TestTrain:
     def test_epoch_lines_are_json_with_expected_keys(self, tmp_path, synth_file,
@@ -310,6 +319,21 @@ class TestEvaluate:
         for got, want in zip(scored, test_pairs):
             np.testing.assert_array_equal(got.target, data.normalize(want.target, stats))
 
+    def test_model_trained_without_stats_evaluates(self, tmp_path, synth_file, run_config,
+                                                   capsys):
+        # a library run on unnormalized pairs stores the identity normalization
+        mcfg, tcfg, _ = cli.load_run_config(str(run_config), 1)
+        pairs = data.read_synth_csv(str(synth_file)).window_pairs()
+        ckpt, _ = trainer.train(mcfg, tcfg, pairs[:28], pairs[28:32])
+        out = tmp_path / "m.etsf"
+        trainer.save_checkpoint(ckpt, str(out))
+        stats = trainer.load_checkpoint(str(out)).stats
+        np.testing.assert_array_equal(stats.mean, np.zeros(1))
+        np.testing.assert_array_equal(stats.std, np.ones(1))
+        assert cli.main(["evaluate", "--model", str(out), "--data", str(synth_file)]) == 0
+        payload = strict_json(capsys.readouterr().out.strip())
+        assert payload["mse"] == payload["mse_raw"] >= 0
+
     def test_deterministic(self, synth_file, trained_model, capsys):
         outs = []
         for _ in range(2):
@@ -370,21 +394,16 @@ class TestForecastDecompose:
         captured = capsys.readouterr()
         assert captured.out == "" and "non-finite value in the horizon table" in captured.err
 
-    @pytest.mark.parametrize("mean, std, message", [
-        ("keep", None, "header norm_std is null but norm_mean is set"),
-        (None, "keep", "header norm_mean is null but norm_std is set"),
-        ("keep", [-0.2], "header norm_std must be positive, got [-0.2]"),
-        ("keep", [0.0], "header norm_std must be positive, got [0.0]"),
-    ], ids=["std_null", "mean_null", "std_negative", "std_zero"])
+    @pytest.mark.parametrize("std, message", [
+        ([-0.2], "header norm_std must be positive, got [-0.2]"),
+        ([0.0], "header norm_std must be positive, got [0.0]"),
+    ], ids=["std_negative", "std_zero"])
     def test_bad_norm_stats_are_data_error(self, tmp_path, synth_file, trained_model, capsys,
-                                           mean, std, message):
+                                           std, message):
         # CRC-valid files, so only the header rule stands between a bad std
-        # and a TypeError in normalize or a sign-flipped forecast
+        # and a division by zero or a sign-flipped forecast
         ckpt = trainer.load_checkpoint(str(trained_model))
-        if mean != "keep":
-            ckpt.norm_mean = mean
-        if std != "keep":
-            ckpt.norm_std = None if std is None else np.array(std)
+        ckpt.norm_std = np.array(std)
         bad_model = tmp_path / "bad_norm.etsf"
         trainer.save_checkpoint(ckpt, str(bad_model))
         assert cli.main(["forecast", "--model", str(bad_model), "--data", str(synth_file)]) == 2
@@ -680,8 +699,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert (f"error: {synth_file}: line 1: metadata instances=40 x "
-                "(lookback=10000000000000000000 + horizon=6) cells do not fit int64"
-                in captured.err)
+                "(lookback=10000000000000000000 + horizon=6) is 400000000000000000240 cells, "
+                f"more than the {data.MAX_INSTANCE_CELLS} allowed" in captured.err)
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

@@ -153,7 +153,7 @@ class TestParameterTable:
         p = tmp_path / "pinned.etsf"
         save_checkpoint(ckpt, str(p))
         assert hashlib.sha256(p.read_bytes()).hexdigest() == (
-            "ea24258caf57769440fb714e7bf6dac02d836c3093d0d44ba7dab2541e06949c"
+            "f93d6b8253dd42821490ece8f57a41fdfd03b49423b8cdc546fc4d3ae740d7fb"
         )
 
 
