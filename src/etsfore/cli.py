@@ -109,38 +109,6 @@ def load_run_config(path: str, channels: int):
     return mcfg, tcfg, split
 
 
-# ---------------------------------------------------------------------------
-# dataset preparation shared by train/evaluate/forecast/decompose
-
-
-def _prepare_splits(path: str, mcfg: model.ModelConfig, split: data.SplitSpec, series=None):
-    """Returns raw (train_pairs, val_pairs, test_pairs, train_stats).
-
-    `series`, when given, is the plain CSV at `path`, already loaded.
-    """
-    L, H = mcfg.lookback, mcfg.horizon
-    if data.is_synth_csv(path):
-        ds = data.read_synth_csv(path)
-        if (ds.lookback, ds.horizon) != (L, H):
-            raise ConfigError(
-                f"dataset windows are {ds.lookback}/{ds.horizon}, config wants {L}/{H}"
-            )
-        pairs = ds.window_pairs()
-        n = len(pairs)
-        n_train = int(split.train * n)
-        n_val = int(split.val * n)
-        groups = (pairs[:n_train], pairs[n_train : n_train + n_val], pairs[n_train + n_val :])
-        if min(len(g) for g in groups) < 1:
-            raise DataError(f"{n} instances cannot be split {split}")
-        stats = data.compute_stats(np.stack([p.lookback for p in groups[0]]))
-    else:
-        series = data.load_csv(path) if series is None else series
-        parts = data.split_chronological(series, split, min_len=L + H)
-        stats = data.compute_stats(parts[0].values)
-        groups = tuple(data.window_dataset(part, L, H) for part in parts)
-    return (*groups, stats)
-
-
 def _normalize_pairs(pairs, stats: data.NormStats):
     return [
         data.WindowPair(
@@ -190,11 +158,12 @@ def cmd_train(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ConfigError(f"checkpoint directory not writable: {out_dir}")
-    # a plain CSV is read before the config for its channel count, and once;
-    # an instance CSV has one channel and is parsed only after the config
-    series = None if data.is_synth_csv(args.data) else data.load_csv(args.data)
-    mcfg, tcfg, split = load_run_config(args.config, 1 if series is None else series.channels)
-    train_pairs, val_pairs, _, stats = _prepare_splits(args.data, mcfg, split, series)
+    # the data is read first: its channel count fills a config that leaves it out
+    ds = data.read_dataset(args.data)
+    mcfg, tcfg, split = load_run_config(args.config, ds.channels)
+    train_pairs, val_pairs, _, stats = ds.split_windows(
+        mcfg.lookback, mcfg.horizon, mcfg.channels, split
+    )
     train_pairs = _normalize_pairs(train_pairs, stats)
     val_pairs = _normalize_pairs(val_pairs, stats)
     _log(
@@ -210,9 +179,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_splits(args, ckpt):
+    """Raw (train, val, test, stats) of --data, split as the checkpoint's run was."""
+    c = ckpt.config
+    return data.read_dataset(args.data).split_windows(c.lookback, c.horizon, c.channels, ckpt.split)
+
+
 def cmd_evaluate(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
-    groups = _prepare_splits(args.data, ckpt.config, ckpt.split)
+    groups = _checkpoint_splits(args, ckpt)
     pairs = {"train": groups[0], "val": groups[1], "test": groups[2]}[args.split]
     # the training-time normalization, not the data file's
     result = trainer.evaluate(ckpt, _normalize_pairs(pairs, ckpt.stats))
@@ -221,7 +196,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _window_for(args, ckpt) -> data.WindowPair:
-    groups = _prepare_splits(args.data, ckpt.config, ckpt.split)
+    groups = _checkpoint_splits(args, ckpt)
     pairs = [p for g in groups[:3] for p in g]
     if not 0 <= args.at < len(pairs):
         raise DataError(f"window index {args.at} outside [0, {len(pairs) - 1}]")

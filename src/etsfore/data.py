@@ -1,5 +1,6 @@
-"""Dataset handling: CSV ingestion, normalization, chronological splits,
-windowing, the synthetic saturating-trend + two-tone benchmark generator,
+"""Dataset handling: the one reader of a `--data` file (plain or instance
+CSV) and each kind's split, train statistics and windows; normalization,
+the synthetic saturating-trend + two-tone benchmark generator,
 training-time augmentations, and evaluation metrics.
 """
 
@@ -23,8 +24,6 @@ class Series:
     """Multivariate series in observation space: values (T, m)."""
 
     values: np.ndarray
-    timestamps: list[str] | None = None
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -32,11 +31,6 @@ class Series:
             raise DataError(f"series values must be (T, m) with T >= 1, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise DataError("series contains non-finite values")
-        T, m = self.values.shape
-        if self.timestamps is not None and len(self.timestamps) != T:
-            raise DataError(f"series has {T} rows but {len(self.timestamps)} timestamps")
-        if self.names is not None and len(self.names) != m:
-            raise DataError(f"series has {m} channels but {len(self.names)} names")
 
     @property
     def length(self) -> int:
@@ -45,6 +39,20 @@ class Series:
     @property
     def channels(self) -> int:
         return self.values.shape[1]
+
+    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec):
+        """Raw (train, val, test, stats): the series split in time into
+        contiguous parts of at least lookback + horizon steps, each cut into
+        all its windows; stats over the train part's values."""
+        _check_channels(self.channels, channels)
+        parts = [self.values[part] for part in split.bounds(self.length)]
+        need = lookback + horizon
+        lengths = tuple(len(values) for values in parts)
+        if min(lengths) < need:
+            raise DataError(f"series of length {self.length} too short for split {lengths}: "
+                            f"every part needs >= {need} steps")
+        stats = compute_stats(parts[0])
+        return (*(window_dataset(Series(values), lookback, horizon) for values in parts), stats)
 
 
 @dataclass
@@ -58,6 +66,17 @@ class SplitSpec:
             raise ConfigError(f"split fractions must be positive: {self}")
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1: {self}")
+
+    def bounds(self, n: int) -> tuple[slice, slice, slice]:
+        """The train, val and test slices of n items in order."""
+        val = int(self.train * n)
+        test = val + int(self.val * n)
+        return slice(0, val), slice(val, test), slice(test, n)
+
+
+def _check_channels(have: int, want: int) -> None:
+    if have != want:
+        raise DataError(f"data has {have} channels, the model config wants {want}")
 
 
 @dataclass
@@ -111,12 +130,10 @@ def load_csv(path: str) -> Series:
 
     has_ts = looks_like_timestamp(rows[0][1][0])
     first_data_col = 1 if has_ts else 0
-    names = [h.strip() for h in header[first_data_col:]]
-    if not names:
+    if len(header) <= first_data_col:
         raise DataError(f"{path}: no value columns, only {header}")
-    timestamps: list[str] | None = [] if has_ts else None
-    values = np.empty((len(rows), len(names)))
-    prev = None
+    values = np.empty((len(rows), len(header) - first_data_col))
+    prev = prev_cell = None
     for i, (line_no, row) in enumerate(rows):
         if len(row) != len(header):
             raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
@@ -130,15 +147,14 @@ def load_csv(path: str) -> Series:
                 if (when.utcoffset() is None) != (prev.utcoffset() is None):
                     raise ParseError(
                         f"{path}: line {line_no}: timestamp {row[0]!r} mixes naive and "
-                        f"UTC-offset times with {timestamps[-1]!r}"
+                        f"UTC-offset times with {prev_cell!r}"
                     )
                 if when <= prev:
                     raise ParseError(
                         f"{path}: line {line_no}: timestamp {row[0]!r} does not come after "
-                        f"{timestamps[-1]!r}"
+                        f"{prev_cell!r}"
                     )
-            prev = when
-            timestamps.append(row[0])
+            prev, prev_cell = when, row[0]
         for j, cell in enumerate(row[first_data_col:]):
             try:
                 v = _ascii_float(cell)
@@ -147,7 +163,7 @@ def load_csv(path: str) -> Series:
             if not math.isfinite(v):
                 raise ParseError(f"{path}: line {line_no}: non-finite value {cell!r}")
             values[i, j] = v
-    return Series(values=values, timestamps=timestamps, names=names)
+    return Series(values)
 
 
 def _ascii_float(text: str) -> float:
@@ -173,27 +189,6 @@ def compute_stats(train_values: np.ndarray) -> NormStats:
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
-
-
-def split_chronological(
-    series: Series, spec: SplitSpec, min_len: int = 1
-) -> tuple[Series, Series, Series]:
-    """Contiguous, ordered, non-overlapping train/val/test split."""
-    T = series.length
-    n_train = int(spec.train * T)
-    n_val = int(spec.val * T)
-    bounds = (0, n_train, n_train + n_val, T)
-    lengths = tuple(bounds[i + 1] - bounds[i] for i in range(3))
-    if min(lengths) < min_len:
-        raise DataError(
-            f"series of length {T} too short for split {lengths}: every part needs >= {min_len} steps"
-        )
-    parts = []
-    for i in range(3):
-        lo, hi = bounds[i], bounds[i + 1]
-        ts = series.timestamps[lo:hi] if series.timestamps is not None else None
-        parts.append(Series(series.values[lo:hi], timestamps=ts, names=series.names))
-    return tuple(parts)
 
 
 def window_dataset(series: Series, lookback: int, horizon: int) -> list[WindowPair]:
@@ -252,11 +247,32 @@ class SynthDataset:
     noise_std: float
     seed: int
 
+    @property
+    def channels(self) -> int:
+        return self.values.shape[2]
+
     def window_pairs(self) -> list[WindowPair]:
         L = self.lookback
         return [
             WindowPair(lookback=v[:L], target=v[L:], origin=L) for v in self.values
         ]
+
+    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec):
+        """Raw (train, val, test, stats): each instance's one window, split by
+        instance index; stats over the train lookbacks. The dataset's window
+        lengths must be lookback and horizon (ConfigError)."""
+        _check_channels(self.channels, channels)
+        if (self.lookback, self.horizon) != (lookback, horizon):
+            raise ConfigError(
+                f"dataset windows are {self.lookback}/{self.horizon}, "
+                f"config wants {lookback}/{horizon}"
+            )
+        pairs = self.window_pairs()
+        groups = tuple(pairs[part] for part in split.bounds(len(pairs)))
+        if min(len(g) for g in groups) < 1:
+            raise DataError(f"{len(pairs)} instances cannot be split {split}")
+        stats = compute_stats(np.stack([p.lookback for p in groups[0]]))
+        return (*groups, stats)
 
 
 def synth_generate(
@@ -457,9 +473,12 @@ def _decode(path: str, line_no: int, raw: bytes) -> str:
         raise ParseError(f"{path}: line {line_no}: not UTF-8 text") from None
 
 
-def is_synth_csv(path: str) -> bool:
+def read_dataset(path: str) -> Series | SynthDataset:
+    """The dataset in a `--data` file: an instance CSV when its first line
+    starts with the metadata row's magic, else a plain CSV."""
     with open(path, "rb") as fh:
-        return _decode(path, 1, fh.readline()).startswith(SYNTH_MAGIC)
+        synth = _decode(path, 1, fh.readline()).startswith(SYNTH_MAGIC)
+    return read_synth_csv(path) if synth else load_csv(path)
 
 
 # ---------------------------------------------------------------------------

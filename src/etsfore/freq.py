@@ -79,13 +79,11 @@ def _project_selected(x: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return np.fft.irfft(masked, n=L, axis=-2)
 
 
-def fourier_extrapolate(
-    x: Tensor, k: int, j_range: np.ndarray, bins: np.ndarray | None = None
-) -> Tensor:
+def fourier_extrapolate(x: Tensor, k: int, j_range: np.ndarray) -> Tensor:
     """Differentiable seasonal pattern of x: (..., L, C) at integer indices j_range.
 
-    Sums the conjugate cosine pairs of the k largest non-DC bins per channel
-    (or of the pinned `bins`); any j is the length-L periodic continuation.
+    Sums the conjugate cosine pairs of the k largest non-DC bins per channel;
+    any j is the length-L periodic continuation.
     A full non-DC selection reconstructs the de-meaned input on 0..L-1.
     The bin selection is recomputed from the forward values and held fixed
     under differentiation; gradients flow only through the coefficients,
@@ -96,8 +94,7 @@ def fourier_extrapolate(
         raise DimensionError(f"expected (..., L, C) input, got shape {x.shape}")
     L = x.shape[-2]
     j = np.asarray(j_range, dtype=np.intp)
-    if bins is None:
-        bins = topk_select(np.abs(np.fft.rfft(x.data, axis=-2)), k)
+    bins = topk_select(np.abs(np.fft.rfft(x.data, axis=-2)), k)
     residues = j % L
     # no residue repeats while j spans at most L steps, as in every model call
     distinct = np.unique(residues).size == residues.size

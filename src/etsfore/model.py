@@ -50,6 +50,10 @@ class ModelConfig:
         if (count := value_count(self)) > MAX_PARAMETER_VALUES:
             raise ConfigError(f"model config implies {count} parameter values, more than "
                               f"the {MAX_PARAMETER_VALUES} allowed")
+        # a wider kernel's outer taps only ever read the embedding's zero padding
+        if self.kernel_size > 2 * self.lookback - 1:
+            raise ConfigError(f"model config: kernel_size must be at most 2 x lookback - 1 = "
+                              f"{2 * self.lookback - 1}, got {self.kernel_size}")
 
 
 def from_dict(cls, d, where: str):

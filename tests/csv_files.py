@@ -2,19 +2,21 @@
 
 import csv
 
-from etsfore.data import Series
 
+def write_csv(values, path: str, names=None, timestamps=None) -> None:
+    """Inverse of `data.load_csv`; full float precision so round-trips are exact.
 
-def write_csv(series: Series, path: str) -> None:
-    """Inverse of `data.load_csv`; full float precision so round-trips are exact."""
+    `values` is (T, m); `names` defaults to ch0..ch{m-1}, and `timestamps`,
+    when given, fills a first column.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        names = series.names or [f"ch{j}" for j in range(series.channels)]
-        if series.timestamps is not None:
+        names = names or [f"ch{j}" for j in range(len(values[0]))]
+        if timestamps is not None:
             writer.writerow(["timestamp"] + names)
-            for ts, row in zip(series.timestamps, series.values):
+            for ts, row in zip(timestamps, values):
                 writer.writerow([ts] + [f"{v:.17g}" for v in row])
         else:
             writer.writerow(names)
-            for row in series.values:
+            for row in values:
                 writer.writerow([f"{v:.17g}" for v in row])

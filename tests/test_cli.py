@@ -248,19 +248,57 @@ class TestTrain:
         assert f"error: {timestamps_only}: no value columns" in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_plain_csv_loaded_once(self, tmp_path, run_config, capsys, monkeypatch):
-        csv_path = tmp_path / "plain.csv"
-        t = np.arange(400)
-        values = np.stack([np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 7)], axis=1)
-        write_csv(data.Series(values, names=["a", "b"]), str(csv_path))
+    @pytest.mark.parametrize("reader, channels", [("load_csv", 2), ("read_synth_csv", 1)],
+                             ids=["plain", "instance"])
+    def test_data_file_parsed_once_by_its_reader(self, tmp_path, synth_file, run_config,
+                                                 capsys, monkeypatch, reader, channels):
+        csv_path = synth_file
+        if reader == "load_csv":
+            csv_path = tmp_path / "plain.csv"
+            t = np.arange(400)
+            values = np.stack([np.sin(2 * np.pi * t / 12), np.cos(2 * np.pi * t / 7)], axis=1)
+            write_csv(values, str(csv_path), names=["a", "b"])
         calls = []
-        load_csv = data.load_csv
-        monkeypatch.setattr(data, "load_csv", lambda path: calls.append(path) or load_csv(path))
+        for name in ("load_csv", "read_synth_csv"):
+            parse = getattr(data, name)
+            monkeypatch.setattr(data, name, lambda path, name=name, parse=parse:
+                                calls.append((name, path)) or parse(path))
         rc = cli.main(["train", "--config", str(run_config), "--data", str(csv_path),
                        "--out", str(tmp_path / "m.etsf")])
         assert rc == 0
-        assert calls == [str(csv_path)]
-        assert trainer.load_checkpoint(str(tmp_path / "m.etsf")).config.channels == 2
+        assert calls == [(reader, str(csv_path))]
+        # a config without model.channels takes the file's
+        assert trainer.load_checkpoint(str(tmp_path / "m.etsf")).config.channels == channels
+
+    def test_instance_csv_is_read_before_the_config(self, tmp_path, synth_file, capsys):
+        lines = synth_file.read_text().splitlines(keepends=True)
+        lines[4] = "0,3,oops\n"
+        synth_file.write_text("".join(lines))
+        out = tmp_path / "m.etsf"
+        assert cli.main(["train", "--config", str(tmp_path / "missing.json"), "--data",
+                         str(synth_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {synth_file}: line 5: malformed row ['0', '3', 'oops']" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_config_channels_other_than_the_data_is_data_error(self, tmp_path, synth_file,
+                                                              run_config, capsys):
+        cfg = json.loads(run_config.read_text())
+        cfg["model"]["channels"] = 2
+        run_config.write_text(json.dumps(cfg))
+        out = tmp_path / "m.etsf"
+        assert cli.main(["train", "--config", str(run_config), "--data", str(synth_file),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: data has 1 channels, the model config wants 2" in captured.err
+        assert "training on" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_kernel_wider_than_the_lookback_reaches_is_config_error(self, tmp_path, synth_file,
+                                                                   capsys):
+        config = {"model": {"lookback": 24, "horizon": 6, "kernel_size": 49}}
+        assert ("model config: kernel_size must be at most 2 x lookback - 1 = 47, got 49"
+                in self._train_error(tmp_path, synth_file, capsys, config))
 
     def test_bad_env_seed_rejected(self, tmp_path, synth_file, run_config, capsys,
                                    monkeypatch):
@@ -431,18 +469,34 @@ class TestForecastDecompose:
     def two_channel(self, tmp_path):
         """A plain two-channel CSV and an untrained checkpoint for it."""
         t = np.arange(300.0)
-        series = data.Series(np.stack([np.sin(t / 3), np.cos(t / 5) + 0.01 * t], axis=1),
-                             names=["a", "b"])
+        values = np.stack([np.sin(t / 3), np.cos(t / 5) + 0.01 * t], axis=1)
         csv_path, model_path = tmp_path / "two.csv", tmp_path / "two.etsf"
-        write_csv(series, str(csv_path))
+        write_csv(values, str(csv_path), names=["a", "b"])
         cfg = model.ModelConfig(lookback=24, horizon=6, channels=2, dim=8, ff_dim=16,
                                 layers=2, heads=2, top_k=2)
-        stats = data.compute_stats(series.values[:210])
+        stats = data.compute_stats(values[:210])
         state = model.ModelState.init(cfg, 5)
         trainer.save_checkpoint(trainer.Checkpoint(
             config=cfg, params={k: v.data.astype(np.float32) for k, v in state.params.items()},
             norm_mean=stats.mean, norm_std=stats.std), str(model_path))
         return csv_path, model_path
+
+    @pytest.mark.parametrize("command", ["evaluate", "forecast"])
+    @pytest.mark.parametrize("channels", [1, 3, "instance"])
+    def test_data_of_other_channel_count_is_data_error(self, tmp_path, synth_file, two_channel,
+                                                       capsys, command, channels):
+        # one channel would broadcast over the model's two and make up the second
+        data_path = synth_file
+        if channels != "instance":
+            data_path = tmp_path / "other.csv"
+            write_csv(np.sin(np.arange(300.0)[:, None] / (1 + np.arange(channels))),
+                      str(data_path))
+        assert cli.main([command, "--model", str(two_channel[1]), "--data",
+                         str(data_path)]) == 2
+        captured = capsys.readouterr()
+        have = 1 if channels == "instance" else channels
+        assert captured.out == ""
+        assert f"error: data has {have} channels, the model config wants 2" in captured.err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("channels", [1, 2])
@@ -471,7 +525,7 @@ class TestForecastDecompose:
 class TestBaseline:
     def test_constant_series_has_zero_error(self, tmp_path, capsys):
         p = tmp_path / "const.csv"
-        write_csv(data.Series(np.full((60, 1), 3.0), names=["v"]), str(p))
+        write_csv(np.full((60, 1), 3.0), str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "2"])
         assert rc == 0
         payload = strict_json(capsys.readouterr().out.strip())
@@ -482,7 +536,7 @@ class TestBaseline:
         t = np.arange(80)
         x = 5 + 0.1 * t + 2 * np.sin(2 * np.pi * t / 4)
         p = tmp_path / "s.csv"
-        write_csv(data.Series(x[:, None], names=["v"]), str(p))
+        write_csv(x[:, None], str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", "3"])
         assert rc == 0
         payload = strict_json(capsys.readouterr().out.strip())
@@ -492,7 +546,7 @@ class TestBaseline:
         # random signs at 1e200: every squared error overflows to infinity
         x = 1e200 * np.random.default_rng(0).choice([-1.0, 1.0], size=60)
         p = tmp_path / "big.csv"
-        write_csv(data.Series(x[:, None], names=["v"]), str(p))
+        write_csv(x[:, None], str(p))
         with np.errstate(over="ignore"):
             rc = cli.main(["baseline", "--data", str(p), "--period", "4"])
         assert rc == 3
@@ -537,7 +591,7 @@ class TestBaseline:
     ])
     def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value, named):
         p = tmp_path / "s.csv"
-        write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        write_csv(np.arange(40.0)[:, None], str(p))
         rc = cli.main(["baseline", "--data", str(p), "--period", "4", flag, value])
         assert rc == 1
         assert named in capsys.readouterr().err
@@ -653,7 +707,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("first_line", [True, False])
     def test_non_utf8_series_is_data_error(self, tmp_path, capsys, first_line):
         p = tmp_path / "s.csv"
-        write_csv(data.Series(np.arange(40.0)[:, None], names=["v"]), str(p))
+        write_csv(np.arange(40.0)[:, None], str(p))
         self._insert_non_utf8_byte(p, first_line)
         assert cli.main(["baseline", "--data", str(p), "--period", "4"]) == 2
         captured = capsys.readouterr()

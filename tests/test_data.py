@@ -14,12 +14,8 @@ from etsfore import data
 from etsfore.errors import ConfigError, DataError, DimensionError, ParseError
 
 
-def make_series(T, m=2, seed=0, timestamps=False):
-    rng = np.random.default_rng(seed)
-    ts = None
-    if timestamps:
-        ts = [f"2024-01-{d + 1:02d}T00:00:00" for d in range(T)]
-    return data.Series(rng.normal(size=(T, m)), timestamps=ts, names=[f"ch{j}" for j in range(m)])
+def make_series(T, m=2, seed=0):
+    return data.Series(np.random.default_rng(seed).normal(size=(T, m)))
 
 
 class TestCsv:
@@ -29,14 +25,12 @@ class TestCsv:
         s = data.load_csv(str(p))
         assert s.length == 2 and s.channels == 2
         np.testing.assert_array_equal(s.values, [[1.5, 2], [3, 4.25]])
-        assert s.names == ["a", "b"]
 
     def test_timestamp_column_detected(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,v\n2024-01-01T00:00:00,1.0\n2024-01-02T00:00:00,2.0\n")
         s = data.load_csv(str(p))
-        assert s.channels == 1
-        assert s.timestamps == ["2024-01-01T00:00:00", "2024-01-02T00:00:00"]
+        np.testing.assert_array_equal(s.values, [[1.0], [2.0]])
 
     def test_nan_row_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -64,13 +58,10 @@ class TestCsv:
             data.load_csv(str(p))
 
     def test_write_read_roundtrip(self, tmp_path):
-        s = make_series(10, 3, timestamps=True)
+        s = make_series(10, 3)
         p = tmp_path / "t.csv"
-        write_csv(s, str(p))
-        back = data.load_csv(str(p))
-        np.testing.assert_array_equal(back.values, s.values)
-        assert back.timestamps == s.timestamps
-        assert back.names == s.names
+        write_csv(s.values, str(p), timestamps=[f"2024-01-{d + 1:02d}T00:00:00" for d in range(10)])
+        np.testing.assert_array_equal(data.load_csv(str(p)).values, s.values)
 
     def test_last_line_without_line_break_names_it(self, tmp_path):
         # "3,40000" cut to "3,4" would otherwise load as 4.0
@@ -85,7 +76,7 @@ class TestCsv:
                        ["2024-01-01T00:00:00+05:00", "2024-01-01T00:00:00+00:00",
                         "2024-01-01T02:00:00Z"]):
             p.write_text("time,v\n" + "".join(f"{ts},{i}\n" for i, ts in enumerate(stamps)))
-            assert data.load_csv(str(p)).timestamps == stamps
+            np.testing.assert_array_equal(data.load_csv(str(p)).values, [[0.0], [1.0], [2.0]])
 
     @pytest.mark.parametrize("prev, ts, error", [
         ("2024-01-03", "2024-01-01", "does not come after '2024-01-03'"),
@@ -109,13 +100,14 @@ class TestCsv:
                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
         stamped = draw(st.booleans())
         ts = [f"2024-01-01T{h:02d}:00:00" for h in range(T)] if stamped else None
-        return data.Series(values, timestamps=ts, names=[f"ch{j}" for j in range(m)])
+        return values, ts
 
     @settings(max_examples=60, deadline=None)
     @given(series())
     def test_every_prefix_loads_leading_rows_or_raises(self, tmp_path_factory, s):
+        values, ts = s
         p = tmp_path_factory.getbasetemp() / "prefix.csv"
-        write_csv(s, str(p))
+        write_csv(values, str(p), timestamps=ts)
         full = p.read_bytes()
         for cut in range(len(full) + 1):
             p.write_bytes(full[:cut])
@@ -124,21 +116,7 @@ class TestCsv:
             except DataError:
                 continue
             k = back.length
-            assert back.values.tobytes() == s.values[:k].tobytes(), f"prefix of {cut} bytes"
-            assert back.names == s.names
-            assert back.timestamps == (None if s.timestamps is None else s.timestamps[:k])
-
-
-class TestSeriesMetadata:
-    def test_timestamp_count_must_match_rows(self):
-        with pytest.raises(DataError, match="5 rows but 3 timestamps"):
-            data.Series(np.zeros((5, 2)), timestamps=["a", "b", "c"])
-
-    def test_name_count_must_match_channels(self):
-        with pytest.raises(DataError, match="2 channels but 1 names"):
-            data.Series(np.zeros((5, 2)), names=["a"])
-        with pytest.raises(DataError, match="2 channels but 3 names"):
-            data.Series(np.zeros((5, 2)), names=["a", "b", "c"])
+            assert back.values.tobytes() == values[:k].tobytes(), f"prefix of {cut} bytes"
 
 
 class TestNormalize:
@@ -156,27 +134,34 @@ class TestNormalize:
         np.testing.assert_array_equal(normed[:, 0], np.zeros(10))
 
 
+def part_lengths(spec, n):
+    return [len(range(n)[part]) for part in spec.bounds(n)]
+
+
 class TestSplit:
     def test_60_20_20(self):
-        s = make_series(100)
-        spec = data.SplitSpec(0.6, 0.2, 0.2)
-        a, b, c = data.split_chronological(s, spec)
-        assert (a.length, b.length, c.length) == (60, 20, 20)
+        assert part_lengths(data.SplitSpec(0.6, 0.2, 0.2), 100) == [60, 20, 20]
 
     def test_70_10_20_floor(self):
-        s = make_series(10)
-        a, b, c = data.split_chronological(s, data.SplitSpec(0.7, 0.1, 0.2))
-        assert (a.length, b.length, c.length) == (7, 1, 2)
+        assert part_lengths(data.SplitSpec(0.7, 0.1, 0.2), 10) == [7, 1, 2]
 
     def test_concatenation_is_identity(self):
         s = make_series(57, 2, seed=3)
-        parts = data.split_chronological(s, data.SplitSpec())
-        np.testing.assert_array_equal(np.vstack([p.values for p in parts]), s.values)
+        parts = [s.values[part] for part in data.SplitSpec().bounds(s.length)]
+        np.testing.assert_array_equal(np.vstack(parts), s.values)
 
     def test_too_short_states_requirement(self):
         s = make_series(30)
-        with pytest.raises(DataError, match="24"):
-            data.split_chronological(s, data.SplitSpec(), min_len=24)
+        with pytest.raises(DataError, match="every part needs >= 24 steps"):
+            s.split_windows(20, 4, 2, data.SplitSpec())
+
+    def test_series_windows_stay_inside_their_part(self):
+        s = make_series(100, 2, seed=6)
+        train, val, test, stats = s.split_windows(4, 2, 2, data.SplitSpec(0.6, 0.2, 0.2))
+        # a part of n steps has n - 6 + 1 windows; none straddles two parts
+        assert (len(train), len(val), len(test)) == (55, 15, 15)
+        np.testing.assert_array_equal(val[0].lookback, s.values[60:64])
+        np.testing.assert_array_equal(stats.mean, s.values[:60].mean(axis=0))
 
     def test_fraction_validation(self):
         with pytest.raises(ConfigError, match="split fractions must be positive"):
@@ -234,8 +219,8 @@ class TestSynth:
         ds = data.synth_generate(3, 0.05, seed=9, lookback=20, horizon=5)
         p = tmp_path / "synth.csv"
         data.write_synth_csv(ds, str(p))
-        assert data.is_synth_csv(str(p))
-        back = data.read_synth_csv(str(p))
+        back = data.read_dataset(str(p))
+        assert isinstance(back, data.SynthDataset)
         np.testing.assert_array_equal(back.values, ds.values)
         assert (back.lookback, back.horizon) == (20, 5)
 
@@ -410,7 +395,7 @@ class TestSynth:
                 f"{10**30},{t},{v}", f"{i},{t},{v}\x00"]
         return st.one_of(
             st.sampled_from(near).map(str.encode),
-            st.text(st.characters(exclude_characters="\r\n")).map(str.encode),
+            st.text(st.characters(codec="utf-8", exclude_characters="\r\n")).map(str.encode),
             st.binary().map(lambda b: b.replace(b"\r", b"").replace(b"\n", b"")),
         )
 
@@ -457,6 +442,23 @@ class TestSynth:
         assert len(pairs) == 2
         assert pairs[0].lookback.shape == (12, 1)
         assert pairs[0].target.shape == (3, 1)
+
+    def test_split_windows_by_instance_index(self):
+        ds = data.synth_generate(10, 0.05, seed=2, lookback=12, horizon=3)
+        train, val, test, stats = ds.split_windows(12, 3, 1, data.SplitSpec())
+        assert (len(train), len(val), len(test)) == (7, 1, 2)
+        np.testing.assert_array_equal(val[0].lookback, ds.values[7, :12])
+        np.testing.assert_allclose(stats.mean, ds.values[:7, :12].mean(axis=(0, 1)))
+
+    @pytest.mark.parametrize("horizon, channels, fractions, error, message", [
+        (4, 1, (0.7, 0.1, 0.2), ConfigError, "dataset windows are 12/3, config wants 12/4"),
+        (3, 2, (0.7, 0.1, 0.2), DataError, "data has 1 channels, the model config wants 2"),
+        (3, 1, (0.8, 0.1, 0.1), DataError, "5 instances cannot be split"),
+    ])
+    def test_split_windows_rejects(self, horizon, channels, fractions, error, message):
+        ds = data.synth_generate(5, 0.0, seed=0, lookback=12, horizon=3)
+        with pytest.raises(error, match=message):
+            ds.split_windows(12, horizon, channels, data.SplitSpec(*fractions))
 
 
 class TestAugment:

@@ -58,6 +58,7 @@ class TestConfig:
     # an odd negative size passes the odd check; it must not reach numpy
     @pytest.mark.parametrize("kernel_size, rule", [
         (-1, "be positive"), (-3, "be positive"), (0, "be positive"), (4, "be odd"),
+        (17, "be at most 2 x lookback - 1 = 15"),
     ])
     def test_bad_kernel_size_named(self, kernel_size, rule):
         with pytest.raises(ConfigError, match=f"model config: kernel_size must {rule}, "
@@ -570,7 +571,8 @@ class TestForwardOracle:
             layers=draw.draw(st.integers(1, 3), label="layers"),
             heads=heads,
             top_k=draw.draw(st.sampled_from([0, L // 2, L // 4]), label="top_k"),
-            kernel_size=draw.draw(st.sampled_from([1, 3, 5]), label="kernel_size"),
+            kernel_size=draw.draw(st.sampled_from([k for k in (1, 3, 5) if k < 2 * L]),
+                                  label="kernel_size"),
         )
         seed = draw.draw(st.integers(0, 2**32 - 1), label="seed")
         lead = draw.draw(st.sampled_from([(), (1,), (3,), (2, 2)]), label="batch")

@@ -501,6 +501,16 @@ class TestCheckpoint:
                                             f"the {MAX_PARAMETER_VALUES} allowed$"):
             load_checkpoint(str(p))
 
+    def test_header_kernel_wider_than_the_lookback_reaches_rejected(self, saved_bytes,
+                                                                    tmp_path):
+        p = tmp_path / "kernel.etsf"
+        text = json.dumps({**self._header(saved_bytes)["model"], "kernel_size": 33})
+        p.write_bytes(self._with_header_field(saved_bytes, "model", text))
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: model config: "
+                                            f"kernel_size must be at most 2 x lookback - 1 = "
+                                            f"31, got 33$"):
+            load_checkpoint(str(p))
+
     @pytest.mark.parametrize("edit", [{}, {"layers": 1}, {"layers": 5, "channels": 3},
                                       {"dim": 12, "heads": 3, "ff_dim": 7, "kernel_size": 5},
                                       {"layers": 3, "kernel_size": 1}])
