@@ -124,6 +124,18 @@ def grid_values(resolution: int) -> dict[str, np.ndarray]:
     return {"alpha": smooth, "beta": smooth, "gamma": smooth, "phi": phi}
 
 
+def holdout_steps(T: int, fraction: float, period: int) -> int:
+    """Steps held out at the end of a length-T series: round(fraction * T),
+    at least 1. The part before them, which the filter is fit on, must be
+    longer than the period (DataError)."""
+    n = max(1, int(round(fraction * T)))
+    if T - n <= period:
+        raise DataError(
+            f"series length {T} too short: fit part {T - n} must exceed period {period}"
+        )
+    return n
+
+
 @dataclass
 class HwFitResult:
     params: HwParams
@@ -165,11 +177,7 @@ def hw_fit_grid(
     """
     x = np.asarray(x, dtype=np.float64)
     T = x.size
-    n_val = max(1, int(round(val_fraction * T)))
-    if T - n_val <= period:
-        raise DataError(
-            f"series length {T} too short: fit part {T - n_val} must exceed period {period}"
-        )
+    n_val = holdout_steps(T, val_fraction, period)
     grid = grid_values(resolution)
     n = resolution**4
     block = max(1, _BLOCK_WORDS // (T + 1))

@@ -33,6 +33,12 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# `baseline --grid` tries grid**4 candidates: at most 2**20.
+MAX_GRID = 32
+# `bench-esa` forms the naive (L, L + 1) attention matrix and (L, d) values:
+# each at most 2**26 float64 words (512 MiB) at the largest length L.
+MAX_BENCH_WORDS = 2**26
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -109,17 +115,6 @@ def load_run_config(path: str, channels: int):
     return mcfg, tcfg, split
 
 
-def _normalize_pairs(pairs, stats: data.NormStats):
-    return [
-        data.WindowPair(
-            lookback=data.normalize(p.lookback, stats),
-            target=data.normalize(p.target, stats),
-            origin=p.origin,
-        )
-        for p in pairs
-    ]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -164,8 +159,6 @@ def cmd_train(args) -> int:
     train_pairs, val_pairs, _, stats = ds.split_windows(
         mcfg.lookback, mcfg.horizon, mcfg.channels, split
     )
-    train_pairs = _normalize_pairs(train_pairs, stats)
-    val_pairs = _normalize_pairs(val_pairs, stats)
     _log(
         f"training on {len(train_pairs)} windows, validating on {len(val_pairs)}, "
         f"seed {tcfg.seed}"
@@ -180,27 +173,25 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint_splits(args, ckpt):
-    """Raw (train, val, test, stats) of --data, split as the checkpoint's run was."""
+    """(train, val, test) windows of --data, split as the checkpoint's run was
+    and normalized by its training-time statistics, not the data file's."""
     c = ckpt.config
-    return data.read_dataset(args.data).split_windows(c.lookback, c.horizon, c.channels, ckpt.split)
+    ds = data.read_dataset(args.data)
+    return ds.split_windows(c.lookback, c.horizon, c.channels, ckpt.split, ckpt.stats)[:3]
 
 
 def cmd_evaluate(args) -> int:
     ckpt = trainer.load_checkpoint(args.model)
-    groups = _checkpoint_splits(args, ckpt)
-    pairs = {"train": groups[0], "val": groups[1], "test": groups[2]}[args.split]
-    # the training-time normalization, not the data file's
-    result = trainer.evaluate(ckpt, _normalize_pairs(pairs, ckpt.stats))
-    _emit(result)
+    train, val, test = _checkpoint_splits(args, ckpt)
+    _emit(trainer.evaluate(ckpt, {"train": train, "val": val, "test": test}[args.split]))
     return EXIT_OK
 
 
 def _window_for(args, ckpt) -> data.WindowPair:
-    groups = _checkpoint_splits(args, ckpt)
-    pairs = [p for g in groups[:3] for p in g]
+    pairs = [p for g in _checkpoint_splits(args, ckpt) for p in g]
     if not 0 <= args.at < len(pairs):
         raise DataError(f"window index {args.at} outside [0, {len(pairs) - 1}]")
-    return _normalize_pairs([pairs[args.at]], ckpt.stats)[0]
+    return pairs[args.at]
 
 
 def _emit_table(columns: list[str], rows: np.ndarray, fmt: str) -> None:
@@ -251,14 +242,10 @@ def cmd_decompose(args) -> int:
 def cmd_baseline(args) -> int:
     # also rejects nan and inf
     _require(0.0 < args.test_fraction < 1.0, "--test-fraction", "lie in (0, 1)", args.test_fraction)
-    _require(args.grid >= 1, "--grid", "be >= 1", args.grid)
+    _require(1 <= args.grid <= MAX_GRID, "--grid", f"lie in [1, {MAX_GRID}]", args.grid)
     series = data.load_csv(args.data)
     T = series.length
-    n_test = max(1, int(round(args.test_fraction * T)))
-    if T - n_test <= args.period:
-        raise DataError(
-            f"series length {T} too short for period {args.period} with {n_test} test steps"
-        )
+    n_test = classical.holdout_steps(T, args.test_fraction, args.period)
     per_channel = []
     for c in range(series.channels):
         x = series.values[:, c]
@@ -324,6 +311,11 @@ def cmd_bench_esa(args) -> int:
     _require(ok, "--lengths", "be positive ascending integers", repr(args.lengths))
     _require(args.d >= 1, "--d", "be >= 1", args.d)
     _require(args.repeats >= 1, "--repeats", "be >= 1", args.repeats)
+    L = lengths[-1]
+    _require(L * (L + 1) <= MAX_BENCH_WORDS, "--lengths",
+             f"have a largest length L with L x (L + 1) <= {MAX_BENCH_WORDS}", L)
+    _require(L * args.d <= MAX_BENCH_WORDS, "--d",
+             f"be at most {MAX_BENCH_WORDS // L} for the largest length {L}", args.d)
     for row in bench_esa(lengths, args.d, args.repeats):
         _emit(row)
     return EXIT_OK

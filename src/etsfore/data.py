@@ -1,5 +1,5 @@
 """Dataset handling: the one reader of a `--data` file (plain or instance
-CSV) and each kind's split, train statistics and windows; normalization,
+CSV) and each kind's split into normalized windows; normalization,
 the synthetic saturating-trend + two-tone benchmark generator,
 training-time augmentations, and evaluation metrics.
 """
@@ -10,7 +10,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import NoReturn
 
@@ -40,10 +40,12 @@ class Series:
     def channels(self) -> int:
         return self.values.shape[1]
 
-    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec):
-        """Raw (train, val, test, stats): the series split in time into
-        contiguous parts of at least lookback + horizon steps, each cut into
-        all its windows; stats over the train part's values."""
+    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec,
+                      stats: NormStats | None = None):
+        """Normalized (train, val, test, stats): the series split in time into
+        contiguous parts of at least lookback + horizon steps, each normalized
+        by stats (None: stats over the train part's values) and cut into all
+        its windows."""
         _check_channels(self.channels, channels)
         parts = [self.values[part] for part in split.bounds(self.length)]
         need = lookback + horizon
@@ -51,8 +53,10 @@ class Series:
         if min(lengths) < need:
             raise DataError(f"series of length {self.length} too short for split {lengths}: "
                             f"every part needs >= {need} steps")
-        stats = compute_stats(parts[0])
-        return (*(window_dataset(Series(values), lookback, horizon) for values in parts), stats)
+        if stats is None:
+            stats = compute_stats(parts[0])
+        return (*(window_dataset(Series(normalize(values, stats)), lookback, horizon)
+                  for values in parts), stats)
 
 
 @dataclass
@@ -85,7 +89,7 @@ class WindowPair:
 
     lookback: np.ndarray  # (L, m)
     target: np.ndarray  # (H, m)
-    origin: int  # index of the first target step within the source series
+    origin: int  # first target step's index in the split part or instance windowed
 
 
 def load_csv(path: str) -> Series:
@@ -257,22 +261,25 @@ class SynthDataset:
             WindowPair(lookback=v[:L], target=v[L:], origin=L) for v in self.values
         ]
 
-    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec):
-        """Raw (train, val, test, stats): each instance's one window, split by
-        instance index; stats over the train lookbacks. The dataset's window
-        lengths must be lookback and horizon (ConfigError)."""
+    def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec,
+                      stats: NormStats | None = None):
+        """Normalized (train, val, test, stats): each instance's one window,
+        normalized by stats (None: stats over the train lookbacks) and split
+        by instance index. The dataset's window lengths must be lookback and
+        horizon (ConfigError)."""
         _check_channels(self.channels, channels)
         if (self.lookback, self.horizon) != (lookback, horizon):
             raise ConfigError(
                 f"dataset windows are {self.lookback}/{self.horizon}, "
                 f"config wants {lookback}/{horizon}"
             )
-        pairs = self.window_pairs()
-        groups = tuple(pairs[part] for part in split.bounds(len(pairs)))
-        if min(len(g) for g in groups) < 1:
-            raise DataError(f"{len(pairs)} instances cannot be split {split}")
-        stats = compute_stats(np.stack([p.lookback for p in groups[0]]))
-        return (*groups, stats)
+        bounds = split.bounds(len(self.values))
+        if any(part.stop <= part.start for part in bounds):
+            raise DataError(f"{len(self.values)} instances cannot be split {split}")
+        if stats is None:
+            stats = compute_stats(self.values[bounds[0], :lookback])
+        pairs = replace(self, values=normalize(self.values, stats)).window_pairs()
+        return (*(pairs[part] for part in bounds), stats)
 
 
 def synth_generate(

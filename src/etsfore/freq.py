@@ -16,14 +16,6 @@ from .autodiff import Tensor, make_node
 from .errors import ConfigError, DimensionError
 
 
-def dft_real(x: np.ndarray) -> np.ndarray:
-    """Forward DFT of a real signal, keeping the floor(L/2)+1 unique coefficients."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DimensionError(f"dft_real expects a nonempty 1-d signal, got shape {x.shape}")
-    return np.fft.rfft(x)
-
-
 # Below every float64 key; a NaN amplitude ranks just above a taken bin.
 _TAKEN = np.iinfo(np.int64).min
 _NAN = _TAKEN + 1

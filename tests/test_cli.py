@@ -372,6 +372,16 @@ class TestEvaluate:
         payload = strict_json(capsys.readouterr().out.strip())
         assert payload["mse"] == payload["mse_raw"] >= 0
 
+    @pytest.mark.parametrize("command", ["evaluate", "forecast", "decompose"])
+    def test_checkpoint_commands_compute_no_stats(self, synth_file, trained_model, capsys,
+                                                   monkeypatch, command):
+        # the checkpoint's statistics normalize the windows; the file's are never taken
+        calls = []
+        monkeypatch.setattr(data, "compute_stats", lambda values: calls.append(1))
+        assert cli.main([command, "--model", str(trained_model), "--data",
+                         str(synth_file)]) == 0
+        assert calls == []
+
     def test_deterministic(self, synth_file, trained_model, capsys):
         outs = []
         for _ in range(2):
@@ -596,6 +606,21 @@ class TestBaseline:
         assert rc == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, code", [
+        ("32", 2), ("33", 1), ("100", 1), ("1000000000000", 1),
+    ])
+    def test_grid_over_the_cap_is_usage_error_before_the_data_is_read(self, tmp_path, capsys,
+                                                                      grid, code):
+        # --grid 100 is 10**8 candidates, and 10**12 would allocate 7 TiB in
+        # grid_values; the data file is missing, which only a grid within the
+        # cap gets far enough to find (exit 2)
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["baseline", "--data", str(missing), "--period", "4",
+                         "--grid", grid]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: --grid must lie in [1, 32], got {grid}" in captured.err) == (code == 1)
+
 
 class TestBench:
     def test_schema(self, capsys):
@@ -621,6 +646,23 @@ class TestBench:
         assert cli.main(["bench-esa"] + [f"{k}={v}" for k, v in argv.items()]) == 1
         captured = capsys.readouterr()
         assert f"error: {flag} must" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        # a 71 PiB attention matrix, then one that is one row past the cap
+        (["--lengths", "100000000"], "--lengths"), (["--lengths", "64,8192"], "--lengths"),
+        # 5.8 TiB of values at the default lengths, then 2**26 + 1 words
+        (["--d", "100000000000"], "--d"), (["--lengths", "4096", "--d", "16385"], "--d"),
+    ])
+    def test_size_over_the_cap_is_usage_error(self, capsys, monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "bench_esa", lambda *a: pytest.fail("timed past the cap"))
+        assert cli.main(["bench-esa", "--repeats", "1"] + argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: {flag} must" in captured.err and captured.out == ""
+
+    def test_criterion_sizes_are_within_the_cap(self, capsys):
+        # acceptance criterion 6 times L = 4096 at d = 8
+        assert cli.main(["bench-esa", "--lengths", "4096", "--d", "8", "--repeats", "1"]) == 0
+        assert [strict_json(s)["L"] for s in capsys.readouterr().out.splitlines()] == [4096]
 
 
 class TestExitCodes:

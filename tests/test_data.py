@@ -134,6 +134,41 @@ class TestNormalize:
         np.testing.assert_array_equal(normed[:, 0], np.zeros(10))
 
 
+@pytest.mark.parametrize("kind", ["plain", "instance"])
+class TestSplitStats:
+    """Each kind's split_windows computes train statistics only when none are given."""
+
+    @staticmethod
+    def dataset(kind):
+        if kind == "plain":
+            return make_series(100, 1, seed=7)
+        return data.synth_generate(10, 0.05, seed=2, lookback=4, horizon=2)
+
+    @pytest.fixture()
+    def stats_calls(self, monkeypatch):
+        calls = []
+        compute = data.compute_stats
+        monkeypatch.setattr(data, "compute_stats", lambda v: calls.append(1) or compute(v))
+        return calls
+
+    def test_none_computes_once(self, kind, stats_calls):
+        self.dataset(kind).split_windows(4, 2, 1, data.SplitSpec())
+        assert len(stats_calls) == 1
+
+    def test_given_stats_are_applied_not_computed(self, kind, stats_calls):
+        stats = data.NormStats(mean=np.array([0.5]), std=np.array([2.0]))
+        ds = self.dataset(kind)
+        raw = ds.split_windows(4, 2, 1, data.SplitSpec(), data.NormStats(np.zeros(1), np.ones(1)))
+        stats_calls.clear()
+        got = ds.split_windows(4, 2, 1, data.SplitSpec(), stats)
+        assert stats_calls == []
+        assert got[3] is stats
+        for raw_pairs, pairs in zip(raw[:3], got[:3]):
+            for r, p in zip(raw_pairs, pairs, strict=True):
+                np.testing.assert_array_equal(p.lookback, (r.lookback - 0.5) / 2.0)
+                np.testing.assert_array_equal(p.target, (r.target - 0.5) / 2.0)
+
+
 def part_lengths(spec, n):
     return [len(range(n)[part]) for part in spec.bounds(n)]
 
@@ -160,8 +195,19 @@ class TestSplit:
         train, val, test, stats = s.split_windows(4, 2, 2, data.SplitSpec(0.6, 0.2, 0.2))
         # a part of n steps has n - 6 + 1 windows; none straddles two parts
         assert (len(train), len(val), len(test)) == (55, 15, 15)
-        np.testing.assert_array_equal(val[0].lookback, s.values[60:64])
         np.testing.assert_array_equal(stats.mean, s.values[:60].mean(axis=0))
+        for pairs, start in ((train, 0), (val, 60), (test, 80)):
+            for i, p in enumerate(pairs):
+                raw = s.values[start + i : start + i + 6]
+                np.testing.assert_array_equal(p.lookback, data.normalize(raw[:4], stats))
+                np.testing.assert_array_equal(p.target, data.normalize(raw[4:], stats))
+
+    def test_normalizes_each_part_once(self, monkeypatch):
+        calls = []
+        normalize = data.normalize
+        monkeypatch.setattr(data, "normalize", lambda *a: calls.append(1) or normalize(*a))
+        make_series(100, 2, seed=6).split_windows(4, 2, 2, data.SplitSpec(0.6, 0.2, 0.2))
+        assert len(calls) == 3
 
     def test_fraction_validation(self):
         with pytest.raises(ConfigError, match="split fractions must be positive"):
@@ -447,8 +493,10 @@ class TestSynth:
         ds = data.synth_generate(10, 0.05, seed=2, lookback=12, horizon=3)
         train, val, test, stats = ds.split_windows(12, 3, 1, data.SplitSpec())
         assert (len(train), len(val), len(test)) == (7, 1, 2)
-        np.testing.assert_array_equal(val[0].lookback, ds.values[7, :12])
         np.testing.assert_allclose(stats.mean, ds.values[:7, :12].mean(axis=(0, 1)))
+        for i, p in enumerate(train + val + test):
+            np.testing.assert_array_equal(p.lookback, data.normalize(ds.values[i, :12], stats))
+            np.testing.assert_array_equal(p.target, data.normalize(ds.values[i, 12:], stats))
 
     @pytest.mark.parametrize("horizon, channels, fractions, error, message", [
         (4, 1, (0.7, 0.1, 0.2), ConfigError, "dataset windows are 12/3, config wants 12/4"),

@@ -1,5 +1,6 @@
-"""The runtime dependencies stay numpy + scipy: each module of the package
-imports only itself, the standard library, numpy and scipy."""
+"""Module boundaries, read from the source: the runtime dependencies stay
+numpy + scipy (each module of the package imports only itself, the standard
+library, numpy and scipy), and normalization stays in data.py."""
 
 import ast
 import sys
@@ -34,3 +35,27 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
 def test_a_third_party_import_is_caught():
     tree = ast.parse("import numpy.linalg\nfrom . import data\nfrom pandas import Series\n")
     assert list(imported_roots(tree)) == [(1, "numpy"), (3, "pandas")]
+
+
+def named(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_cli_leaves_normalization_to_data():
+    # split_windows alone picks and applies the statistics
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert named(tree) & {"normalize", "compute_stats"} == set()
+
+
+def test_a_normalization_call_is_caught():
+    tree = ast.parse("from .data import compute_stats\ndata.normalize(x, s)\n")
+    assert {"normalize", "compute_stats"} <= named(tree)

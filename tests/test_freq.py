@@ -47,21 +47,19 @@ def pin_selection(monkeypatch, x, k=2):
 
 
 class TestDftReal:
+    """The real DFT that frequency attention takes, np.fft.rfft, against the direct sum."""
+
     def test_constant_signal(self):
-        np.testing.assert_allclose(freq.dft_real([1, 1, 1, 1]), [4, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(np.fft.rfft([1, 1, 1, 1]), [4, 0, 0], atol=1e-12)
 
     def test_single_tone(self):
-        np.testing.assert_allclose(freq.dft_real([1, 0, -1, 0]), [0, 2, 0], atol=1e-12)
+        np.testing.assert_allclose(np.fft.rfft([1, 0, -1, 0]), [0, 2, 0], atol=1e-12)
 
     def test_matches_direct_sum(self):
         rng = np.random.default_rng(0)
         for L in (1, 2, 5, 16, 33, 64):
             x = rng.normal(size=L)
-            np.testing.assert_allclose(freq.dft_real(x), dft_direct(x), atol=1e-10)
-
-    def test_rejects_empty(self):
-        with pytest.raises(DimensionError):
-            freq.dft_real(np.zeros((2, 2)))
+            np.testing.assert_allclose(np.fft.rfft(x), dft_direct(x), atol=1e-10)
 
 
 def topk_stable_sort(amplitudes, k):
@@ -128,7 +126,7 @@ class TestTopkSelect:
 
     def test_spectrum_selection_fields(self):
         x = np.cos(2 * np.pi * np.arange(16) / 8)
-        c = freq.dft_real(x)
+        c = np.fft.rfft(x)
         bins = freq.topk_select(np.abs(c), 1)
         phases = np.angle(c[bins])
         assert list(bins) == [2]
