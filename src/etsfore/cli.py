@@ -137,8 +137,8 @@ def cmd_synth(args) -> int:
             "instances": len(flat),
             "lookback": ds.lookback,
             "horizon": ds.horizon,
-            "noise": ds.noise_std,
-            "seed": ds.seed,
+            "noise": args.noise,
+            "seed": args.seed,
             "mean": float(flat.mean()),
             "std": float(flat.std()),
             "min": float(flat.min()),

@@ -55,7 +55,7 @@ class Series:
                             f"every part needs >= {need} steps")
         if stats is None:
             stats = compute_stats(parts[0])
-        return (*(window_dataset(Series(normalize(values, stats)), lookback, horizon)
+        return (*(window_dataset(Series(_normalize_dataset(values, stats)), lookback, horizon)
                   for values in parts), stats)
 
 
@@ -184,15 +184,37 @@ class NormStats:
 
 
 def compute_stats(train_values: np.ndarray) -> NormStats:
+    """Per-channel mean and std; DataError naming the first channel where
+    either overflows float64."""
     values = np.asarray(train_values, dtype=np.float64).reshape(-1, np.shape(train_values)[-1])
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=0)
+        std = values.std(axis=0)
+    if not (finite := np.isfinite(mean) & np.isfinite(std)).all():
+        raise DataError(f"channel {int(finite.argmin())}: mean or std overflows float64")
     std = np.where(std > 0.0, std, 1.0)
     return NormStats(mean=mean, std=std)
 
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.asarray(values, dtype=np.float64) - stats.mean) / stats.std
+
+
+def _normalize_dataset(values: np.ndarray, stats: NormStats) -> np.ndarray:
+    """normalize for a split's values, or DataError naming the first channel
+    where it overflows float64, as a std far below the values' spread can.
+
+    The check runs once per split part, not in normalize, which callers
+    also apply to one small window at a time.
+    """
+    with np.errstate(over="ignore"):
+        out = normalize(values, stats)
+    finite = np.isfinite(out).reshape(-1, out.shape[-1]).all(axis=0)
+    if not finite.all():
+        c = int(finite.argmin())
+        raise DataError(f"channel {c}: normalizing by mean {float(stats.mean[c])!r}, "
+                        f"std {float(stats.std[c])!r} overflows float64")
+    return out
 
 
 def window_dataset(series: Series, lookback: int, horizon: int) -> list[WindowPair]:
@@ -248,8 +270,6 @@ class SynthDataset:
     values: np.ndarray
     lookback: int
     horizon: int
-    noise_std: float
-    seed: int
 
     @property
     def channels(self) -> int:
@@ -278,7 +298,7 @@ class SynthDataset:
             raise DataError(f"{len(self.values)} instances cannot be split {split}")
         if stats is None:
             stats = compute_stats(self.values[bounds[0], :lookback])
-        pairs = replace(self, values=normalize(self.values, stats)).window_pairs()
+        pairs = replace(self, values=_normalize_dataset(self.values, stats)).window_pairs()
         return (*(pairs[part] for part in bounds), stats)
 
 
@@ -300,13 +320,7 @@ def synth_generate(
         rows[i] = trend + synth_seasonal(t + i)
     if noise_std > 0:
         rows += rng.normal(0.0, noise_std, size=rows.shape)
-    return SynthDataset(
-        values=rows[..., None],
-        lookback=lookback,
-        horizon=horizon,
-        noise_std=noise_std,
-        seed=seed,
-    )
+    return SynthDataset(values=rows[..., None], lookback=lookback, horizon=horizon)
 
 
 SYNTH_MAGIC = "# etsfore-synth"
@@ -316,25 +330,21 @@ MAX_INSTANCE_CELLS = 2**24
 
 
 def write_synth_csv(ds: SynthDataset, path: str) -> None:
-    """Instance CSV with a metadata comment row, then (instance, t, value) rows."""
+    """Instance CSV: a metadata comment row, then one row `i,v_1,...,v_T` per instance."""
     with open(path, "w", newline="") as fh:
-        fh.write(
-            f"{SYNTH_MAGIC} lookback={ds.lookback} horizon={ds.horizon} "
-            f"noise={ds.noise_std!r} seed={ds.seed} instances={len(ds.values)}\n"
-        )
+        fh.write(f"{SYNTH_MAGIC} lookback={ds.lookback} horizon={ds.horizon} "
+                 f"instances={len(ds.values)}\n")
         writer = csv.writer(fh)
-        writer.writerow(["instance", "t", "value"])
         for i, row in enumerate(ds.values[:, :, 0]):
-            for t, v in enumerate(row, start=1):
-                writer.writerow([i, t, f"{v:.17g}"])
+            writer.writerow([i, *(f"{v:.17g}" for v in row)])
 
 
-def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
-    """(lookback, horizon, instances, noise, seed) from the metadata row.
+_SYNTH_KEYS = ("lookback", "horizon", "instances")
 
-    Integer values are plain digits, `[0-9]+`; noise is a finite float >= 0,
-    the value `synth --noise` accepts. A key may appear once.
-    """
+
+def _synth_meta(path: str, tokens: str) -> tuple[int, int, int]:
+    """(lookback, horizon, instances) from the metadata row: each key exactly
+    once, no other key, and each value plain digits, `[0-9]+`, at least 1."""
     meta = {}
     for token in tokens.split():
         key, eq, value = token.partition("=")
@@ -343,134 +353,106 @@ def _synth_meta(path: str, tokens: str) -> tuple[int, int, int, float, int]:
         if key in meta:
             raise ParseError(f"{path}: line 1: repeated metadata key {key!r}")
         meta[key] = value
-    for key in ("lookback", "horizon", "instances", "noise", "seed"):
+    if unknown := [key for key in meta if key not in _SYNTH_KEYS]:
+        raise ParseError(f"{path}: line 1: unknown metadata keys {unknown}; "
+                         f"the keys are {list(_SYNTH_KEYS)}")
+    for key in _SYNTH_KEYS:
         if key not in meta:
             raise ParseError(f"{path}: line 1: missing metadata key {key!r}")
-    integers = ("lookback", "horizon", "instances", "seed")
-    for key in integers:
         if not re.fullmatch("[0-9]+", meta[key]):
             raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}")
-    L, H, n, seed = (int(meta[key]) for key in integers)
-    for key, size in (("lookback", L), ("horizon", H), ("instances", n)):
-        if size < 1:
-            raise ParseError(f"{path}: line 1: metadata {key}={size} must be positive")
-    try:
-        noise = _ascii_float(meta["noise"])
-    except ValueError:
-        raise ParseError(f"{path}: line 1: bad metadata value noise={meta['noise']!r}") from None
-    if not 0.0 <= noise < math.inf:
-        raise ParseError(f"{path}: line 1: metadata noise={meta['noise']} must be finite and >= 0")
+        if int(meta[key]) < 1:
+            raise ParseError(f"{path}: line 1: metadata {key}={int(meta[key])} must be positive")
+    L, H, n = (int(meta[key]) for key in _SYNTH_KEYS)
     if (cells := n * (L + H)) > MAX_INSTANCE_CELLS:
         raise ParseError(
             f"{path}: line 1: metadata instances={n} x (lookback={L} + horizon={H}) "
             f"is {cells} cells, more than the {MAX_INSTANCE_CELLS} allowed"
         )
-    return L, H, n, noise, seed
-
-
-# One instance-CSV row: integer instance, integer t, float value.
-_SYNTH_ROW = np.dtype([("instance", np.int64), ("t", np.int64), ("value", np.float64)])
+    return L, H, n
 
 
 def read_synth_csv(path: str) -> SynthDataset:
-    """Inverse of write_synth_csv, in the row order it writes.
+    """Inverse of write_synth_csv: an ASCII text file.
 
-    A row is exactly `instance,t,value`: two integer literals and a float,
-    unquoted, ending in LF or CRLF. Row r of the body (line 3 + r) must be
-    the cell (instance r // T, t r % T + 1), T = lookback + horizon, so the
-    values are the value column in row order. A line that is not such a
-    row or holds a non-finite value raises ParseError naming its line; so
-    does the first row out of place (naming the cell expected there and
-    the cell found) and a row past the last cell. A file that stops short
-    raises ParseError naming the first missing cell. So do bytes that are
-    not UTF-8, a missing or bad metadata key, a non-positive lookback,
-    horizon or instance count, more than MAX_INSTANCE_CELLS cells, a missing
-    header and a last row without its line break, which a truncated file
-    cannot be told apart from.
+    After the metadata row, line 2 + i is exactly `i,v_1,...,v_T`, T =
+    lookback + horizon: the integer instance index and the instance's T
+    float values, unquoted, ending in LF or CRLF. A line that is not such
+    a row, holds a non-ASCII character or a non-finite value raises
+    ParseError naming its line; so do the first row whose index is not its
+    instance's (a swapped, repeated or out-of-range instance) and a row
+    past the last instance. A file that stops short raises ParseError
+    naming the first missing instance. So do bytes that are not UTF-8, a
+    missing, repeated, unknown or bad metadata key, more than
+    MAX_INSTANCE_CELLS cells and a last row without its line break, which
+    a truncated file cannot be told apart from.
     """
     with open(path, "rb") as fh:
-        meta_line = _decode(path, 1, fh.readline()).strip()
+        meta_line = _decode(path, 1, fh.readline())
         if not meta_line.startswith(SYNTH_MAGIC):
             raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
-        L, H, n, noise, seed = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
-        header = _decode(path, 2, fh.readline())
-        if _fields(header) != ["instance", "t", "value"]:
-            raise ParseError(f"{path}: unexpected header {_fields(header)}")
+        L, H, n = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
+        if not meta_line.isascii():  # str.split() also splits at non-ASCII spaces
+            raise ParseError(f"{path}: line 1: non-ASCII text")
         body = fh.read()
     lines = body.count(b"\n")
-    if not (body.endswith(b"\n") if body else header.endswith("\n")):
+    if not (body.endswith(b"\n") if body else meta_line.endswith("\n")):
         # a cut inside the last value can still leave a number that parses
-        last = 3 + lines if body else 2
+        last = 2 + lines if body else 1
         raise ParseError(f"{path}: line {last}: no line break at the end (truncated?)")
-    T = L + H
-    # One pass parses every row; row r is line 3 + r unless loadtxt skipped
+    row = np.dtype([("instance", np.int64), ("values", np.float64, (L + H,))])
+    # One pass parses every row; row r is line 2 + r unless loadtxt skipped
     # a blank line, which it does silently (and warns when no row is left).
     try:
-        rows = (np.loadtxt(io.BytesIO(body), dtype=_SYNTH_ROW, delimiter=",", comments=None,
+        rows = (np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None,
                            ndmin=1, encoding="utf-8")
-                if body and not body.isspace() else np.empty(0, _SYNTH_ROW))
+                if body and not body.isspace() else np.empty(0, row))
     except ValueError:  # UnicodeDecodeError too
         rows = None
-    if rows is None or rows.size != lines:
-        _reject_first_bad_line(path, body)
-    bad = ~np.isfinite(rows["value"])
+    # loadtxt strips non-ASCII whitespace around a number, load_csv does not
+    if rows is None or rows.size != lines or not body.isascii():
+        _reject_first_bad_line(path, body, row)
+    bad = ~np.isfinite(rows["values"]).all(axis=1)
     if bad.any():
-        raise ParseError(f"{path}: line {3 + int(bad.argmax())}: non-finite value")
-    _reject_first_row_out_of_place(path, rows, n, T)
-    return SynthDataset(
-        # an owned C-contiguous copy, so the parsed rows can be freed
-        values=rows["value"].reshape(n, T, 1).copy(),
-        lookback=L,
-        horizon=H,
-        noise_std=noise,
-        seed=seed,
-    )
+        raise ParseError(f"{path}: line {2 + int(bad.argmax())}: non-finite value")
+    # at most n indices are compared, whatever the row count
+    found = rows["instance"][:n]
+    bad = found != np.arange(found.size)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ParseError(f"{path}: line {2 + i}: expected instance {i}, found instance {found[i]}")
+    if rows.size > n:
+        raise ParseError(f"{path}: line {2 + n}: row past the last instance, instance {n - 1}")
+    if rows.size < n:
+        raise ParseError(
+            f"{path}: no row for instance {rows.size} ({rows.size} rows for {n} instances)"
+        )
+    # an owned C-contiguous copy, so the parsed rows can be freed
+    return SynthDataset(values=rows["values"].reshape(n, L + H, 1).copy(), lookback=L, horizon=H)
 
 
-def _reject_first_bad_line(path: str, body: bytes) -> NoReturn:
-    """Raise ParseError for the first line of a rejected body that is not a row.
+def _reject_first_bad_line(path: str, body: bytes, row: np.dtype) -> NoReturn:
+    """Raise ParseError for the first line of a rejected body that is not an
+    ASCII row of the dtype's 1 + T fields.
 
     Each line is parsed alone, by the same loadtxt call, so an index too
     large for int64 is a malformed row.
     """
-    for line_no, raw in enumerate(io.BytesIO(body), start=3):
+    fields = 1 + row["values"].shape[0]
+    for line_no, raw in enumerate(io.BytesIO(body), start=2):
         line = _decode(path, line_no, raw)
-        fields = _fields(line)
-        if len(fields) == 3:
+        if not line.isascii():
+            raise ParseError(f"{path}: line {line_no}: non-ASCII text")
+        # a blank line, which loadtxt would skip, has one field
+        if line.count(",") + 1 == fields:
             try:
-                np.loadtxt([line], dtype=_SYNTH_ROW, delimiter=",", comments=None)
+                np.loadtxt([line], dtype=row, delimiter=",", comments=None)
                 continue
             except ValueError:
                 pass
-        raise ParseError(f"{path}: line {line_no}: malformed row {fields!r}")
+        raise ParseError(f"{path}: line {line_no}: malformed row: expected {fields} fields, "
+                         f"an integer index and {fields - 1} float values")
     raise ParseError(f"{path}: rows do not parse")  # no line alone fails to parse
-
-
-def _reject_first_row_out_of_place(path: str, rows: np.ndarray, n: int, T: int) -> None:
-    """Raise ParseError unless row r is the cell (r // T, r % T + 1), r < n * T."""
-    # at most n * T rows are compared, whatever instance count the metadata gives
-    inst, step = np.divmod(np.arange(min(rows.size, n * T)), T)
-    step += 1
-    found = rows[: inst.size]
-    bad = (found["instance"] != inst) | (found["t"] != step)
-    if bad.any():
-        r = int(bad.argmax())
-        raise ParseError(
-            f"{path}: line {3 + r}: expected instance {inst[r]}, t {step[r]}, "
-            f"found instance {found['instance'][r]}, t {found['t'][r]}"
-        )
-    if rows.size > n * T:
-        raise ParseError(f"{path}: line {3 + n * T}: row past the last cell, instance {n - 1}, t {T}")
-    if rows.size < n * T:
-        raise ParseError(
-            f"{path}: no row for instance {rows.size // T}, t {rows.size % T + 1} "
-            f"({rows.size} rows for {n} instances x {T} steps)"
-        )
-
-
-def _fields(line: str) -> list[str]:
-    """A row's comma-separated fields, without its LF or CRLF line end."""
-    return line.removesuffix("\n").removesuffix("\r").split(",")
 
 
 def _decode(path: str, line_no: int, raw: bytes) -> str:

@@ -85,11 +85,12 @@ class TestSynth:
         assert "lookback=192" in meta and "horizon=48" in meta
 
     def test_default_noise_level(self, tmp_path, capsys):
-        p = tmp_path / "s.csv"
+        p, explicit = tmp_path / "s.csv", tmp_path / "explicit.csv"
         assert cli.main(["synth", "--out", str(p), "--n", "2"]) == 0
-        assert "noise=0.05" in p.read_text().splitlines()[0]
         summary = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert summary["noise"] == 0.05
+        assert cli.main(["synth", "--out", str(explicit), "--n", "2", "--noise", "0.05"]) == 0
+        assert p.read_bytes() == explicit.read_bytes()
 
     def test_summary_is_json(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
@@ -272,13 +273,50 @@ class TestTrain:
 
     def test_instance_csv_is_read_before_the_config(self, tmp_path, synth_file, capsys):
         lines = synth_file.read_text().splitlines(keepends=True)
-        lines[4] = "0,3,oops\n"
+        lines[4] = "3,oops\n"
         synth_file.write_text("".join(lines))
         out = tmp_path / "m.etsf"
         assert cli.main(["train", "--config", str(tmp_path / "missing.json"), "--data",
                          str(synth_file), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert f"error: {synth_file}: line 5: malformed row ['0', '3', 'oops']" in captured.err
+        assert (f"error: {synth_file}: line 5: malformed row: expected 31 fields, "
+                "an integer index and 30 float values\n") == captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("val_value, error", [
+        # the train part alternates 0 and 1e-150, std 5e-151, so 1e160 / std > 1.8e308
+        (1e160, "channel 1: normalizing by mean 5.000000000000006e-151, "
+                "std 5.000000000000005e-151 overflows float64"),
+        (0.0, None),
+    ], ids=["overflow", "control"])
+    def test_normalization_overflow_is_data_error(self, tmp_path, run_config, capsys,
+                                                  val_value, error):
+        values = np.zeros((300, 2))
+        values[1:210:2, 1] = 1e-150
+        values[250, 1] = val_value
+        p, out = tmp_path / "s.csv", tmp_path / "m.etsf"
+        write_csv(values, str(p))
+        rc = cli.main(["train", "--config", str(run_config), "--data", str(p), "--out", str(out)])
+        captured = capsys.readouterr()
+        if error is None:
+            assert rc == 0
+        else:
+            assert (rc, captured.out, captured.err) == (2, "", f"error: {error}\n")
+            assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_train_stats_overflow_is_data_error(self, tmp_path, run_config, capsys):
+        # a std of inf would normalize every value to 0 and store a checkpoint
+        # that load_checkpoint refuses
+        values = np.zeros((300, 1))
+        values[:210, 0] = np.tile([1e200, -1e200], 105)
+        p, out = tmp_path / "s.csv", tmp_path / "m.etsf"
+        write_csv(values, str(p))
+        assert cli.main(["train", "--config", str(run_config), "--data", str(p),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: channel 0: mean or std overflows float64\n"
         assert captured.out == "" and not out.exists()
 
     def test_config_channels_other_than_the_data_is_data_error(self, tmp_path, synth_file,
@@ -381,6 +419,20 @@ class TestEvaluate:
         assert cli.main([command, "--model", str(trained_model), "--data",
                          str(synth_file)]) == 0
         assert calls == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_checkpoint_std_is_data_error(self, tmp_path, synth_file, trained_model,
+                                               capsys):
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        ckpt.norm_std = np.array([5e-324])  # positive and finite, as the header requires
+        tiny = tmp_path / "tiny.etsf"
+        trainer.save_checkpoint(ckpt, str(tiny))
+        assert cli.main(["evaluate", "--model", str(tiny), "--data", str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        mean = float(ckpt.norm_mean[0])
+        assert captured.out == ""
+        assert captured.err == (f"error: channel 0: normalizing by mean {mean!r}, std 5e-324 "
+                                "overflows float64\n")
 
     def test_deterministic(self, synth_file, trained_model, capsys):
         outs = []
@@ -762,7 +814,7 @@ class TestExitCodes:
         assert cli.main(["forecast", "--model", str(trained_model), "--data",
                          str(synth_file)]) == 2
         captured = capsys.readouterr()
-        line = 1 if first_line else 2 + 40 * 30  # metadata, header, 40 instances x 30 steps
+        line = 1 if first_line else 41  # the metadata row, then 40 instances
         assert captured.out == ""
         assert f"error: {synth_file}: line {line}: not UTF-8 text" in captured.err
 

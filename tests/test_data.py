@@ -51,6 +51,20 @@ class TestCsv:
         p.write_text("a,b,c\n+5,1e3, 1.5 \n")
         np.testing.assert_array_equal(data.load_csv(str(p)).values, [[5.0, 1000.0, 1.5]])
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000", "\u0085"])
+    @pytest.mark.parametrize("kind", ["plain", "instance"])
+    def test_non_ascii_around_a_value_is_rejected_by_both_readers(self, tmp_path, kind, space):
+        # loadtxt, unlike float(), would read the padded cell as 1.5
+        p = tmp_path / "t.csv"
+        head, error = {
+            "plain": ("a,b\n1,2\n", "non-numeric value"),
+            "instance": (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=2\n0,1,2\n",
+                         "non-ASCII text"),
+        }[kind]
+        p.write_text(f"{head}1,{space}1.5{space}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: {error}"):
+            data.read_dataset(str(p))
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("")
@@ -270,102 +284,109 @@ class TestSynth:
         np.testing.assert_array_equal(back.values, ds.values)
         assert (back.lookback, back.horizon) == (20, 5)
 
+    def test_csv_layout_is_one_row_per_instance(self, tmp_path):
+        values = np.array([[0.5, -0.0, 1e-300], [2.0, 1 / 3, -7.0]])[..., None]
+        p = tmp_path / "s.csv"
+        data.write_synth_csv(data.SynthDataset(values, lookback=2, horizon=1), str(p))
+        assert p.read_bytes() == (b"# etsfore-synth lookback=2 horizon=1 instances=2\n"
+                                  b"0,0.5,-0,1e-300\r\n"
+                                  b"1,2,0.33333333333333331,-7\r\n")
+
     @staticmethod
     def write_rows(path, rows, n=2, lookback=3, horizon=1):
-        lines = [
-            f"{data.SYNTH_MAGIC} lookback={lookback} horizon={horizon} noise=0.0 seed=0 instances={n}",
-            "instance,t,value",
-        ] + [",".join(map(str, r)) for r in rows]
+        lines = [f"{data.SYNTH_MAGIC} lookback={lookback} horizon={horizon} instances={n}"]
+        lines += [",".join(map(str, r)) for r in rows]
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
     @staticmethod
     def full_rows(n=2, T=4):
-        return [(i, t, 10 * i + t) for i in range(n) for t in range(1, T + 1)]
+        return [(i, *(10 * i + t for t in range(1, T + 1))) for i in range(n)]
 
-    def test_reversed_rows_name_line_3(self, tmp_path):
+    def test_reversed_rows_name_line_2(self, tmp_path):
         rows = self.full_rows()[::-1]
-        with pytest.raises(ParseError, match="line 3: expected instance 0, t 1, "
-                                             "found instance 1, t 4$"):
+        with pytest.raises(ParseError, match="line 2: expected instance 0, found instance 1$"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
-    @pytest.mark.parametrize("bad", [(2, 1, 0.5), (-1, 1, 0.5), (10**400, 1, 0.5)])
+    @pytest.mark.parametrize("bad", [(2, 1, 2, 3, 4), (-1, 1, 2, 3, 4), (10**400, 1, 2, 3, 4)])
     def test_instance_out_of_range_names_line(self, tmp_path, bad):
         rows = self.full_rows()
-        rows[3] = bad
-        # an index too large for int64 cannot be the expected cell
-        match = ("line 6: malformed row" if bad[0] > 2**63 else
-                 f"line 6: expected instance 0, t 4, found instance {bad[0]}, t 1$")
+        rows[1] = bad
+        # an index too large for int64 cannot be the expected instance
+        match = ("line 3: malformed row" if bad[0] > 2**63 else
+                 f"line 3: expected instance 1, found instance {bad[0]}$")
         with pytest.raises(ParseError, match=match):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     @pytest.mark.parametrize("t", [0, 5])
     def test_t_out_of_range_names_line(self, tmp_path, t):
-        # t=0 used to land in the last column through index -1
+        # a value's step t is its place in the row, so steps past 1..T are a
+        # row of the wrong length: the index and t values, T = 4
         rows = self.full_rows()
-        rows[4] = (1, t, 0.5)
-        with pytest.raises(ParseError, match=f"line 7: expected instance 1, t 1, "
-                                             f"found instance 1, t {t}$"):
+        rows[1] = (1, *range(1, t + 1))
+        with pytest.raises(ParseError, match="line 3: malformed row: expected 5 fields, "
+                                             "an integer index and 4 float values$"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     def test_row_past_the_last_cell_names_line(self, tmp_path):
-        rows = self.full_rows() + [(2, 1, 0.5)]
-        with pytest.raises(ParseError, match="line 11: row past the last cell, instance 1, t 4$"):
+        rows = self.full_rows() + [(2, 1, 2, 3, 4)]
+        with pytest.raises(ParseError, match="line 4: row past the last instance, instance 1$"):
             data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
 
     @pytest.mark.parametrize("row", [
-        "0,4,9,4",  # would load 9.0 if the 4th field were dropped
+        "0,4,9,4",  # would load 4.0, 9.0 if the 4th field were dropped
         "0,4",
         "",
-        "0,4.0,4",  # an index that is not an integer literal
+        "0.0,4,4",  # an index that is not an integer literal
         '0,"4",4',  # quoting, which write_synth_csv never does
+        "0,4,4x",
     ])
     def test_malformed_row_names_line(self, tmp_path, row):
-        rows = self.full_rows()
-        rows[3] = (row,)
-        with pytest.raises(ParseError, match="line 6: malformed row"):
-            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+        # rows of instance index and T = 2 values, 3 fields
+        rows = self.full_rows(T=2)
+        rows[0] = (row,)
+        with pytest.raises(ParseError, match="line 2: malformed row: expected 3 fields, "
+                                             "an integer index and 2 float values$"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows, lookback=1))
 
     def test_repeated_cell_names_line(self, tmp_path):
-        rows = self.full_rows()
-        rows.insert(5, rows[2])
-        with pytest.raises(ParseError, match="line 8: expected instance 1, t 2, "
-                                             "found instance 0, t 3$"):
-            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows))
+        rows = self.full_rows(n=3)
+        rows.insert(1, rows[0])
+        with pytest.raises(ParseError, match="line 3: expected instance 1, found instance 0$"):
+            data.read_synth_csv(self.write_rows(tmp_path / "s.csv", rows, n=3))
 
-    def test_truncated_file_names_missing_cell(self, tmp_path):
+    def test_truncated_file_names_missing_instance(self, tmp_path):
         ds = data.synth_generate(3, 0.05, seed=9, lookback=20, horizon=5)
         p = tmp_path / "synth.csv"
         data.write_synth_csv(ds, str(p))
         lines = p.read_text().splitlines(keepends=True)
-        p.write_text("".join(lines[:-7]))
-        with pytest.raises(ParseError, match="no row for instance 2, t 19"):
+        p.write_text("".join(lines[:-1]))
+        with pytest.raises(ParseError, match=r"no row for instance 2 \(2 rows for 3 instances\)"):
             data.read_synth_csv(str(p))
 
     def write_meta(self, path, meta):
-        path.write_text(f"{data.SYNTH_MAGIC} {meta}\ninstance,t,value\n0,1,0.5\n",
-                        encoding="utf-8")
+        path.write_text(f"{data.SYNTH_MAGIC} {meta}\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
         return str(path)
 
     def test_missing_instances_key_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 noise=0.0 seed=0")
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1")
         with pytest.raises(ParseError, match="line 1: missing metadata key 'instances'"):
             data.read_synth_csv(p)
 
     def test_metadata_token_without_equals(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 noise=0.0 seed=0 instances=1 x")
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 x")
         with pytest.raises(ParseError, match="line 1: metadata token 'x' is not key=value"):
             data.read_synth_csv(p)
 
     def test_non_integer_lookback_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=x horizon=1 noise=0.0 seed=0 instances=1")
+        p = self.write_meta(tmp_path / "s.csv", "lookback=x horizon=1 instances=1")
         with pytest.raises(ParseError, match="line 1: bad metadata value lookback='x'"):
             data.read_synth_csv(p)
 
     @pytest.mark.parametrize("key", ["lookback", "horizon", "instances"])
     def test_non_positive_size_named(self, tmp_path, key):
         meta = {"lookback": 3, "horizon": 1, "instances": 1, key: 0}
-        line = " ".join(f"{k}={v}" for k, v in meta.items()) + " noise=0.0 seed=0"
+        line = " ".join(f"{k}={v}" for k, v in meta.items())
         with pytest.raises(ParseError, match=f"line 1: metadata {key}=0 must be positive"):
             data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
 
@@ -375,24 +396,36 @@ class TestSynth:
         ("lookback", "\u0663", "bad metadata value lookback='\u0663'"),
         ("lookback", "+3", r"bad metadata value lookback='\+3'"),
         ("lookback", "-2", "bad metadata value lookback='-2'"),
-        ("seed", "-5", "bad metadata value seed='-5'"),
-        # noise is what synth --noise accepts
-        ("noise", "nan", "metadata noise=nan must be finite and >= 0"),
-        ("noise", "inf", "metadata noise=inf must be finite and >= 0"),
-        ("noise", "-0.5", "metadata noise=-0.5 must be finite and >= 0"),
-        ("noise", "1_0", "bad metadata value noise='1_0'"),
     ])
     def test_metadata_value_grammar(self, tmp_path, key, value, error):
-        meta = {"lookback": 3, "horizon": 1, "noise": 0.0, "seed": 0, "instances": 1, key: value}
+        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: value}
         line = " ".join(f"{k}={v}" for k, v in meta.items())
         with pytest.raises(ParseError, match=f"line 1: {error}$"):
             data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
 
     def test_repeated_metadata_key_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv",
-                            "lookback=3 horizon=1 noise=0.0 seed=0 instances=1 instances=2")
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 instances=2")
         with pytest.raises(ParseError, match="line 1: repeated metadata key 'instances'$"):
             data.read_synth_csv(p)
+
+    def test_unknown_metadata_keys_named(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 scale=2")
+        error = (r"unknown metadata keys \['scale'\]; "
+                 r"the keys are \['lookback', 'horizon', 'instances'\]$")
+        with pytest.raises(ParseError, match=f"line 1: {error}"):
+            data.read_synth_csv(p)
+
+    def test_non_ascii_metadata_separator_named(self, tmp_path):
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3\u00a0horizon=1 instances=1")
+        with pytest.raises(ParseError, match="line 1: non-ASCII text$"):
+            data.read_synth_csv(p)
+
+    def test_older_cell_per_line_layout_fails_at_line_1(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"# etsfore-synth lookback=1 horizon=1 noise=0.05 seed=0 instances=1\n"
+                      b"instance,t,value\r\n0,1,0.5\r\n0,2,0.25\r\n")
+        with pytest.raises(ParseError, match=r"line 1: unknown metadata keys \['noise', 'seed'\]"):
+            data.read_synth_csv(str(p))
 
     @staticmethod
     @st.composite
@@ -400,14 +433,12 @@ class TestSynth:
         n, L, H = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
         values = draw(hnp.arrays(np.float64, (n, L + H, 1),
                                  elements=st.floats(allow_nan=False, allow_infinity=False)))
-        noise = draw(st.floats(0.0, 1.0))
-        return data.SynthDataset(values, L, H, noise, draw(st.integers(0, 2**31)))
+        return data.SynthDataset(values, L, H)
 
     @staticmethod
     def same(a, b):
-        return (a.values.tobytes(), a.values.shape, a.lookback, a.horizon, a.noise_std,
-                a.seed) == (b.values.tobytes(), b.values.shape, b.lookback, b.horizon,
-                            b.noise_std, b.seed)
+        return (a.values.tobytes(), a.values.shape, a.lookback, a.horizon) == (
+            b.values.tobytes(), b.values.shape, b.lookback, b.horizon)
 
     @settings(max_examples=150, deadline=None)
     @given(datasets())
@@ -432,13 +463,15 @@ class TestSynth:
             assert self.same(back, ds), f"prefix of {cut} of {len(full)} bytes"
 
     @staticmethod
-    def replacement_lines(i: str, t: str, v: str):
-        """Strings to put in place of the data line `i,t,v`: near misses of
-        it, and any text or bytes without a line break."""
-        near = [f" {i} ,{t}, {v} ", f"+{i},{t},{v}", f"{i},{t},{v},", f"{i},{t}", f'"{i}",{t},{v}',
-                f"{i}.0,{t},{v}", f"{i}_0,{t},{v}", f"{i},{t},{v}x", f"{i},{t},nan", "",
-                f"{i},{t},{v}0", f"{int(i) + 1},{t},{v}", f"{i},{int(t) + 1},{v}",
-                f"{10**30},{t},{v}", f"{i},{t},{v}\x00"]
+    def replacement_lines(i: str, values: list[str]):
+        """Strings to put in place of the data line `i,v_1,...,v_T`: near
+        misses of it, and any text or bytes without a line break."""
+        row = ",".join(values)
+        v, rest = values[-1], ",".join([i, *values[:-1]])
+        near = [f" {i} ,{row} ", f"+{i},{row}", f"{i},{row},", f"{i},{row[:-len(v) - 1]}",
+                f'"{i}",{row}', f"{i}.0,{row}", f"{i}_0,{row}", f"{rest},{v}x", f"{rest},nan",
+                "", f"{rest},{v}0", f"{int(i) + 1},{row}", f"{10**30},{row}", f"{rest},{v}\x00",
+                f"{rest},\u00a0{v}", f"{rest},{v}\u3000"]
         return st.one_of(
             st.sampled_from(near).map(str.encode),
             st.text(st.characters(codec="utf-8", exclude_characters="\r\n")).map(str.encode),
@@ -451,9 +484,9 @@ class TestSynth:
         p = tmp_path_factory.getbasetemp() / "replaced.csv"
         data.write_synth_csv(ds, str(p))
         lines = p.read_bytes().splitlines(keepends=True)
-        k = drawn.draw(st.integers(2, len(lines) - 1))  # line k + 1 of the file
-        i, t, v = lines[k].decode().removesuffix("\r\n").split(",")
-        new = drawn.draw(self.replacement_lines(i, t, v))
+        k = drawn.draw(st.integers(1, len(lines) - 1))  # line k + 1 of the file
+        i, *values = lines[k].decode().removesuffix("\r\n").split(",")
+        new = drawn.draw(self.replacement_lines(i, values))
         lines[k] = new + b"\r\n"
         p.write_bytes(b"".join(lines))
         try:
@@ -461,25 +494,25 @@ class TestSynth:
         except ParseError as e:
             assert f": line {k + 1}: " in str(e), str(e)
             return
-        # it loads only as the row of the cell it replaced
+        # it loads only as the row of the instance it replaced
         fields = new.decode().split(",")
-        assert [int(fields[0]), int(fields[1])] == [int(i), int(t)]
+        assert int(fields[0]) == int(i)
         expect = ds.values.copy()
-        expect[int(i), int(t) - 1, 0] = float(fields[2])
-        assert self.same(back, data.SynthDataset(expect, ds.lookback, ds.horizon, ds.noise_std,
-                                                 ds.seed))
+        expect[int(i), :, 0] = [float(v) for v in fields[1:]]
+        assert self.same(back, data.SynthDataset(expect, ds.lookback, ds.horizon))
 
     @settings(max_examples=100, deadline=None)
-    @given(datasets(), st.data())
+    @given(datasets().filter(lambda ds: len(ds.values) > 1), st.data())
     def test_swapped_lines_name_the_earlier_line(self, tmp_path_factory, ds, drawn):
         p = tmp_path_factory.getbasetemp() / "swapped.csv"
         data.write_synth_csv(ds, str(p))
         lines = p.read_bytes().splitlines(keepends=True)
-        a, b = sorted(drawn.draw(st.lists(st.integers(2, len(lines) - 1), min_size=2,
+        a, b = sorted(drawn.draw(st.lists(st.integers(1, len(lines) - 1), min_size=2,
                                           max_size=2, unique=True)))
         lines[a], lines[b] = lines[b], lines[a]
         p.write_bytes(b"".join(lines))
-        with pytest.raises(ParseError, match=f": line {a + 1}: expected instance"):
+        with pytest.raises(ParseError, match=f": line {a + 1}: expected instance {a - 1}, "
+                                             f"found instance {b - 1}$"):
             data.read_synth_csv(str(p))
 
     def test_window_pairs_shapes(self):
