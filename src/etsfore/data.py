@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -92,89 +91,66 @@ class WindowPair:
     origin: int  # first target step's index in the split part or instance windowed
 
 
+# csv.field_size_limit()'s default, which plain CSVs have always been held to
+MAX_FIELD_CHARS = 131072
+
+
 def load_csv(path: str) -> Series:
-    """Parse a header-ed CSV of numeric channels, optional ISO-8601 first column.
-
-    Timestamps must increase strictly from row to row and be all naive or
-    all UTC-offset-aware.
-
-    The last line must end with a line break, as in instance CSVs: a file
-    cut inside its last value can still end in a number that parses.
+    """Parse a plain CSV: a header line split at `,`, then rows of m float
+    values, each after an ISO-8601 timestamp when line 2's first cell is one.
+    The rows are read by _parse_rows; a field longer than MAX_FIELD_CHARS
+    raises ParseError naming its line, and so does a timestamp that is not
+    after the one before or mixes naive and UTC-offset times.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    head, body = _read_text(path)
+    if not head:
+        raise DataError(f"{path}: empty file")
+    header = head.removesuffix("\n").removesuffix("\r")
+    if "\r" in header:  # the csv module read it as a line break
+        raise ParseError(f"{path}: line 1: bare CR line break")
+    names = header.split(",") if header else []
+    # a body field is the bytes between two of `,` and LF
+    text = np.frombuffer(body, np.uint8)
+    ends = np.append(np.flatnonzero((text == ord(",")) | (text == ord("\n"))), text.size)
+    long = np.diff(ends, prepend=-1) > MAX_FIELD_CHARS + 1
+    if (header_long := max(map(len, names), default=0) > MAX_FIELD_CHARS) or long.any():
+        line = 1 if header_long else 2 + body.count(b"\n", 0, ends[long.argmax()])
+        raise ParseError(f"{path}: line {line}: field larger than field limit ({MAX_FIELD_CHARS})")
+    # line 2's first cell starts a timestamp column, unless it is digits
+    # alone (YYYYMMDD), which are a number
+    first = re.match(rb"[^,\r\n]*", body)[0].decode("utf-8", "replace")
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-        rows = [(reader.line_num, row) for row in reader if row]
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    except csv.Error as e:  # a field past csv.field_size_limit(), say
-        raise ParseError(f"{path}: line {reader.line_num}: {e}") from None
-    if not raw.endswith(b"\n"):
-        raise ParseError(f"{path}: line {reader.line_num}: no line break at the end (truncated?)")
-    if not rows:
+        stamped = not first.isdigit() and bool(datetime.fromisoformat(first))
+    except ValueError:
+        stamped = False
+    if len(names) <= stamped:
+        raise DataError(f"{path}: no value columns, only {names}")
+    m = len(names) - stamped
+    row = np.dtype([("timestamp", object)] * stamped + [("values", np.float64, (m,))])
+    rows = _parse_rows(path, head, body, row, "a timestamp and " * stamped + f"{m} float values")
+    if not rows.size:
         raise DataError(f"{path}: no data rows")
-
-    def looks_like_timestamp(cell: str) -> bool:
-        try:
-            float(cell)
-            return False
-        except ValueError:
-            pass
-        try:
-            datetime.fromisoformat(cell)
-            return True
-        except ValueError:
-            return False
-
-    has_ts = looks_like_timestamp(rows[0][1][0])
-    first_data_col = 1 if has_ts else 0
-    if len(header) <= first_data_col:
-        raise DataError(f"{path}: no value columns, only {header}")
-    values = np.empty((len(rows), len(header) - first_data_col))
     prev = prev_cell = None
-    for i, (line_no, row) in enumerate(rows):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-        if has_ts:
-            try:
-                when = datetime.fromisoformat(row[0])
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: bad timestamp {row[0]!r}") from None
-            # the splits are chronological by row order, so time must run forwards
-            if prev is not None:
-                if (when.utcoffset() is None) != (prev.utcoffset() is None):
-                    raise ParseError(
-                        f"{path}: line {line_no}: timestamp {row[0]!r} mixes naive and "
-                        f"UTC-offset times with {prev_cell!r}"
-                    )
-                if when <= prev:
-                    raise ParseError(
-                        f"{path}: line {line_no}: timestamp {row[0]!r} does not come after "
-                        f"{prev_cell!r}"
-                    )
-            prev, prev_cell = when, row[0]
-        for j, cell in enumerate(row[first_data_col:]):
-            try:
-                v = _ascii_float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: line {line_no}: non-numeric value {cell!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(f"{path}: line {line_no}: non-finite value {cell!r}")
-            values[i, j] = v
-    return Series(values)
-
-
-def _ascii_float(text: str) -> float:
-    """float() without the grammar loadtxt lacks: no `_` and no non-ASCII digits."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not a plain float literal: {text!r}")
-    return float(text)
+    for line_no, cell in enumerate(rows["timestamp"] if stamped else (), start=2):
+        try:
+            when = datetime.fromisoformat(cell)
+        except ValueError:
+            raise ParseError(f"{path}: line {line_no}: bad timestamp {cell!r}") from None
+        # the splits are chronological by row order, so time must run forwards
+        if prev is not None:
+            if (when.utcoffset() is None) != (prev.utcoffset() is None):
+                raise ParseError(
+                    f"{path}: line {line_no}: timestamp {cell!r} mixes naive and "
+                    f"UTC-offset times with {prev_cell!r}"
+                )
+            if when <= prev:
+                raise ParseError(
+                    f"{path}: line {line_no}: timestamp {cell!r} does not come after "
+                    f"{prev_cell!r}"
+                )
+        prev, prev_cell = when, cell
+    # an owned C-contiguous copy, so the parsed rows can be freed
+    return Series(rows["values"].copy())
 
 
 @dataclass
@@ -373,48 +349,25 @@ def _synth_meta(path: str, tokens: str) -> tuple[int, int, int]:
 
 
 def read_synth_csv(path: str) -> SynthDataset:
-    """Inverse of write_synth_csv: an ASCII text file.
+    """Inverse of write_synth_csv: a metadata row, then line 2 + i is exactly
+    `i,v_1,...,v_T`, T = lookback + horizon, the integer instance index and
+    the instance's T float values, parsed as `_parse_rows` says.
 
-    After the metadata row, line 2 + i is exactly `i,v_1,...,v_T`, T =
-    lookback + horizon: the integer instance index and the instance's T
-    float values, unquoted, ending in LF or CRLF. A line that is not such
-    a row, holds a non-ASCII character or a non-finite value raises
-    ParseError naming its line; so do the first row whose index is not its
-    instance's (a swapped, repeated or out-of-range instance) and a row
-    past the last instance. A file that stops short raises ParseError
-    naming the first missing instance. So do bytes that are not UTF-8, a
-    missing, repeated, unknown or bad metadata key, more than
-    MAX_INSTANCE_CELLS cells and a last row without its line break, which
-    a truncated file cannot be told apart from.
+    The first row whose index is not its instance's (a swapped, repeated or
+    out-of-range instance) and a row past the last instance raise ParseError
+    naming the line; a file that stops short raises ParseError naming the
+    first missing instance. So do a metadata row that is not ASCII or has a
+    missing, repeated, unknown or bad key, and more than MAX_INSTANCE_CELLS
+    cells.
     """
-    with open(path, "rb") as fh:
-        meta_line = _decode(path, 1, fh.readline())
-        if not meta_line.startswith(SYNTH_MAGIC):
-            raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
-        L, H, n = _synth_meta(path, meta_line[len(SYNTH_MAGIC) :])
-        if not meta_line.isascii():  # str.split() also splits at non-ASCII spaces
-            raise ParseError(f"{path}: line 1: non-ASCII text")
-        body = fh.read()
-    lines = body.count(b"\n")
-    if not (body.endswith(b"\n") if body else meta_line.endswith("\n")):
-        # a cut inside the last value can still leave a number that parses
-        last = 2 + lines if body else 1
-        raise ParseError(f"{path}: line {last}: no line break at the end (truncated?)")
+    head, body = _read_text(path)
+    if not head.startswith(SYNTH_MAGIC):
+        raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
+    L, H, n = _synth_meta(path, head[len(SYNTH_MAGIC) :])
+    if not head.isascii():  # str.split() also splits at non-ASCII spaces
+        raise ParseError(f"{path}: line 1: non-ASCII text")
     row = np.dtype([("instance", np.int64), ("values", np.float64, (L + H,))])
-    # One pass parses every row; row r is line 2 + r unless loadtxt skipped
-    # a blank line, which it does silently (and warns when no row is left).
-    try:
-        rows = (np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None,
-                           ndmin=1, encoding="utf-8")
-                if body and not body.isspace() else np.empty(0, row))
-    except ValueError:  # UnicodeDecodeError too
-        rows = None
-    # loadtxt strips non-ASCII whitespace around a number, load_csv does not
-    if rows is None or rows.size != lines or not body.isascii():
-        _reject_first_bad_line(path, body, row)
-    bad = ~np.isfinite(rows["values"]).all(axis=1)
-    if bad.any():
-        raise ParseError(f"{path}: line {2 + int(bad.argmax())}: non-finite value")
+    rows = _parse_rows(path, head, body, row, f"an integer index and {L + H} float values")
     # at most n indices are compared, whatever the row count
     found = rows["instance"][:n]
     bad = found != np.arange(found.size)
@@ -431,27 +384,64 @@ def read_synth_csv(path: str) -> SynthDataset:
     return SynthDataset(values=rows["values"].reshape(n, L + H, 1).copy(), lookback=L, horizon=H)
 
 
-def _reject_first_bad_line(path: str, body: bytes, row: np.dtype) -> NoReturn:
-    """Raise ParseError for the first line of a rejected body that is not an
-    ASCII row of the dtype's 1 + T fields.
+def _read_text(path: str) -> tuple[str, bytes]:
+    """The file's first line, decoded as UTF-8, and the rest as bytes."""
+    with open(path, "rb") as fh:
+        return _decode(path, 1, fh.readline()), fh.read()
 
-    Each line is parsed alone, by the same loadtxt call, so an index too
-    large for int64 is a malformed row.
+
+def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str) -> np.ndarray:
+    """The rows of a `--data` file's body, one row of the dtype per line from
+    line 2, parsed in one loadtxt pass: ASCII, split at `,` with no quoting,
+    each ending in LF or CRLF, and every `values` float finite. A body that
+    is not is searched line by line, and its first bad line raises
+    ParseError (`holds` says what a row holds). So does a last line
+    without its line break: a file cut inside its last value can still end
+    in a number that parses.
     """
-    fields = 1 + row["values"].shape[0]
+    lines = body.count(b"\n")
+    if not (body.endswith(b"\n") if body else head.endswith("\n")):
+        last = 2 + lines if body else 1
+        raise ParseError(f"{path}: line {last}: no line break at the end (truncated?)")
+    try:
+        # loadtxt skips a blank line silently (and warns when no row is left)
+        rows = _loadtxt(io.BytesIO(body), row) if body and not body.isspace() else np.empty(0, row)
+    except ValueError:  # UnicodeDecodeError too
+        rows = None
+    # loadtxt strips non-ASCII whitespace around a number
+    if (rows is None or rows.size != lines or not body.isascii()
+            or not np.isfinite(rows["values"]).all()):
+        _reject_first_bad_line(path, body, row, holds)
+    return rows
+
+
+def _loadtxt(source, row: np.dtype) -> np.ndarray:
+    """The one loadtxt call, so the body pass and the line search read one grammar."""
+    return np.loadtxt(source, dtype=row, delimiter=",", comments=None, ndmin=1, encoding="utf-8")
+
+
+def _reject_first_bad_line(path: str, body: bytes, row: np.dtype, holds: str) -> NoReturn:
+    """Raise ParseError for the first line of a rejected body that fails a
+    check: UTF-8, ASCII, the field count, the parse and finiteness, in that
+    order. Each line is parsed alone, by the same loadtxt call, so an index
+    too large for int64 is a malformed row.
+    """
+    count = len(row.names) - 1 + row["values"].shape[0]
     for line_no, raw in enumerate(io.BytesIO(body), start=2):
         line = _decode(path, line_no, raw)
         if not line.isascii():
             raise ParseError(f"{path}: line {line_no}: non-ASCII text")
-        # a blank line, which loadtxt would skip, has one field
-        if line.count(",") + 1 == fields:
-            try:
-                np.loadtxt([line], dtype=row, delimiter=",", comments=None)
-                continue
-            except ValueError:
-                pass
-        raise ParseError(f"{path}: line {line_no}: malformed row: expected {fields} fields, "
-                         f"an integer index and {fields - 1} float values")
+        # a blank line, which loadtxt would skip, is malformed
+        parses = line.strip("\r\n") and line.count(",") + 1 == count
+        try:
+            parsed = _loadtxt([line], row) if parses else None
+        except ValueError:
+            parsed = None
+        if parsed is None:
+            raise ParseError(f"{path}: line {line_no}: malformed row: expected {count} fields, "
+                             f"{holds}")
+        if not np.isfinite(parsed["values"]).all():
+            raise ParseError(f"{path}: line {line_no}: non-finite value")
     raise ParseError(f"{path}: rows do not parse")  # no line alone fails to parse
 
 

@@ -45,6 +45,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 MIN_LR = 1e-30  # the main group's rate at the final step
 SPECIAL_LR_MULT = 100.0  # the special group's fixed rate, as a multiple of base_lr
+# The most values the largest training activation, min(batch_size, train
+# windows) x lookback x max(ff_dim, dim), may hold; the desk run's holds 786,432.
+MAX_ACTIVATION_VALUES = 2**24
 
 
 @dataclass
@@ -299,6 +302,11 @@ def train(
         raise DataError("training split yields no windows")
     if not val_pairs:
         raise DataError("validation split yields no windows")
+    batch = min(train_cfg.batch_size, len(train_pairs))
+    count = batch * model_cfg.lookback * max(model_cfg.ff_dim, model_cfg.dim)
+    if count > MAX_ACTIVATION_VALUES:
+        raise ConfigError(f"run config implies a largest training activation of {count} values "
+                          f"(batch {batch}), more than the {MAX_ACTIVATION_VALUES} allowed")
     X, Y = _stack(train_pairs)
     Xv, Yv = _stack(val_pairs)
     n = len(X)

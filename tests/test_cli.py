@@ -240,6 +240,26 @@ class TestTrain:
         last = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert last == {"checkpoint": str(out), "best_epoch": -1, "best_val_mse": None}
 
+    def test_activation_over_the_cap_is_usage_error(self, tmp_path, run_config, capsys,
+                                                    monkeypatch):
+        # 14 train windows x lookback 512 x ff_dim 4096 would reach numpy as
+        # a 229 MiB activation, and main catches no MemoryError
+        data_path, out = tmp_path / "s.csv", tmp_path / "m.etsf"
+        assert cli.main(["synth", "--out", str(data_path), "--n", "20", "--lookback", "512",
+                         "--horizon", "8"]) == 0
+        cfg = json.loads(run_config.read_text())
+        cfg["model"].update(lookback=512, horizon=8, ff_dim=4096)
+        run_config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        monkeypatch.setattr(trainer, "forward", None)  # a forward would be a TypeError
+        assert cli.main(["train", "--config", str(run_config), "--data", str(data_path),
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert (f"error: run config implies a largest training activation of {14 * 512 * 4096} "
+                f"values (batch 14), more than the {trainer.MAX_ACTIVATION_VALUES} allowed\n"
+                ) in captured.err
+
     def test_csv_without_value_columns_is_data_error(self, tmp_path, timestamps_only,
                                                      run_config, capsys):
         out = tmp_path / "m.etsf"
@@ -805,7 +825,8 @@ class TestExitCodes:
         self._insert_non_utf8_byte(p, first_line)
         assert cli.main(["baseline", "--data", str(p), "--period", "4"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"error: {p}: not UTF-8 text" in captured.err
+        line = 1 if first_line else 41  # the header, then 40 rows
+        assert captured.out == "" and f"error: {p}: line {line}: not UTF-8 text" in captured.err
 
     @pytest.mark.parametrize("first_line", [True, False])
     def test_non_utf8_instance_csv_is_data_error(self, synth_file, trained_model, capsys,

@@ -41,9 +41,11 @@ class TestCsv:
     def test_non_numeric_names_line(self, tmp_path):
         # float() reads `1_0` as 10.0 and Arabic-Indic digits as 12.0; loadtxt does not
         p = tmp_path / "t.csv"
-        for cell in ["oops", "1_0", "\u0661\u0662"]:
+        for cell, error in [("oops", "malformed row: expected 2 fields, 2 float values"),
+                            ("1_0", "malformed row: expected 2 fields, 2 float values"),
+                            ("\u0661\u0662", "non-ASCII text")]:
             p.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
-            with pytest.raises(ParseError, match=f"line 3: non-numeric value '{cell}'"):
+            with pytest.raises(ParseError, match=f"line 3: {error}"):
                 data.load_csv(str(p))
 
     def test_cells_both_readers_accept_load(self, tmp_path):
@@ -56,14 +58,64 @@ class TestCsv:
     def test_non_ascii_around_a_value_is_rejected_by_both_readers(self, tmp_path, kind, space):
         # loadtxt, unlike float(), would read the padded cell as 1.5
         p = tmp_path / "t.csv"
-        head, error = {
-            "plain": ("a,b\n1,2\n", "non-numeric value"),
-            "instance": (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=2\n0,1,2\n",
-                         "non-ASCII text"),
+        head = {
+            "plain": "a,b\n1,2\n",
+            "instance": f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=2\n0,1,2\n",
         }[kind]
         p.write_text(f"{head}1,{space}1.5{space}\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=f"line 3: {error}"):
+        with pytest.raises(ParseError, match="line 3: non-ASCII text"):
             data.read_dataset(str(p))
+
+    # one body under both kinds' first lines: a plain header of three
+    # channels, or instances of one lookback and one horizon step
+    HEADS = {"plain": "i,a,b\n",
+             "instance": f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances={{n}}\n"}
+
+    @pytest.mark.parametrize("kind", ["plain", "instance"])
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path, kind):
+        # a NaN on line 3 parses, so it was once passed over for the short row on line 4
+        p = tmp_path / "t.csv"
+        p.write_text(self.HEADS[kind].format(n=3) + "0,1,2\n1,nan,2\n2,1\n")
+        with pytest.raises(ParseError, match="line 3: non-finite value"):
+            data.read_dataset(str(p))
+
+    @pytest.mark.parametrize("cell, value", [
+        ("+5", 5.0), ("1e3", 1000.0), (" 1.5 ", 1.5), ("1_0", None),
+        ("\u0661\u0662", None), ("\u00a01.5\u00a0", None), ("nan", None), ("inf", None),
+        ("0x10", None), ('"4"', None), ("", None),
+    ])
+    @pytest.mark.parametrize("kind", ["plain", "instance"])
+    def test_one_cell_grammar_for_both_kinds(self, tmp_path, kind, cell, value):
+        p = tmp_path / "t.csv"
+        p.write_text(self.HEADS[kind].format(n=2) + f"0,1,2\n1,1,{cell}\n", encoding="utf-8")
+        if value is None:
+            with pytest.raises(ParseError, match="line 3: "):
+                data.read_dataset(str(p))
+        else:
+            assert data.read_dataset(str(p)).values.ravel()[-1] == value
+
+    @pytest.mark.parametrize("text, error", [
+        ("a\n1\n\n2\n", "line 3: malformed row: expected 1 fields, 1 float values"),
+        ("a\n1\n2\n\n", "line 4: malformed row"),
+        ("a,b\n1,2\r3,4\n5,6\n", "line 2: malformed row: expected 2 fields, 2 float values"),
+        # the header would take the next line in as one more column name
+        ("a\r1\n2\n", "line 1: bare CR line break"),
+        # loadtxt would cut the cell to fit a fixed text width, leaving a valid time
+        ("time,v\n2024-01-01,1\n2024-01-02T00:00:00." + "0" * 100 + "junk,2\n",
+         "line 3: bad timestamp '2024-01-02T00:00:00.000"),
+    ], ids=["blank-line", "blank-last-line", "bare-cr", "bare-cr-header", "long-timestamp"])
+    def test_plain_line_faults_name_their_line(self, tmp_path, text, error):
+        p = tmp_path / "t.csv"
+        p.write_text(text, newline="")
+        with pytest.raises(ParseError, match=re.escape(error)):
+            data.load_csv(str(p))
+
+    def test_digits_alone_are_values_not_timestamps(self, tmp_path):
+        # 20240101 is also an ISO-8601 date, YYYYMMDD
+        p = tmp_path / "t.csv"
+        p.write_text("day,v\n20240101,1\n20240102,2\n")
+        np.testing.assert_array_equal(data.load_csv(str(p)).values,
+                                      [[20240101.0, 1.0], [20240102.0, 2.0]])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -88,7 +140,9 @@ class TestCsv:
         p = tmp_path / "t.csv"
         for stamps in (["2024-01-01", "2024-01-01T00:00:01", "2024-03-01"],
                        ["2024-01-01T00:00:00+05:00", "2024-01-01T00:00:00+00:00",
-                        "2024-01-01T02:00:00Z"]):
+                        "2024-01-01T02:00:00Z"],
+                       # longer than any fixed text width
+                       ["2024-01-01", "2024-01-02T00:00:00." + "0" * 100, "2024-01-03"]):
             p.write_text("time,v\n" + "".join(f"{ts},{i}\n" for i, ts in enumerate(stamps)))
             np.testing.assert_array_equal(data.load_csv(str(p)).values, [[0.0], [1.0], [2.0]])
 

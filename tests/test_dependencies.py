@@ -1,6 +1,7 @@
 """Module boundaries, read from the source: the runtime dependencies stay
 numpy + scipy (each module of the package imports only itself, the standard
-library, numpy and scipy), and normalization stays in data.py."""
+library, numpy and scipy), normalization stays in data.py, and data.py
+parses the rows of both CSV kinds with one loadtxt call."""
 
 import ast
 import sys
@@ -59,3 +60,26 @@ def test_cli_leaves_normalization_to_data():
 def test_a_normalization_call_is_caught():
     tree = ast.parse("from .data import compute_stats\ndata.normalize(x, s)\n")
     assert {"normalize", "compute_stats"} <= named(tree)
+
+
+def calls_to(tree: ast.AST, name: str) -> int:
+    """How many calls in tree are to a function or method named name."""
+    return sum(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_row_parser_for_both_csv_kinds():
+    # data._loadtxt parses plain and instance rows alike; a csv reader or a
+    # second loadtxt call would be a second number grammar
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    assert sum(calls_to(tree, "loadtxt") for tree in trees) == 1
+    assert all(named(tree).isdisjoint({"reader", "DictReader"}) for tree in trees)
+
+
+def test_a_second_row_parser_is_caught():
+    tree = ast.parse("np.loadtxt(a)\nloadtxt(b)\nrows = csv.reader(fh)\n")
+    assert calls_to(tree, "loadtxt") == 2
+    assert "reader" in named(tree)

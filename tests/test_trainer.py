@@ -196,6 +196,34 @@ class TestTrainLoop:
         # best-val checkpoint was measured on the same split
         assert res["mse"] == pytest.approx(ckpt.best_val_mse, rel=1e-6)
 
+    @pytest.mark.parametrize("cfg, windows, batch_size, over", [
+        # 9 x 512 x 4096 values, one batch past the cap, and 8 x 512 x 4096, at it
+        (dict(lookback=512, horizon=8, dim=8, ff_dim=4096), 9, 32, True),
+        (dict(lookback=512, horizon=8, dim=8, ff_dim=4096), 8, 32, False),
+        # a batch of 64 is cut to the 9 windows there are
+        (dict(lookback=512, horizon=8, dim=8, ff_dim=4096), 9, 64, True),
+        # the desk run, and criterion 7's, at 32 x 192 x 128 = 786,432 values
+        (dict(lookback=192, horizon=48, dim=32, ff_dim=128), 64, 32, False),
+        (dict(lookback=16, horizon=4, dim=8, ff_dim=16), 40, 16, False),  # TINY
+    ])
+    def test_largest_activation_is_capped_before_the_first_forward(self, monkeypatch, cfg,
+                                                                   windows, batch_size, over):
+        def first_forward(*args, **kwargs):
+            raise RuntimeError("first forward")
+
+        monkeypatch.setattr(trainer, "forward", first_forward)
+        mcfg = ModelConfig(channels=1, layers=1, heads=2, top_k=2, **cfg)
+        # one window repeated: the pairs allocate nothing per window
+        pair = WindowPair(np.zeros((mcfg.lookback, 1)), np.zeros((mcfg.horizon, 1)), mcfg.lookback)
+        tcfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=batch_size)
+        count = min(windows, batch_size) * mcfg.lookback * max(mcfg.ff_dim, mcfg.dim)
+        assert (count > trainer.MAX_ACTIVATION_VALUES) == over
+        error = ConfigError if over else RuntimeError
+        message = (f"activation of {count} values .* more than the "
+                   f"{trainer.MAX_ACTIVATION_VALUES} allowed" if over else "first forward")
+        with pytest.raises(error, match=message):
+            train(mcfg, tcfg, [pair] * windows, [pair])
+
     def test_augmented_training_runs(self):
         pairs = sine_pairs(24, seed=7)
         cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=8, seed=1, augment=True)
