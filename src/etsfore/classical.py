@@ -15,8 +15,8 @@ from .errors import DataError, DimensionError, DomainError
 
 @dataclass
 class HwParams:
-    """Smoothing parameters. alpha, beta, gamma and phi are each a scalar or a
-    1-d array over candidates; arrays broadcast against each other, so one
+    """Smoothing parameters. alpha, beta, gamma and phi are each a scalar or an
+    array over candidates; the arrays broadcast against each other, so one
     recurrence runs every candidate at once."""
 
     alpha: float | np.ndarray
@@ -34,17 +34,28 @@ class HwParams:
                 raise DomainError(f"{name} must lie in {domain}, got {v[~inside][0]}")
         if self.period < 1:
             raise DomainError(f"period must be >= 1, got {self.period}")
-        if len(self.shape) > 1:
-            raise DimensionError(f"parameters must be scalars or 1-d, got shape {self.shape}")
+        self.shape  # raises DimensionError unless the four shapes broadcast
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Candidate shape: () for one parameter set, (n,) for n candidates."""
-        shapes = [np.shape(v) for v in (self.alpha, self.beta, self.gamma, self.phi)]
-        try:
-            return np.broadcast_shapes(*shapes)
-        except ValueError:
-            raise DimensionError(f"parameter shapes {shapes} do not broadcast") from None
+        """Candidate shape: the broadcast of the four parameters' shapes,
+        () for one parameter set."""
+        return _broadcast(self.alpha, self.beta, self.gamma, self.phi)
+
+    @property
+    def rate_shape(self) -> tuple[int, ...]:
+        """The broadcast of alpha, beta and gamma alone, left-padded with
+        ones to the candidate ndim: the shape of one smoothed state step."""
+        rates = _broadcast(self.alpha, self.beta, self.gamma)
+        return (1,) * (len(self.shape) - len(rates)) + rates
+
+
+def _broadcast(*values) -> tuple[int, ...]:
+    shapes = [np.shape(v) for v in values]
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionError(f"parameter shapes {shapes} do not broadcast") from None
 
 
 @dataclass
@@ -76,9 +87,10 @@ def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
     """Run the level, growth, seasonal recurrences over the whole series,
     seeded by `default_init`.
 
-    The states carry the candidate axis last: level and growth are
-    (T+1,) + params.shape and seasonal is (T+p,) + params.shape. Each
-    candidate gets exactly the arithmetic of a scalar call.
+    phi does not enter the recurrences, so the states carry only the rates'
+    candidate axes, last: level and growth are (T+1,) + params.rate_shape
+    and seasonal is (T+p,) + params.rate_shape. Each candidate gets exactly
+    the arithmetic of a scalar call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -86,7 +98,7 @@ def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
     p = params.period
     init = default_init(x, p)
     T = x.size
-    cand = params.shape
+    cand = params.rate_shape
     e = np.empty((T + 1,) + cand)
     b = np.empty((T + 1,) + cand)
     s = np.empty((T + p,) + cand)
@@ -104,12 +116,15 @@ def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
 
 
 def hw_forecast(state: HwState, params: HwParams, h: int) -> np.ndarray:
-    """Damped-trend forecast: level + (phi + ... + phi^k) * growth + seasonal wrap."""
+    """Damped-trend forecast: level + (phi + ... + phi^k) * growth + seasonal
+    wrap, shaped (h,) + params.shape for the states `hw_smooth(x, params)`
+    returns; each candidate gets exactly the arithmetic of a scalar call."""
     if h < 1:
         raise DataError(f"forecast horizon must be >= 1, got {h}")
     p = state.period
-    T = state.level.size - 1
-    damp = np.cumsum(params.phi ** np.arange(1, h + 1, dtype=np.float64))
+    T = state.level.shape[0] - 1
+    k = np.arange(1, h + 1, dtype=np.float64).reshape((h,) + (1,) * len(params.shape))
+    damp = np.cumsum(params.phi**k, axis=0)
     step = np.arange(1, h + 1)
     wrap = T + step - p * -(-step // p)  # -(-step // p) = ceil(step / p): latest estimate of the phase
     return state.level[-1] + damp * state.growth[-1] + state.seasonal[wrap + p - 1]
@@ -145,7 +160,8 @@ class HwFitResult:
 
 def one_step_errors(x: np.ndarray, params: HwParams) -> np.ndarray:
     """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p},
-    shaped (T,) + params.shape."""
+    shaped (T,) + params.shape: phi*b broadcasts the states, which carry
+    only the rates' axes, out to every candidate."""
     state = hw_smooth(x, params)
     x = np.asarray(x, dtype=np.float64)
     T = x.size
@@ -157,10 +173,13 @@ def one_step_errors(x: np.ndarray, params: HwParams) -> np.ndarray:
     return np.subtract(x.reshape((T,) + (1,) * len(params.shape)), err, out=err)
 
 
-# Candidates per one_step_errors call are capped so that a (T+1, block) state
-# array holds at most this many float64 words: one fit's working memory stays
-# about 1 MiB whatever the grid resolution.
-_BLOCK_WORDS = 1 << 15
+# phi does not enter the smoothing recurrences, so the grid fit smooths each
+# (alpha, beta, gamma) triple once and lets phi*b broadcast it over every
+# phi. Triples per one_step_errors call are capped so that its (T, triples,
+# phi) errors array holds at most this many float64 words (1 MiB); the
+# states add 3/resolution of that, so one fit's working memory stays under
+# 3 MiB whatever the grid resolution.
+_BLOCK_WORDS = 1 << 17
 
 
 def hw_fit_grid(
@@ -171,28 +190,34 @@ def hw_fit_grid(
     The filter runs over the whole series; only errors on the final
     val_fraction of steps count, so the scored forecasts never see their
     targets. Candidates are taken in ascending (alpha, beta, gamma, phi)
-    order, a block at a time, and the first minimum wins, so ties resolve
-    toward smaller values. NaN scores never win, except that the first
-    candidate stands if its own score is NaN.
+    order, a block of (alpha, beta, gamma) triples with every phi at a time,
+    and the first minimum wins, so ties resolve toward smaller values. NaN
+    scores never win, except that the first candidate stands if its own
+    score is NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     T = x.size
     n_val = holdout_steps(T, val_fraction, period)
     grid = grid_values(resolution)
-    n = resolution**4
-    block = max(1, _BLOCK_WORDS // (T + 1))
+    n = resolution**3
+    block = max(1, _BLOCK_WORDS // (T * resolution))
     best, best_mse = 0, None
     for lo in range(0, n, block):
-        params = _grid_params(grid, np.arange(lo, min(lo + block, n)), period)
-        # one C-contiguous row per candidate, so np.mean sums each tail in
-        # the same pairwise order as it does a single candidate's errors
-        sq = np.ascontiguousarray(one_step_errors(x, params)[T - n_val :].T)
+        triples = np.unravel_index(np.arange(lo, min(lo + block, n)), (resolution,) * 3)
+        # (triples, 1) rates against the grid's (R,) phi
+        rates = (grid[k][i, None] for k, i in zip(("alpha", "beta", "gamma"), triples))
+        params = HwParams(*rates, grid["phi"], period=period)
+        # (T, triples, phi) flattens to candidates in (alpha, beta, gamma, phi)
+        # order; one C-contiguous row per candidate, so np.mean sums each tail
+        # in the same pairwise order as it does a single candidate's errors.
+        # One expression, so the full errors array dies with the copy.
+        sq = np.ascontiguousarray(one_step_errors(x, params)[T - n_val :].reshape(n_val, -1).T)
         mse = np.mean(np.square(sq, out=sq), axis=1)
         if best_mse is None:
             best_mse = mse[0]  # if NaN, it stands: `x < nan` is false for every x
         i = int(np.argmin(np.where(np.isnan(mse), np.inf, mse)))
         if mse[i] < best_mse:
-            best, best_mse = lo + i, mse[i]
+            best, best_mse = lo * resolution + i, mse[i]
     return HwFitResult(
         params=_grid_params(grid, best, period),
         val_mse=float(best_mse),

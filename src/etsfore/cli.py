@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -335,54 +336,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lookback", type=int, default=data.SYNTH_LOOKBACK)
     p.add_argument("--horizon", type=int, default=data.SYNTH_HORIZON)
-    p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train a model from a JSON run config")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on one split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("forecast", help="emit the total forecast for one window")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--at", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_forecast)
 
     p = sub.add_parser("decompose", help="emit per-component forecasts for one window")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--at", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("baseline", help="Holt-Winters grid-fit baseline")
     p.add_argument("--data", required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--grid", type=int, default=5)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.set_defaults(fn=cmd_baseline)
 
     p = sub.add_parser("bench-esa", help="wall-time comparison of the two kernels")
     p.add_argument("--lengths", default="1024,4096")
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_bench_esa)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first request: building it
+    costs about a millisecond, which an in-process caller would otherwise
+    pay on every request."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as e:
         return int(e.code or 0)
     except (DataError, OSError) as e:

@@ -11,7 +11,7 @@ import io
 import re
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -127,28 +127,32 @@ def load_csv(path: str) -> Series:
         raise DataError(f"{path}: no value columns, only {names}")
     m = len(names) - stamped
     row = np.dtype([("timestamp", object)] * stamped + [("values", np.float64, (m,))])
-    rows = _parse_rows(path, head, body, row, "a timestamp and " * stamped + f"{m} float values")
+
+    def check(rows: np.ndarray) -> None:  # the timestamps, from line 2
+        prev = prev_cell = None
+        for line_no, cell in enumerate(rows["timestamp"] if stamped else (), start=2):
+            try:
+                when = datetime.fromisoformat(cell)
+            except ValueError:
+                raise ParseError(f"{path}: line {line_no}: bad timestamp {cell!r}") from None
+            # the splits are chronological by row order, so time must run forwards
+            if prev is not None:
+                if (when.utcoffset() is None) != (prev.utcoffset() is None):
+                    raise ParseError(
+                        f"{path}: line {line_no}: timestamp {cell!r} mixes naive and "
+                        f"UTC-offset times with {prev_cell!r}"
+                    )
+                if when <= prev:
+                    raise ParseError(
+                        f"{path}: line {line_no}: timestamp {cell!r} does not come after "
+                        f"{prev_cell!r}"
+                    )
+            prev, prev_cell = when, cell
+
+    rows = _parse_rows(path, head, body, row, "a timestamp and " * stamped + f"{m} float values",
+                       check)
     if not rows.size:
         raise DataError(f"{path}: no data rows")
-    prev = prev_cell = None
-    for line_no, cell in enumerate(rows["timestamp"] if stamped else (), start=2):
-        try:
-            when = datetime.fromisoformat(cell)
-        except ValueError:
-            raise ParseError(f"{path}: line {line_no}: bad timestamp {cell!r}") from None
-        # the splits are chronological by row order, so time must run forwards
-        if prev is not None:
-            if (when.utcoffset() is None) != (prev.utcoffset() is None):
-                raise ParseError(
-                    f"{path}: line {line_no}: timestamp {cell!r} mixes naive and "
-                    f"UTC-offset times with {prev_cell!r}"
-                )
-            if when <= prev:
-                raise ParseError(
-                    f"{path}: line {line_no}: timestamp {cell!r} does not come after "
-                    f"{prev_cell!r}"
-                )
-        prev, prev_cell = when, cell
     # an owned C-contiguous copy, so the parsed rows can be freed
     return Series(rows["values"].copy())
 
@@ -367,15 +371,20 @@ def read_synth_csv(path: str) -> SynthDataset:
     if not head.isascii():  # str.split() also splits at non-ASCII spaces
         raise ParseError(f"{path}: line 1: non-ASCII text")
     row = np.dtype([("instance", np.int64), ("values", np.float64, (L + H,))])
-    rows = _parse_rows(path, head, body, row, f"an integer index and {L + H} float values")
-    # at most n indices are compared, whatever the row count
-    found = rows["instance"][:n]
-    bad = found != np.arange(found.size)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ParseError(f"{path}: line {2 + i}: expected instance {i}, found instance {found[i]}")
-    if rows.size > n:
-        raise ParseError(f"{path}: line {2 + n}: row past the last instance, instance {n - 1}")
+
+    def check(rows: np.ndarray) -> None:  # the index order
+        # at most n indices are compared, whatever the row count
+        found = rows["instance"][:n]
+        bad = found != np.arange(found.size)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ParseError(
+                f"{path}: line {2 + i}: expected instance {i}, found instance {found[i]}"
+            )
+        if rows.size > n:
+            raise ParseError(f"{path}: line {2 + n}: row past the last instance, instance {n - 1}")
+
+    rows = _parse_rows(path, head, body, row, f"an integer index and {L + H} float values", check)
     if rows.size < n:
         raise ParseError(
             f"{path}: no row for instance {rows.size} ({rows.size} rows for {n} instances)"
@@ -390,14 +399,17 @@ def _read_text(path: str) -> tuple[str, bytes]:
         return _decode(path, 1, fh.readline()), fh.read()
 
 
-def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str) -> np.ndarray:
+def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str,
+                check: Callable[[np.ndarray], None]) -> np.ndarray:
     """The rows of a `--data` file's body, one row of the dtype per line from
     line 2, parsed in one loadtxt pass: ASCII, split at `,` with no quoting,
     each ending in LF or CRLF, and every `values` float finite. A body that
     is not is searched line by line, and its first bad line raises
     ParseError (`holds` says what a row holds). So does a last line
     without its line break: a file cut inside its last value can still end
-    in a number that parses.
+    in a number that parses. `check` is the kind's own check of its rows,
+    which raises ParseError naming the line of the first row it rejects;
+    on a rejected body it runs over the rows before the first bad line.
     """
     lines = body.count(b"\n")
     if not (body.endswith(b"\n") if body else head.endswith("\n")):
@@ -411,7 +423,8 @@ def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str) ->
     # loadtxt strips non-ASCII whitespace around a number
     if (rows is None or rows.size != lines or not body.isascii()
             or not np.isfinite(rows["values"]).all()):
-        _reject_first_bad_line(path, body, row, holds)
+        _reject_first_bad_line(path, body, row, holds, check)
+    check(rows)
     return rows
 
 
@@ -420,29 +433,43 @@ def _loadtxt(source, row: np.dtype) -> np.ndarray:
     return np.loadtxt(source, dtype=row, delimiter=",", comments=None, ndmin=1, encoding="utf-8")
 
 
-def _reject_first_bad_line(path: str, body: bytes, row: np.dtype, holds: str) -> NoReturn:
+def _reject_first_bad_line(path: str, body: bytes, row: np.dtype, holds: str,
+                           check: Callable[[np.ndarray], None]) -> NoReturn:
     """Raise ParseError for the first line of a rejected body that fails a
     check: UTF-8, ASCII, the field count, the parse and finiteness, in that
-    order. Each line is parsed alone, by the same loadtxt call, so an index
-    too large for int64 is a malformed row.
+    order, or `check` over the rows up to it. Each line is parsed alone,
+    by the same loadtxt call, so an index too large for int64 is a
+    malformed row.
     """
-    count = len(row.names) - 1 + row["values"].shape[0]
+    good = []
     for line_no, raw in enumerate(io.BytesIO(body), start=2):
-        line = _decode(path, line_no, raw)
-        if not line.isascii():
-            raise ParseError(f"{path}: line {line_no}: non-ASCII text")
-        # a blank line, which loadtxt would skip, is malformed
-        parses = line.strip("\r\n") and line.count(",") + 1 == count
         try:
-            parsed = _loadtxt([line], row) if parses else None
-        except ValueError:
-            parsed = None
-        if parsed is None:
-            raise ParseError(f"{path}: line {line_no}: malformed row: expected {count} fields, "
-                             f"{holds}")
-        if not np.isfinite(parsed["values"]).all():
-            raise ParseError(f"{path}: line {line_no}: non-finite value")
+            good.append(_parse_line(path, line_no, raw, row, holds))
+        except ParseError:
+            if good:  # an earlier row may fail its kind's own check
+                check(np.concatenate(good))
+            raise
     raise ParseError(f"{path}: rows do not parse")  # no line alone fails to parse
+
+
+def _parse_line(path: str, line_no: int, raw: bytes, row: np.dtype, holds: str) -> np.ndarray:
+    """One body line as a one-row array, or ParseError naming the line."""
+    count = len(row.names) - 1 + row["values"].shape[0]
+    line = _decode(path, line_no, raw)
+    if not line.isascii():
+        raise ParseError(f"{path}: line {line_no}: non-ASCII text")
+    # a blank line, which loadtxt would skip, is malformed
+    parses = line.strip("\r\n") and line.count(",") + 1 == count
+    try:
+        parsed = _loadtxt([line], row) if parses else None
+    except ValueError:
+        parsed = None
+    if parsed is None:
+        raise ParseError(f"{path}: line {line_no}: malformed row: expected {count} fields, "
+                         f"{holds}")
+    if not np.isfinite(parsed["values"]).all():
+        raise ParseError(f"{path}: line {line_no}: non-finite value")
+    return parsed
 
 
 def _decode(path: str, line_no: int, raw: bytes) -> str:

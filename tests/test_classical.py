@@ -198,6 +198,21 @@ class TestHwForecast:
                 state.seasonal[wrap + p - 1]
         assert hw.hw_forecast(state, params, h).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("h", [1, 3, 4, 30])
+    def test_candidate_arrays_match_scalar_calls(self, h):
+        x = np.random.default_rng(h).normal(size=50) * 20.0
+        values = {k: np.array([0.2, 0.5, 0.9]) for k in ("alpha", "beta", "gamma")}
+        for params in (hw.HwParams(**values, phi=np.array([0.6, 0.95, 1.0]), period=4),
+                       hw.HwParams(*(v[:, None] for v in values.values()),
+                                   phi=np.array([0.5, 0.8, 0.9, 1.0]), period=4)):
+            out = hw.hw_forecast(hw.hw_smooth(x, params), params, h)
+            assert out.shape == (h,) + params.shape
+            for j in np.ndindex(params.shape):
+                one = hw.HwParams(*(np.broadcast_to(getattr(params, k), params.shape)[j]
+                                    for k in NAMES), period=4)
+                want = hw.hw_forecast(hw.hw_smooth(x, one), one, h)
+                assert out[(slice(None),) + j].tobytes() == want.tobytes()
+
     def test_zero_growth_constant_forecast(self):
         state = self._state(3.0, 0.0)
         out = hw.hw_forecast(state, hw.HwParams(0.2, 0.2, 0.2, phi=0.7, period=4), 10)
@@ -271,8 +286,9 @@ class TestHwFitGrid:
         assert hw.HwParams(0.5, 0.5, 0.5, period=2).shape == ()
         with pytest.raises(DimensionError):
             hw.HwParams(np.full(3, 0.5), np.full(2, 0.5), 0.5, period=2)
-        with pytest.raises(DimensionError):
-            hw.HwParams(np.full((2, 2), 0.5), 0.5, 0.5, period=2)
+        # any shapes that broadcast: (n, 1) rates against (R,) phi
+        two_d = hw.HwParams(np.full((2, 1), 0.5), 0.5, 0.5, np.ones(3), period=2)
+        assert two_d.shape == (2, 3) and two_d.rate_shape == (2, 1)
 
     @staticmethod
     @st.composite
@@ -399,3 +415,49 @@ class TestCandidateAxis:
         for j in range(4):
             one = hw.HwParams(values["alpha"][j], 0.4, values["gamma"][j], 0.9, period=3)
             assert err[:, j].tobytes() == hw.one_step_errors(x, one).tobytes()
+
+    def test_states_do_not_depend_on_phi(self):
+        x = np.random.default_rng(9).normal(size=40) * 5.0
+        rates = [np.array([[0.1], [0.4], [0.8]]), 0.3, np.array([[0.2], [0.6], [0.9]])]
+        states = [hw.hw_smooth(x, hw.HwParams(*rates, phi, period=4))
+                  for phi in (0.5, np.array([0.5, 0.7]), np.array([0.6, 0.8, 0.95, 1.0]))]
+        for state in states:
+            assert state.level.shape == state.growth.shape == (41, 3, 1)
+            assert state.seasonal.shape == (44, 3, 1)
+            for got, want in zip((state.level, state.growth, state.seasonal),
+                                 (states[0].level, states[0].growth, states[0].seasonal)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 5])
+    def test_rates_against_phi_match_scalar_calls(self, p):
+        x = np.random.default_rng(p).normal(size=36) * 30.0
+        values = self.candidates(5, p)
+        phi = np.array([0.5, 0.75, 0.9, 1.0])
+        params = hw.HwParams(*(values[k][:, None] for k in ("alpha", "beta", "gamma")), phi,
+                             period=p)
+        err = hw.one_step_errors(x, params)
+        assert err.shape == (36, 5, 4)
+        for j in range(5):
+            for r in range(4):
+                one = hw.HwParams(values["alpha"][j], values["beta"][j], values["gamma"][j],
+                                  phi[r], period=p)
+                assert err[:, j, r].tobytes() == hw.one_step_errors(x, one).tobytes()
+                assert err[:, j, r].tobytes() == errors_loop(
+                    x, one.alpha, one.beta, one.gamma, one.phi, p).tobytes()
+
+    def test_cli_default_fit_is_one_call_over_125_columns(self):
+        # `baseline --grid 5` on the benchmark's 240 steps fits the first 192
+        x = np.random.default_rng(3).normal(size=192)
+        calls, columns = [], []
+        errors, smooth = hw.one_step_errors, hw.hw_smooth
+
+        def count_smooth(x, params):
+            state = smooth(x, params)
+            columns.append(state.level[0].size)
+            return state
+
+        with mock.patch.object(hw, "one_step_errors",
+                               lambda x, params: calls.append(params.shape) or errors(x, params)), \
+                mock.patch.object(hw, "hw_smooth", count_smooth):
+            hw.hw_fit_grid(x, 12, 5)
+        assert calls == [(125, 5)] and columns == [125]

@@ -879,3 +879,31 @@ class TestExitCodes:
         for line in captured.out.strip().splitlines():
             strict_json(line)  # every stdout line parses, as strict JSON
         assert "training on" in captured.err
+
+
+class TestParserReuse:
+    def test_parser_built_once_and_commands_looked_up_per_call(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cli._parser.cache_clear()
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        ran = []
+        monkeypatch.setattr(cli, "cmd_baseline", lambda args: ran.append(args.grid) or 0)
+        p = tmp_path / "s.csv"
+        write_csv(np.arange(40.0)[:, None], str(p))
+        for grid in ("2", "3"):
+            assert cli.main(["baseline", "--data", str(p), "--period", "4", "--grid", grid]) == 0
+        assert built == [1] and ran == [2, 3]
+
+    def test_usage_error_leaves_the_next_request_as_a_fresh_one(self, tmp_path, capsys):
+        p = tmp_path / "s.csv"
+        x = 5 + 0.1 * np.arange(60) + np.sin(np.arange(60) * np.pi / 2)
+        write_csv(x[:, None], str(p))
+        request = ["baseline", "--data", str(p), "--period", "4", "--grid", "2"]
+        cli._parser.cache_clear()
+        fresh = cli.main(request), capsys.readouterr().out
+        assert cli.main(["baseline", "--data", str(p), "--grid", "x"]) == 1
+        assert "error: argument --grid: invalid int value" in capsys.readouterr().err
+        assert (cli.main(request), capsys.readouterr().out) == fresh
+        assert fresh[0] == 0 and strict_json(fresh[1])["test_steps"] == 12

@@ -79,6 +79,24 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3: non-finite value"):
             data.read_dataset(str(p))
 
+    @pytest.mark.parametrize("text, error", [
+        ("time,v\n2024-01-01,1\nnot-a-time,2\n2024-01-03,3\n2024-01-04,x\n",
+         "line 3: bad timestamp 'not-a-time'"),
+        ("time,v\n2024-01-02,1\n2024-01-01,2\n2024-01-03,nan\n",
+         "line 3: timestamp '2024-01-01' does not come after '2024-01-02'"),
+        (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=3\n0,1,2\n2,1,2\n2,1,x\n",
+         "line 3: expected instance 1, found instance 2"),
+        (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=1\n0,1,2\n1,1,2\n2,1\n",
+         "line 3: row past the last instance, instance 0"),
+    ], ids=["plain-bad-time", "plain-time-order", "instance-order", "instance-past-the-last"])
+    def test_kind_check_fault_before_a_malformed_line_is_named(self, tmp_path, text, error):
+        # the row parser's fallback names the last line; a row before it that
+        # parses but fails its kind's own check comes first
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {error}")):
+            data.read_dataset(str(p))
+
     @pytest.mark.parametrize("cell, value", [
         ("+5", 5.0), ("1e3", 1000.0), (" 1.5 ", 1.5), ("1_0", None),
         ("\u0661\u0662", None), ("\u00a01.5\u00a0", None), ("nan", None), ("inf", None),
