@@ -40,44 +40,56 @@ class HwParams:
     def shape(self) -> tuple[int, ...]:
         """Candidate shape: the broadcast of the four parameters' shapes,
         () for one parameter set."""
-        return _broadcast(self.alpha, self.beta, self.gamma, self.phi)
+        return _broadcast(*map(np.shape, (self.alpha, self.beta, self.gamma, self.phi)))
 
     @property
     def rate_shape(self) -> tuple[int, ...]:
         """The broadcast of alpha, beta and gamma alone, left-padded with
         ones to the candidate ndim: the shape of one smoothed state step."""
-        rates = _broadcast(self.alpha, self.beta, self.gamma)
+        rates = _broadcast(*map(np.shape, (self.alpha, self.beta, self.gamma)))
         return (1,) * (len(self.shape) - len(rates)) + rates
 
 
-def _broadcast(*values) -> tuple[int, ...]:
-    shapes = [np.shape(v) for v in values]
+def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...]:
     try:
         return np.broadcast_shapes(*shapes)
     except ValueError:
-        raise DimensionError(f"parameter shapes {shapes} do not broadcast") from None
+        raise DimensionError(f"shapes {list(shapes)} do not broadcast") from None
+
+
+def _time_first(a: np.ndarray, ndim: int) -> np.ndarray:
+    """a, whose axis 0 is time, with its other axes right-aligned to `ndim`
+    trailing axes, so that it broadcasts against (len(a),) + a candidate
+    shape of that ndim."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim + 1) + a.shape[1:])
 
 
 @dataclass
 class HwState:
     """Smoothed series including seeds: level/growth carry index 0 as the seed;
-    seasonal carries one full leading period of seeds."""
+    seasonal carries one full leading period of seeds. Axis 0 is time; any
+    further axes are series and candidates."""
 
-    level: np.ndarray  # (T+1,)
-    growth: np.ndarray  # (T+1,)
-    seasonal: np.ndarray  # (T+p,)
+    level: np.ndarray  # (T+1, ...)
+    growth: np.ndarray  # (T+1, ...)
+    seasonal: np.ndarray  # (T+p, ...)
     period: int
 
 
 def default_init(x: np.ndarray, period: int) -> HwState:
-    """Level = mean of the first period, growth = 0, seasonal = first-period offsets."""
+    """Level = mean of the first period, growth = 0, seasonal = first-period
+    offsets, for each series of x (T,) or (T, ...): level and growth are
+    (1,) + x.shape[1:] and seasonal is (period,) + x.shape[1:]."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size <= period:
-        raise DataError(f"series length {x.size} must exceed period {period}")
-    e0 = float(x[:period].mean())
+    T = x.shape[0] if x.ndim else 1
+    if T <= period:
+        raise DataError(f"series length {T} must exceed period {period}")
+    # each series' first period as one contiguous row, so that np.mean sums
+    # it in the pairwise order it uses for a lone 1-d series
+    e0 = np.ascontiguousarray(np.moveaxis(x[:period], 0, -1)).mean(axis=-1)
     return HwState(
-        level=np.array([e0]),
-        growth=np.array([0.0]),
+        level=e0[None],
+        growth=np.zeros((1,) + e0.shape),
         seasonal=x[:period] - e0,
         period=period,
     )
@@ -87,31 +99,53 @@ def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
     """Run the level, growth, seasonal recurrences over the whole series,
     seeded by `default_init`.
 
-    phi does not enter the recurrences, so the states carry only the rates'
-    candidate axes, last: level and growth are (T+1,) + params.rate_shape
-    and seasonal is (T+p,) + params.rate_shape. Each candidate gets exactly
-    the arithmetic of a scalar call.
+    x is (T,) for one series, or (T, ...) with one series per index of its
+    trailing axes; those axes broadcast against the candidate axes the way
+    numpy aligns shapes, from the right. phi does not enter the
+    recurrences, so the states carry the broadcast `cand` of the series
+    axes and params.rate_shape alone: level and growth are (T+1,) + cand
+    and seasonal is (T+p,) + cand. Each series and candidate gets exactly
+    the arithmetic of a scalar call on that series.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"expected a univariate series, got shape {x.shape}")
     p = params.period
     init = default_init(x, p)
-    T = x.size
-    cand = params.rate_shape
-    e = np.empty((T + 1,) + cand)
-    b = np.empty((T + 1,) + cand)
-    s = np.empty((T + p,) + cand)
+    T = x.shape[0]
+    cand = _broadcast(x.shape[1:], params.rate_shape)
+    row = cand or (1,)  # a scalar call runs as one column, so each row is a view
+    e = np.empty((T + 1,) + row)
+    b = np.empty((T + 1,) + row)
+    s = np.empty((T + p,) + row)
     e[0], b[0] = init.level[0], init.growth[0]
-    s[:p] = init.seasonal[:p].reshape((p,) + (1,) * len(cand))
-    a, be, ga = params.alpha, params.beta, params.gamma
+    s[:p] = _time_first(init.seasonal, len(row))
+    s[p:] = _time_first(x, len(row))  # row p+t-1 holds x_t until step t overwrites it
+    # the rates as full rows, so that every operation of a step runs over
+    # rows of one shape, numpy's fast path
+    a, be, ga = (np.full(row, r) for r in (params.alpha, params.beta, params.gamma))
     a1, be1, ga1 = 1.0 - a, 1.0 - be, 1.0 - ga
+    # Each step t writes its rows in place, with the operations of
+    #   e_t = a * (x_t - s_lag) + a1 * (e_{t-1} + b_{t-1})
+    #   b_t = be * (e_t - e_{t-1}) + be1 * b_{t-1}
+    #   s_t = ga * (x_t - e_t) + ga1 * s_lag
+    # where s_lag is the seasonal index from one period ago. Only the two
+    # products of each sum are added in the other order, and addition
+    # commutes exactly, so the bits are those of the expressions.
+    tmp = np.empty(row)
+    e_prev, b_prev = e[0], b[0]
     for t in range(1, T + 1):
-        xt = x[t - 1]
-        s_lag = s[t - 1]  # seasonal index from one period ago
-        e[t] = a * (xt - s_lag) + a1 * (e[t - 1] + b[t - 1])
-        b[t] = be * (e[t] - e[t - 1]) + be1 * b[t - 1]
-        s[p + t - 1] = ga * (xt - e[t]) + ga1 * s_lag
+        s_lag, s_t = s[t - 1], s[p + t - 1]  # s_t is x_t until its last two lines
+        e_t, b_t = e[t], b[t]
+        np.multiply(a, np.subtract(s_t, s_lag, out=tmp), out=tmp)
+        np.multiply(a1, np.add(e_prev, b_prev, out=e_t), out=e_t)
+        e_t += tmp
+        np.multiply(be, np.subtract(e_t, e_prev, out=tmp), out=tmp)
+        np.multiply(be1, b_prev, out=b_t)
+        b_t += tmp
+        np.multiply(ga, np.subtract(s_t, e_t, out=tmp), out=tmp)
+        np.multiply(ga1, s_lag, out=s_t)
+        s_t += tmp
+        e_prev, b_prev = e_t, b_t
+    e, b, s = (v.reshape(v.shape[:1] + cand) for v in (e, b, s))
     return HwState(level=e, growth=b, seasonal=s, period=p)
 
 
@@ -156,73 +190,126 @@ class HwFitResult:
     params: HwParams
     val_mse: float
     degenerate: bool  # constant input: every candidate forecasts perfectly
+    state: HwState  # hw_smooth of the fit's series under `params`, bit for bit
 
 
-def one_step_errors(x: np.ndarray, params: HwParams) -> np.ndarray:
-    """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p},
-    shaped (T,) + params.shape: phi*b broadcasts the states, which carry
-    only the rates' axes, out to every candidate."""
-    state = hw_smooth(x, params)
+def one_step_errors(
+    x: np.ndarray, params: HwParams, state: HwState | None = None, start: int = 0
+) -> np.ndarray:
+    """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p}
+    at steps start..T-1, shaped (T - start,) + cand, where cand broadcasts
+    x's series axes (as in `hw_smooth`) with params.shape: phi*b broadcasts
+    the states, which carry only the rates' axes, out to every candidate.
+
+    `state` is `hw_smooth(x, params)`, computed here unless the caller
+    holds it. The errors are laid out time-last in memory, so those of one
+    series and candidate are one contiguous row.
+    """
+    if state is None:
+        state = hw_smooth(x, params)
     x = np.asarray(x, dtype=np.float64)
-    T = x.size
-    # x - (level + phi*growth + seasonal) in one buffer; addition commutes
-    # exactly, so the bits are those of the expression
-    err = params.phi * state.growth[:T]
-    err += state.level[:T]
-    err += state.seasonal[:T]
-    return np.subtract(x.reshape((T,) + (1,) * len(params.shape)), err, out=err)
+    T = x.shape[0]
+    if not 0 <= start < T:
+        raise DataError(f"error steps must start in [0, {T}), got {start}")
+
+    def time_last(a):  # a's steps start..T-1, as one contiguous row per series and candidate
+        return np.ascontiguousarray(np.moveaxis(a[start:T], 0, -1))
+
+    # x - (level + phi*growth + seasonal) in one time-last buffer, whose
+    # every operation runs over contiguous rows; addition commutes exactly,
+    # so the bits are those of the expression
+    err = np.multiply(np.asarray(params.phi)[..., None], time_last(state.growth))
+    err += time_last(state.level)
+    err += time_last(state.seasonal)
+    np.subtract(np.moveaxis(x[start:], 0, -1), err, out=err)
+    return np.moveaxis(err, -1, 0)
+
+
+def _unit_words(T: int, period: int, n_val: int, resolution: int) -> int:
+    """Float64 words that one (channel, triple) unit of a grid-fit block
+    holds: its level, growth and seasonal states over a length-T fit part,
+    its n_val tail errors against each of the `resolution` phi, and one
+    state's tail moved time-last while `one_step_errors` adds it in."""
+    return 2 * (T + 1) + T + period + n_val * (resolution + 1)
 
 
 # phi does not enter the smoothing recurrences, so the grid fit smooths each
-# (alpha, beta, gamma) triple once and lets phi*b broadcast it over every
-# phi. Triples per one_step_errors call are capped so that its (T, triples,
-# phi) errors array holds at most this many float64 words (1 MiB); the
-# states add 3/resolution of that, so one fit's working memory stays under
-# 3 MiB whatever the grid resolution.
-_BLOCK_WORDS = 1 << 17
+# (alpha, beta, gamma) triple once per channel and lets phi*b broadcast it
+# over every phi. A block's states and tail errors hold at most this many
+# float64 words (2 MiB), unless one unit alone holds more; a block takes
+# every channel while a triple of all of them fits, and splits a triple by
+# channel otherwise, so a fit's working memory does not grow with the grid
+# resolution or the channel count.
+_BLOCK_WORDS = 1 << 18
 
 
 def hw_fit_grid(
     x: np.ndarray, period: int, resolution: int, val_fraction: float = 0.25
-) -> HwFitResult:
+) -> HwFitResult | list[HwFitResult]:
     """Exhaustive grid search minimizing one-step-ahead MSE on a held-out tail.
 
+    x is one series (T,), giving one result, or a (T, C) fit part, giving
+    a list of C results, each that of a 1-d call on its column bit for bit.
     The filter runs over the whole series; only errors on the final
     val_fraction of steps count, so the scored forecasts never see their
     targets. Candidates are taken in ascending (alpha, beta, gamma, phi)
-    order, a block of (alpha, beta, gamma) triples with every phi at a time,
-    and the first minimum wins, so ties resolve toward smaller values. NaN
-    scores never win, except that the first candidate stands if its own
-    score is NaN.
+    order, a block of (alpha, beta, gamma) triples with every phi at a
+    time, and each channel's first minimum wins, so ties resolve toward
+    smaller values. NaN scores never win, except that the first candidate
+    stands if its own score is NaN. Each result carries its winner's states
+    from the block that scored it.
     """
     x = np.asarray(x, dtype=np.float64)
-    T = x.size
+    if x.ndim not in (1, 2):
+        raise DataError(f"expected a (T,) or (T, C) fit part, got shape {x.shape}")
+    series = x.reshape(x.shape[0], -1)
+    T, C = series.shape
     n_val = holdout_steps(T, val_fraction, period)
     grid = grid_values(resolution)
     n = resolution**3
-    block = max(1, _BLOCK_WORDS // (T * resolution))
-    best, best_mse = 0, None
-    for lo in range(0, n, block):
-        triples = np.unravel_index(np.arange(lo, min(lo + block, n)), (resolution,) * 3)
+    units = max(1, _BLOCK_WORDS // _unit_words(T, period, n_val, resolution))
+    width = min(C, units)  # channels per block
+    depth = units // width  # triples per block
+    best, best_mse, states = [0] * C, [0.0] * C, [None] * C
+    for lo in range(0, n, depth):
+        triples = np.unravel_index(np.arange(lo, min(lo + depth, n)), (resolution,) * 3)
         # (triples, 1) rates against the grid's (R,) phi
         rates = (grid[k][i, None] for k, i in zip(("alpha", "beta", "gamma"), triples))
         params = HwParams(*rates, grid["phi"], period=period)
-        # (T, triples, phi) flattens to candidates in (alpha, beta, gamma, phi)
-        # order; one C-contiguous row per candidate, so np.mean sums each tail
-        # in the same pairwise order as it does a single candidate's errors.
-        # One expression, so the full errors array dies with the copy.
-        sq = np.ascontiguousarray(one_step_errors(x, params)[T - n_val :].reshape(n_val, -1).T)
-        mse = np.mean(np.square(sq, out=sq), axis=1)
-        if best_mse is None:
-            best_mse = mse[0]  # if NaN, it stands: `x < nan` is false for every x
-        i = int(np.argmin(np.where(np.isnan(mse), np.inf, mse)))
-        if mse[i] < best_mse:
-            best, best_mse = lo * resolution + i, mse[i]
-    return HwFitResult(
-        params=_grid_params(grid, best, period),
-        val_mse=float(best_mse),
-        degenerate=bool(np.ptp(x) == 0.0),
-    )
+        for c0 in range(0, C, width):
+            xb = series[:, c0 : c0 + width, None, None]  # (T, channels, 1, 1)
+            state = hw_smooth(xb, params)
+            mse = _tail_mse(one_step_errors(xb, params, state, T - n_val))
+            wins = np.argmin(np.where(np.isnan(mse), np.inf, mse), axis=1)
+            for j, i in enumerate(wins.tolist()):
+                c = c0 + j
+                if lo == 0 and not mse[j, i] < mse[j, 0]:
+                    i = 0  # the first candidate stands unless beaten, even if NaN
+                if lo == 0 or mse[j, i] < best_mse[c]:
+                    best[c], best_mse[c] = lo * resolution + i, mse[j, i]
+                    states[c] = HwState(
+                        *(a[:, j, i // resolution, 0].copy()
+                          for a in (state.level, state.growth, state.seasonal)),
+                        period=period,
+                    )
+            del state  # before the next block's states are allocated
+    degenerate = np.ptp(series, axis=0) == 0.0
+    fits = [
+        HwFitResult(_grid_params(grid, best[c], period), float(best_mse[c]),
+                    bool(degenerate[c]), states[c])
+        for c in range(C)
+    ]
+    return fits if x.ndim == 2 else fits[0]
+
+
+def _tail_mse(err: np.ndarray) -> np.ndarray:
+    """(channels, candidates) MSEs of a block's (n_val, channels, triples,
+    phi) errors, which are laid out time-last: per channel, one contiguous
+    row per candidate in (alpha, beta, gamma, phi) order, so np.mean sums
+    each tail in the same pairwise order as it does a single candidate's
+    errors. Squares in place."""
+    sq = np.moveaxis(err, 0, -1).reshape(err.shape[1], -1, err.shape[0])
+    return np.mean(np.square(sq, out=sq), axis=-1)
 
 
 def _grid_params(grid: dict[str, np.ndarray], flat, period: int) -> HwParams:

@@ -247,13 +247,12 @@ def cmd_baseline(args) -> int:
     series = data.load_csv(args.data)
     T = series.length
     n_test = classical.holdout_steps(T, args.test_fraction, args.period)
+    test = series.values[T - n_test :]
     per_channel = []
-    for c in range(series.channels):
-        x = series.values[:, c]
-        fit = classical.hw_fit_grid(x[: T - n_test], args.period, args.grid)
-        state = classical.hw_smooth(x[: T - n_test], fit.params)
-        pred = classical.hw_forecast(state, fit.params, n_test)
-        mse, mae = data.metrics(pred, x[T - n_test :])
+    fits = classical.hw_fit_grid(series.values[: T - n_test], args.period, args.grid)
+    for c, fit in enumerate(fits):
+        pred = classical.hw_forecast(fit.state, fit.params, n_test)
+        mse, mae = data.metrics(pred, test[:, c])
         per_channel.append(
             {
                 "channel": c,

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from csv_files import write_csv
 from etsfore import classical as hw
+from etsfore import cli
 from etsfore.errors import DataError, DimensionError, DomainError
 
 NAMES = ("alpha", "beta", "gamma", "phi")
@@ -336,35 +338,102 @@ class TestHwFitGrid:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_tie_and_nan_rule_across_blocks(self, data):
-        """Scores drawn from {0, 1, 4, inf, NaN}: ties, a NaN first candidate
-        and NaN or tied block heads, with blocks of 1 to 5 candidates."""
+        """Scores drawn from {0, 1, 2, inf, NaN} per channel: ties, a NaN
+        first candidate and NaN or tied block heads, over 1 to 3 channels
+        in blocks of 1 to 5 triples each, or of one triple split by
+        channel. The blocks each draw runs are read back from the calls."""
         res = data.draw(st.integers(1, 3))
+        C = data.draw(st.integers(1, 3))
         n = res**4
         scores = np.array(data.draw(st.lists(
-            st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), min_size=n, max_size=n)))
+            st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), min_size=C * n, max_size=C * n)))
+        scores = scores.reshape(C, n)
         grid = hw.grid_values(res)
         T, period = 12, 2
+        x = np.tile(np.arange(C, dtype=np.float64), (T, 1))  # each column holds its index
 
         def index(params):
             pos = [np.searchsorted(grid[k], getattr(params, k)) for k in NAMES]
             return np.ravel_multi_index(pos, (res,) * 4)
 
-        def fake_errors(x, params):
-            e = scores[index(params)]
-            return np.broadcast_to(e, (T,) + np.shape(e)).copy()
+        blocks = []
 
-        def loop_errors(x, a, be, ga, ph, p):
-            return fake_errors(x, hw.HwParams(a, be, ga, ph, period=p))
+        def fake_errors(x, params, state, start):
+            channels = x[0, :, 0, 0].astype(int)
+            blocks.append((channels[0], channels.size, params.shape[0]))
+            e = scores[channels][:, index(params)]  # (channels, triples, phi)
+            return np.broadcast_to(e, (T - start,) + e.shape).copy()
 
-        block = data.draw(st.integers(1, 5))
-        x = np.zeros(T)
+        # units per block from the block rule: C channels by 1 to 5 triples,
+        # or fewer than C channels by one triple
+        units = data.draw(st.integers(1, 5 * C))
+        budget = units * hw._unit_words(T, period, hw.holdout_steps(T, 0.25, period), res)
         with mock.patch.object(hw, "one_step_errors", fake_errors), \
-                mock.patch.object(hw, "_BLOCK_WORDS", block * (T + 1)), \
-                np.errstate(all="ignore"):
-            fit = hw.hw_fit_grid(x, period, res)
-            want = fit_grid_loop(x, period, res, errors=loop_errors)
-        got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
-        assert fit_key(fit.val_mse, got) == fit_key(*want)
+                mock.patch.object(hw, "_BLOCK_WORDS", budget), np.errstate(all="ignore"):
+            fits = hw.hw_fit_grid(x, period, res)
+        width = min(C, units)
+        depth = units // width
+        assert blocks == [(c0, min(width, C - c0), min(depth, res**3 - lo))
+                          for lo in range(0, res**3, depth) for c0 in range(0, C, width)]
+        for c, fit in enumerate(fits):
+            def loop_errors(x, a, be, ga, ph, p):
+                return np.full(T, scores[c, index(hw.HwParams(a, be, ga, ph, period=p))])
+
+            with np.errstate(all="ignore"):
+                want = fit_grid_loop(x[:, c], period, res, errors=loop_errors)
+            got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+            assert fit_key(fit.val_mse, got) == fit_key(*want)
+
+    @staticmethod
+    @st.composite
+    def channels(draw):
+        """A (T, C) fit part of 1 to 4 channels, each noise, a constant or
+        near the float64 limit (inf and NaN scores); its period, grid
+        resolution, and a block size in units of one channel's triple
+        that may split the grid mid-way and a triple by channel."""
+        C = draw(st.integers(1, 4))
+        p = draw(st.integers(1, 13))  # past 8, np.mean sums the first period pairwise
+        T = draw(st.integers(2 * p + 2, 60))  # the fit part left after the tail exceeds p
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cols = []
+        for _ in range(C):
+            kind = draw(st.sampled_from(["noise", "constant", "huge"]))
+            if kind == "constant":
+                cols.append(np.full(T, draw(st.sampled_from([0.0, -2.5, 7.0]))))
+            elif kind == "huge":
+                cols.append(near_overflow(rng, T, draw(st.sampled_from([308, 160]))))
+            else:
+                cols.append(rng.normal(size=T) * 10.0 ** draw(st.floats(-3.0, 3.0)))
+        res = draw(st.integers(1, 3))
+        return np.stack(cols, axis=1), p, res, draw(st.integers(1, C * res**3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels())
+    # a constant and a near-overflow channel, each triple split by channel
+    # into blocks of two and one; a period past 8, one triple per block
+    @example((np.stack([np.full(30, 2.0), near_overflow(np.random.default_rng(1), 30, 308),
+                        np.sin(np.arange(30.0))], axis=1), 3, 3, 2))
+    @example((np.random.default_rng(2).normal(size=(40, 2)) * 1e3, 12, 2, 3))
+    def test_channels_fit_as_separate_series(self, case):
+        x, p, res, units = case
+        T = x.shape[0]
+        budget = units * hw._unit_words(T, p, hw.holdout_steps(T, 0.25, p), res)
+        with mock.patch.object(hw, "_BLOCK_WORDS", budget), np.errstate(all="ignore"):
+            fits = hw.hw_fit_grid(x, p, res)
+        assert len(fits) == x.shape[1]
+        for c, fit in enumerate(fits):
+            with np.errstate(all="ignore"):
+                one = hw.hw_fit_grid(np.ascontiguousarray(x[:, c]), p, res)
+                smooth = hw.hw_smooth(x[:, c], fit.params)
+            got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+            want = (one.params.alpha, one.params.beta, one.params.gamma, one.params.phi)
+            assert fit_key(fit.val_mse, got) == fit_key(one.val_mse, want)
+            assert fit.degenerate == one.degenerate == (np.ptp(x[:, c]) == 0.0)
+            for state in (fit.state, one.state):
+                assert state.period == p
+                for got_a, want_a in ((state.level, smooth.level), (state.growth, smooth.growth),
+                                      (state.seasonal, smooth.seasonal)):
+                    assert got_a.shape == want_a.shape and got_a.tobytes() == want_a.tobytes()
 
     def test_working_memory_bounded_by_budget_not_grid(self):
         x = np.random.default_rng(6).normal(size=200)
@@ -376,6 +445,23 @@ class TestHwFitGrid:
             tracemalloc.stop()
         # all candidates at once would hold several 200 x 20736 float64 arrays (33 MB each)
         assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("T, resolution", [(3000, 2), (1000, 5)])
+    def test_working_memory_bounded_across_channels(self, T, resolution):
+        # one triple of all 64 channels holds more than the block budget, so
+        # each triple is split by channel: 3 blocks of up to 23 channels at
+        # grid 2, 2 of up to 58 at grid 5 (whose 250 blocks of 1000 steps
+        # take seconds under tracemalloc; 3000 steps would take minutes)
+        x = np.random.default_rng(7).normal(size=(T, 64))
+        tracemalloc.start()
+        try:
+            fits = hw.hw_fit_grid(x, 12, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the winners' states are the result, which the caller keeps
+        kept = sum(a.nbytes for f in fits for a in (f.state.level, f.state.growth, f.state.seasonal))
+        assert peak - kept < 3 * 2**20
 
 
 class TestCandidateAxis:
@@ -445,19 +531,25 @@ class TestCandidateAxis:
                 assert err[:, j, r].tobytes() == errors_loop(
                     x, one.alpha, one.beta, one.gamma, one.phi, p).tobytes()
 
-    def test_cli_default_fit_is_one_call_over_125_columns(self):
-        # `baseline --grid 5` on the benchmark's 240 steps fits the first 192
-        x = np.random.default_rng(3).normal(size=192)
+    def test_cli_default_fit_is_one_call_over_both_channels(self, tmp_path, capsys):
+        # the benchmark's request: `baseline --grid 5` on a 2-channel CSV of
+        # 240 steps fits the first 192, and forecasts from the fit's states
+        path = tmp_path / "two.csv"
+        write_csv(np.random.default_rng(3).normal(size=(240, 2)), str(path))
         calls, columns = [], []
         errors, smooth = hw.one_step_errors, hw.hw_smooth
+
+        def count_errors(x, params, *rest):
+            calls.append(x.shape[1:2] + params.shape)
+            return errors(x, params, *rest)
 
         def count_smooth(x, params):
             state = smooth(x, params)
             columns.append(state.level[0].size)
             return state
 
-        with mock.patch.object(hw, "one_step_errors",
-                               lambda x, params: calls.append(params.shape) or errors(x, params)), \
+        with mock.patch.object(hw, "one_step_errors", count_errors), \
                 mock.patch.object(hw, "hw_smooth", count_smooth):
-            hw.hw_fit_grid(x, 12, 5)
-        assert calls == [(125, 5)] and columns == [125]
+            assert cli.main(["baseline", "--data", str(path), "--period", "12", "--grid", "5"]) == 0
+        capsys.readouterr()
+        assert calls == [(2, 125, 5)] and columns == [250]

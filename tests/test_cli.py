@@ -624,6 +624,27 @@ class TestBaseline:
         payload = strict_json(capsys.readouterr().out.strip())
         assert payload["mse"] < np.var(x)
 
+    def test_each_channel_fits_as_its_own_csv(self, tmp_path, capsys):
+        # one fit over every channel gives each channel what a 1-channel
+        # CSV of its column gives; a constant channel and enough steps for
+        # grid 5 to run more than one block
+        rng = np.random.default_rng(5)
+        t = np.arange(400)
+        values = np.stack([5 + 0.02 * t * c + np.sin(2 * np.pi * t / 12 + c) + rng.normal(0, 0.3, t.size)
+                           for c in range(4)] + [np.full(t.size, 2.5)], axis=1)
+        request = ["--period", "12", "--grid", "5", "--test-fraction", "0.2"]
+        write_csv(values, str(tmp_path / "all.csv"))
+        assert cli.main(["baseline", "--data", str(tmp_path / "all.csv"), *request]) == 0
+        payload = strict_json(capsys.readouterr().out)
+        for c, entry in enumerate(payload["channels"]):
+            path = tmp_path / f"ch{c}.csv"
+            write_csv(values[:, c:c + 1], str(path))
+            assert cli.main(["baseline", "--data", str(path), *request]) == 0
+            alone = strict_json(capsys.readouterr().out)
+            assert alone["channels"] == [entry | {"channel": 0}]
+            assert alone["test_steps"] == payload["test_steps"]
+        assert payload["channels"][4]["degenerate"]
+
     def test_overflowing_error_is_numeric_failure(self, tmp_path, capsys):
         # random signs at 1e200: every squared error overflows to infinity
         x = 1e200 * np.random.default_rng(0).choice([-1.0, 1.0], size=60)
