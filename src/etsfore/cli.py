@@ -82,13 +82,15 @@ def load_run_config(path: str, channels: int):
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=model.unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    except ValueError as e:  # model.unique_keys: a repeated key
+        raise ConfigError(f"{path}: {e}") from None
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
@@ -131,21 +133,17 @@ def cmd_synth(args) -> int:
     ds = data.synth_generate(
         args.n, args.noise, args.seed, lookback=args.lookback, horizon=args.horizon
     )
-    data.write_synth_csv(ds, args.out)
     flat = ds.values[:, :, 0]
-    _emit(
-        {
-            "instances": len(flat),
-            "lookback": ds.lookback,
-            "horizon": ds.horizon,
-            "noise": args.noise,
-            "seed": args.seed,
-            "mean": float(flat.mean()),
-            "std": float(flat.std()),
-            "min": float(flat.min()),
-            "max": float(flat.max()),
-        }
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = {"mean": float(flat.mean()), "std": float(flat.std()),
+                   "min": float(flat.min()), "max": float(flat.max())}
+    # a noise level near the float64 range overflows the values or their std;
+    # min and max are finite only when every value is
+    _require(all(map(math.isfinite, summary.values())), "--noise",
+             "keep the generated values and their summary finite", args.noise)
+    data.write_synth_csv(ds, args.out)
+    _emit({"instances": len(flat), "lookback": ds.lookback, "horizon": ds.horizon,
+           "noise": args.noise, "seed": args.seed, **summary})
     return EXIT_OK
 
 

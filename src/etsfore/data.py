@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Callable, NoReturn
 
@@ -42,20 +42,16 @@ class Series:
     def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec,
                       stats: NormStats | None = None):
         """Normalized (train, val, test, stats): the series split in time into
-        contiguous parts of at least lookback + horizon steps, each normalized
-        by stats (None: stats over the train part's values) and cut into all
-        its windows."""
+        contiguous parts of at least lookback + horizon steps, each cut into
+        all its windows by _normalized_windows (stats None: over the train
+        part's values)."""
         _check_channels(self.channels, channels)
         parts = [self.values[part] for part in split.bounds(self.length)]
-        need = lookback + horizon
-        lengths = tuple(len(values) for values in parts)
-        if min(lengths) < need:
+        lengths = tuple(map(len, parts))
+        if min(lengths) < lookback + horizon:
             raise DataError(f"series of length {self.length} too short for split {lengths}: "
-                            f"every part needs >= {need} steps")
-        if stats is None:
-            stats = compute_stats(parts[0])
-        return (*(window_dataset(Series(_normalize_dataset(values, stats)), lookback, horizon)
-                  for values in parts), stats)
+                            f"every part needs >= {lookback + horizon} steps")
+        return _normalized_windows(parts, parts[0], lookback, horizon, stats)
 
 
 @dataclass
@@ -197,24 +193,24 @@ def _normalize_dataset(values: np.ndarray, stats: NormStats) -> np.ndarray:
     return out
 
 
-def window_dataset(series: Series, lookback: int, horizon: int) -> list[WindowPair]:
-    """Every contiguous (lookback, target) pair, one per start step."""
-    T = series.length
-    if T < lookback + horizon:
-        raise DataError(
-            f"series length {T} shorter than lookback+horizon = {lookback + horizon}"
-        )
-    pairs = []
-    for start in range(T - lookback - horizon + 1):
-        t = start + lookback
-        pairs.append(
-            WindowPair(
-                lookback=series.values[start:t],
-                target=series.values[t : t + horizon],
-                origin=t,
-            )
-        )
-    return pairs
+def window_dataset(values: np.ndarray, lookback: int, horizon: int) -> list[WindowPair]:
+    """Every contiguous (lookback, target) pair of a (T, m) series, one per
+    start step, or of each series of an (n, T, m) array in turn, as views
+    of values. A series shorter than lookback + horizon has none."""
+    T = values.shape[-2]
+    return [WindowPair(lookback=series[t - lookback : t], target=series[t : t + horizon], origin=t)
+            for series in values.reshape(-1, T, values.shape[-1])
+            for t in range(lookback, T - horizon + 1)]
+
+
+def _normalized_windows(parts: list[np.ndarray], stats_values: np.ndarray, lookback: int,
+                        horizon: int, stats: NormStats | None):
+    """(*windows, stats): each of a split's parts normalized once by stats
+    (None: compute_stats over stats_values) and cut by window_dataset."""
+    if stats is None:
+        stats = compute_stats(stats_values)
+    return (*(window_dataset(_normalize_dataset(part, stats), lookback, horizon)
+              for part in parts), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +252,24 @@ class SynthDataset:
         return self.values.shape[2]
 
     def window_pairs(self) -> list[WindowPair]:
-        L = self.lookback
-        return [
-            WindowPair(lookback=v[:L], target=v[L:], origin=L) for v in self.values
-        ]
+        return window_dataset(self.values, self.lookback, self.horizon)
 
     def split_windows(self, lookback: int, horizon: int, channels: int, split: SplitSpec,
                       stats: NormStats | None = None):
-        """Normalized (train, val, test, stats): each instance's one window,
-        normalized by stats (None: stats over the train lookbacks) and split
-        by instance index. The dataset's window lengths must be lookback and
-        horizon (ConfigError)."""
+        """Normalized (train, val, test, stats): the instances split by index,
+        each instance's one window cut by _normalized_windows (stats None:
+        over the train lookbacks). The dataset's window lengths must be
+        lookback and horizon (DataError)."""
         _check_channels(self.channels, channels)
         if (self.lookback, self.horizon) != (lookback, horizon):
-            raise ConfigError(
+            raise DataError(
                 f"dataset windows are {self.lookback}/{self.horizon}, "
                 f"config wants {lookback}/{horizon}"
             )
-        bounds = split.bounds(len(self.values))
-        if any(part.stop <= part.start for part in bounds):
+        parts = [self.values[part] for part in split.bounds(len(self.values))]
+        if min(map(len, parts)) == 0:
             raise DataError(f"{len(self.values)} instances cannot be split {split}")
-        if stats is None:
-            stats = compute_stats(self.values[bounds[0], :lookback])
-        pairs = replace(self, values=_normalize_dataset(self.values, stats)).window_pairs()
-        return (*(pairs[part] for part in bounds), stats)
+        return _normalized_windows(parts, parts[0][:, :lookback], lookback, horizon, stats)
 
 
 def synth_generate(

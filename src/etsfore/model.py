@@ -6,7 +6,6 @@ components whose sum is the forecast.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 from typing import get_type_hints
@@ -88,6 +87,18 @@ def from_dict(cls, d, where: str):
     return cls(**d)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The object_pairs_hook of every JSON read that from_dict checks, a run
+    config or a checkpoint header: the object as a dict, or ValueError
+    naming the first key it repeats, at any depth."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 # Every learnable parameter once, in checkpoint and init-draw order: name,
 # shape as ModelConfig fields, init kind. A run of entries named with "{n}"
 # repeats as one block per layer n. "normal" draws N(0, 1/fan_in), fan_in the
@@ -118,11 +129,9 @@ PARAMETERS = (
     ("head.w_out", ("dim", "channels"), "normal"),
 )
 MAX_PARAMETER_VALUES = 2**24  # a ModelConfig implying more is a ConfigError
-_RATE_NAME = re.compile("|".join(
-    re.escape(name).replace(r"\{n\}", "[0-9]+") for name, _, init in PARAMETERS if init == "rate"))
 
 
-def _parameter_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+def parameter_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     """(name, shape, init kind) of every parameter of cfg, in PARAMETERS order."""
     table, size = [], vars(cfg)
     for per_layer, run in groupby(PARAMETERS, lambda entry: "{n}" in entry[0]):
@@ -134,7 +143,7 @@ def _parameter_table(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every learnable parameter, in PARAMETERS order."""
-    return {name: shape for name, shape, _ in _parameter_table(cfg)}
+    return {name: shape for name, shape, _ in parameter_table(cfg)}
 
 
 def value_count(cfg: ModelConfig) -> int:
@@ -155,11 +164,6 @@ def check_parameters(cfg: ModelConfig, params: dict) -> dict[str, tuple[int, ...
     return shapes
 
 
-def is_special_parameter(name: str) -> bool:
-    """Smoothing/damping rates get the enlarged, unscheduled learning rate."""
-    return _RATE_NAME.fullmatch(name) is not None
-
-
 class ModelState:
     """Named parameter tensors plus the architecture they belong to."""
 
@@ -173,7 +177,7 @@ class ModelState:
         from one rng."""
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
-        for name, shape, init in _parameter_table(config):
+        for name, shape, init in parameter_table(config):
             if init == "normal":
                 data = rng.normal(0.0, 1.0 / np.sqrt(math.prod(shape[:-1])), size=shape)
             else:

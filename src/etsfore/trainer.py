@@ -33,9 +33,10 @@ from .model import (
     forecast,
     forward,
     from_dict,
-    is_special_parameter,
     mse_loss,
     parameter_shapes,
+    parameter_table,
+    unique_keys,
     value_count,
 )
 
@@ -195,7 +196,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         at = _PREFIX.size + hlen  # where the parameter values begin
         if len(raw) < at:
             raise DataError(f"truncated header: {len(raw) - _PREFIX.size} of {hlen} bytes")
-        header = json.loads(raw[_PREFIX.size : at])
+        header = json.loads(raw[_PREFIX.size : at], object_pairs_hook=unique_keys)
         if not isinstance(header, dict):
             raise DataError("header is not a JSON object")
         if header.keys() != _HEADER_KEYS:
@@ -313,6 +314,8 @@ def train(
     rng = np.random.default_rng(train_cfg.seed)
     state = ModelState.init(model_cfg, train_cfg.seed)
     adam = Adam({name: t.shape for name, t in state.params.items()})
+    # the smoothing and damping rates, the table's "rate" kind, form the special group
+    special = {name for name, _, init in parameter_table(model_cfg) if init == "rate"}
     steps_per_epoch = math.ceil(n / train_cfg.batch_size)
     total_steps = train_cfg.epochs * steps_per_epoch
 
@@ -346,10 +349,7 @@ def train(
                 )
             loss.backward()
             lr_main, lr_special = lr_at(step, total_steps, train_cfg)
-            adam.step(
-                state.params,
-                lambda name: lr_special if is_special_parameter(name) else lr_main,
-            )
+            adam.step(state.params, lambda name: lr_special if name in special else lr_main)
             epoch_losses.append(float(loss.data))
             step += 1
         val = evaluate_state(state, Xv, Yv)

@@ -98,14 +98,18 @@ class TestSynth:
         payload = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["instances"] == 3
 
+    # a --noise of 1e300 overflows the summary's std, one of 1e308 the values
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, value", [
         ("--n", "0"), ("--n", "-1"), ("--lookback", "0"), ("--horizon", "0"),
         ("--seed", "-1"), ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.1"),
+        ("--noise", "1e300"), ("--noise", "1e308"),
     ])
     def test_bad_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
         p = tmp_path / "s.csv"
         assert cli.main(["synth", "--out", str(p), "--n", "2", flag, value]) == 1
-        assert f"error: {flag} must" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {flag} must" in captured.err
         assert not p.exists()
 
     def test_dataset_over_the_cell_cap_is_usage_error(self, tmp_path, capsys):
@@ -194,6 +198,21 @@ class TestTrain:
         assert (rc, captured.out) == (1, "")
         assert (f"error: model config implies {count} parameter values, more than the "
                 f"{model.MAX_PARAMETER_VALUES} allowed") in captured.err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"dim": 8', '"dim": 8, "dim": 16', "dim"),
+        ('"epochs": 2', '"epochs": 2, "epochs": 1', "epochs"),
+        ('"split": {', '"split": {}, "split": {', "split"),
+    ])
+    def test_repeated_config_key_is_config_error(self, tmp_path, synth_file, run_config,
+                                                 capsys, old, new, key):
+        run_config.write_text(run_config.read_text().replace(old, new))
+        out = tmp_path / "m.etsf"
+        assert cli.main(["train", "--config", str(run_config), "--data", str(synth_file),
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {run_config}: repeated key {key!r}\n"
 
     def test_bad_split_is_config_error(self, tmp_path, synth_file, capsys):
         config = {"model": {"lookback": 24, "horizon": 6},
@@ -453,6 +472,17 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == (f"error: channel 0: normalizing by mean {mean!r}, std 5e-324 "
                                 "overflows float64\n")
+
+    def test_data_of_other_window_sizes_is_data_error(self, tmp_path, trained_model, capsys):
+        # a 24/6 checkpoint on a 20/6 instance CSV: no config was passed
+        other = tmp_path / "s20.csv"
+        assert cli.main(["synth", "--out", str(other), "--n", "10", "--lookback", "20",
+                         "--horizon", "6"]) == 0
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--model", str(trained_model), "--data", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dataset windows are 20/6, config wants 24/6\n"
 
     def test_deterministic(self, synth_file, trained_model, capsys):
         outs = []
@@ -788,14 +818,22 @@ class TestExitCodes:
                 f"its header implies {len(raw)}") in capsys.readouterr().err
 
     @staticmethod
-    def _reheadered(raw: bytes, edit) -> bytes:
-        """raw with edit applied to its JSON header, re-framed with a valid CRC."""
+    def _reframed(raw: bytes, edit) -> bytes:
+        """raw with edit applied to its JSON header text, re-framed with a valid CRC."""
         hlen = int.from_bytes(raw[8:12], "little")
-        header = json.loads(raw[12 : 12 + hlen])
-        edit(header)
-        text = json.dumps(header, sort_keys=True).encode()
+        text = edit(raw[12 : 12 + hlen])
         body = raw[:8] + len(text).to_bytes(4, "little") + text + raw[12 + hlen : -4]
         return body + zlib.crc32(body).to_bytes(4, "little")
+
+    @classmethod
+    def _reheadered(cls, raw: bytes, edit) -> bytes:
+        """raw with edit applied to its parsed JSON header, re-framed with a valid CRC."""
+        def rewrite(text):
+            header = json.loads(text)
+            edit(header)
+            return json.dumps(header, sort_keys=True).encode()
+
+        return cls._reframed(raw, rewrite)
 
     @pytest.mark.parametrize("case, message", [
         ("v1", "unsupported checkpoint version 1"),
@@ -803,6 +841,8 @@ class TestExitCodes:
         ("no_split", "header keys: missing ['split'], unknown []"),
         ("adam_key", "header keys: missing [], unknown ['adam_step']"),
         ("other_dim", "bytes, its header implies"),
+        ("split_twice", "repeated key 'split'"),
+        ("dim_twice", "repeated key 'dim'"),
     ])
     def test_checkpoint_layout_error_is_data_error(self, tmp_path, synth_file, trained_model,
                                                    capsys, case, message):
@@ -814,6 +854,10 @@ class TestExitCodes:
             "no_split": self._reheadered(raw, lambda h: h.pop("split")),
             "adam_key": self._reheadered(raw, lambda h: h.update(adam_step=3)),
             "other_dim": self._reheadered(raw, lambda h: h["model"].update(dim=2 * model.dim)),
+            "split_twice": self._reframed(
+                raw, lambda text: text.replace(b'"split": {', b'"split": {}, "split": {')),
+            "dim_twice": self._reframed(
+                raw, lambda text: text.replace(b'"dim": ', b'"dim": 8, "dim": ')),
         }
         path = files[case]
         if isinstance(path, bytes):

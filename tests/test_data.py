@@ -304,27 +304,68 @@ class TestSplit:
 
 class TestWindows:
     def test_count_formula(self):
-        s = make_series(10)
-        pairs = data.window_dataset(s, 4, 2)
+        pairs = data.window_dataset(make_series(10).values, 4, 2)
         assert len(pairs) == 5
 
     def test_first_window_indices(self):
-        s = make_series(10, 1, seed=4)
-        pairs = data.window_dataset(s, 4, 2)
-        np.testing.assert_array_equal(pairs[0].lookback, s.values[0:4])
-        np.testing.assert_array_equal(pairs[0].target, s.values[4:6])
+        values = make_series(10, 1, seed=4).values
+        pairs = data.window_dataset(values, 4, 2)
+        np.testing.assert_array_equal(pairs[0].lookback, values[0:4])
+        np.testing.assert_array_equal(pairs[0].target, values[4:6])
         assert pairs[0].origin == 4
 
     def test_too_short(self):
-        with pytest.raises(DataError):
-            data.window_dataset(make_series(5), 4, 2)
+        # the length rule, naming the split, belongs to Series.split_windows
+        assert data.window_dataset(make_series(5).values, 4, 2) == []
 
     def test_contiguity(self):
-        s = make_series(20, 1, seed=5)
-        for p in data.window_dataset(s, 6, 3):
+        values = make_series(20, 1, seed=5).values
+        for p in data.window_dataset(values, 6, 3):
             np.testing.assert_array_equal(
-                np.vstack([p.lookback, p.target]), s.values[p.origin - 6 : p.origin + 3]
+                np.vstack([p.lookback, p.target]), values[p.origin - 6 : p.origin + 3]
             )
+
+    def test_instance_array_gives_window_pairs(self):
+        ds = data.synth_generate(4, 0.05, seed=1, lookback=6, horizon=2)
+        pairs = data.window_dataset(ds.values, 6, 2)
+        assert len(pairs) == 4
+        for got, want, v in zip(pairs, ds.window_pairs(), ds.values, strict=True):
+            assert got.origin == want.origin == 6
+            assert got.lookback.tobytes() == want.lookback.tobytes() == v[:6].tobytes()
+            assert got.target.tobytes() == want.target.tobytes() == v[6:].tobytes()
+
+    def test_series_windows_are_views_of_each_series(self):
+        values = make_series(3 * 9, 2, seed=2).values.reshape(3, 9, 2)
+        pairs = data.window_dataset(values, 4, 2)
+        assert [p.origin for p in pairs] == [4, 5, 6, 7] * 3
+        for i, p in enumerate(pairs):
+            assert np.shares_memory(p.lookback, values[i // 4])
+            assert np.shares_memory(p.target, values[i // 4])
+
+
+@pytest.mark.parametrize("kind", ["plain", "instance"])
+class TestOnePath:
+    """Both kinds normalize each split part once and cut views of it."""
+
+    @pytest.fixture()
+    def normalized(self, monkeypatch):
+        parts, normalize = [], data._normalize_dataset
+
+        def recorded(values, stats):
+            parts.append(normalize(values, stats))
+            return parts[-1]
+
+        monkeypatch.setattr(data, "_normalize_dataset", recorded)
+        return parts
+
+    def test_each_part_normalized_once_and_windows_are_views(self, kind, normalized):
+        ds = TestSplitStats.dataset(kind)
+        *windows, _ = ds.split_windows(4, 2, 1, data.SplitSpec())
+        assert len(normalized) == 3
+        for part, pairs in zip(normalized, windows, strict=True):
+            assert pairs
+            for p in pairs:
+                assert np.shares_memory(p.lookback, part) and np.shares_memory(p.target, part)
 
 
 class TestSynth:
@@ -604,7 +645,7 @@ class TestSynth:
             np.testing.assert_array_equal(p.target, data.normalize(ds.values[i, 12:], stats))
 
     @pytest.mark.parametrize("horizon, channels, fractions, error, message", [
-        (4, 1, (0.7, 0.1, 0.2), ConfigError, "dataset windows are 12/3, config wants 12/4"),
+        (4, 1, (0.7, 0.1, 0.2), DataError, "dataset windows are 12/3, config wants 12/4"),
         (3, 2, (0.7, 0.1, 0.2), DataError, "data has 1 channels, the model config wants 2"),
         (3, 1, (0.8, 0.1, 0.1), DataError, "5 instances cannot be split"),
     ])

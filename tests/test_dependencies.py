@@ -1,7 +1,8 @@
 """Module boundaries, read from the source: the runtime dependencies stay
 numpy + scipy (each module of the package imports only itself, the standard
 library, numpy and scipy), normalization stays in data.py, and data.py
-parses the rows of both CSV kinds with one loadtxt call."""
+parses the rows of both CSV kinds with one loadtxt call and cuts the
+windows of both with one function."""
 
 import ast
 import sys
@@ -83,3 +84,13 @@ def test_a_second_row_parser_is_caught():
     tree = ast.parse("np.loadtxt(a)\nloadtxt(b)\nrows = csv.reader(fh)\n")
     assert calls_to(tree, "loadtxt") == 2
     assert "reader" in named(tree)
+
+
+def test_one_window_cutter_for_both_dataset_kinds():
+    # data.window_dataset builds every WindowPair in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(calls_to(tree, "WindowPair") for tree in trees.values()) == 1
+    assert [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and calls_to(node, "WindowPair")] == [
+        ("data.py", "window_dataset")]

@@ -25,10 +25,10 @@ from etsfore.model import (
     forecast,
     forward,
     input_embed,
-    is_special_parameter,
     level_pipeline,
     mse_loss,
     parameter_shapes,
+    parameter_table,
 )
 from etsfore.trainer import Checkpoint, save_checkpoint
 
@@ -109,11 +109,8 @@ class TestModelState:
             assert state[name].shape == shape
 
     def test_special_group_is_exactly_the_rate_parameters(self):
-        names = set(parameter_shapes(TINY))
-        special = {n for n in names if is_special_parameter(n)}
+        special = {n for n, _, init in parameter_table(TINY) if init == "rate"}
         assert special == {"enc0.esa.alpha_raw", "level.alpha_raw", "dec0.gamma_raw"}
-        # partition is total and disjoint by construction of a single predicate
-        assert all((n in special) != (not is_special_parameter(n)) for n in names)
 
     def test_wrong_shape_rejected(self):
         params = {n: Tensor(np.zeros(s), requires_grad=True) for n, s in parameter_shapes(TINY).items()}

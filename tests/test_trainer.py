@@ -19,8 +19,8 @@ from etsfore.autodiff import Tensor
 from etsfore.data import NormStats, SplitSpec, WindowPair
 from etsfore.errors import ConfigError, DataError, DimensionError, TrainingError
 from etsfore.model import (
-    MAX_PARAMETER_VALUES, ModelConfig, ModelState, forward, is_special_parameter, mse_loss,
-    parameter_shapes, value_count,
+    MAX_PARAMETER_VALUES, ModelConfig, ModelState, forward, mse_loss, parameter_shapes,
+    parameter_table, value_count,
 )
 from etsfore.trainer import (
     Adam,
@@ -112,6 +112,23 @@ class TestSchedule:
         rates = {lr_at(s, 150, self.CFG)[1] for s in range(0, 150, 7)}
         assert rates == {1e-3 * 100}
 
+    def test_train_gives_the_rate_parameters_the_special_rate(self, monkeypatch):
+        rates, adam_step = [], Adam.step
+
+        def step(self, params, lr_of):
+            rates.append({name: lr_of(name) for name in params})
+            adam_step(self, params, lr_of)
+
+        monkeypatch.setattr(Adam, "step", step)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=8, seed=1)
+        pairs = sine_pairs(20)
+        train(TINY, cfg, pairs[:16], pairs[16:])
+        special = {"enc0.esa.alpha_raw", "dec0.gamma_raw", "level.alpha_raw"}
+        for k, by_name in enumerate(rates):
+            main, rate = lr_at(k, len(rates), cfg)
+            assert by_name == {name: rate if name in special else main
+                               for name in parameter_shapes(TINY)}
+
     def test_cosine_is_monotone_after_warmup(self):
         total = 150
         warmup = (total * 3) // 15
@@ -158,6 +175,7 @@ class TestTrainLoop:
         xb = np.stack([p.lookback for p in pairs])
         yb = np.stack([p.target for p in pairs])
         opt = Adam({n: t.shape for n, t in state.params.items()})
+        special = {n for n, _, init in parameter_table(TINY) if init == "rate"}
         first = None
         for step in range(200):
             state.zero_grad()
@@ -165,7 +183,7 @@ class TestTrainLoop:
             if first is None:
                 first = float(loss.data)
             loss.backward()
-            opt.step(state.params, lambda name: 1e-3 * (100 if is_special_parameter(name) else 1))
+            opt.step(state.params, lambda name: 1e-3 * (100 if name in special else 1))
         assert float(loss.data) < first / 10, (first, float(loss.data))
 
     def test_same_seed_runs_bit_identical(self):
