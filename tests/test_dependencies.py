@@ -1,15 +1,26 @@
-"""Module boundaries, read from the source: the runtime dependencies stay
-numpy + scipy (each module of the package imports only itself, the standard
-library, numpy and scipy), normalization stays in data.py, and data.py
-parses the rows of both CSV kinds with one loadtxt call and cuts the
-windows of both with one function."""
+"""Module boundaries: the one runtime dependency is numpy, normalization
+stays in data.py, and data.py parses the rows of both CSV kinds with one
+loadtxt call and cuts the windows of both with one function.
+
+Most checks read the source: each module of the package imports only
+itself, the standard library and numpy. The footprint guard runs the
+program instead: a fresh interpreter imports etsfore and runs every
+subcommand on tiny inputs, and every module that adds beyond what a bare
+interpreter holds must come from the standard library, numpy or etsfore.
+That also catches an import inside a function. scipy is a test dependency
+only (the oracle of esa._next_fast_len): importing it would add 27 MB of
+resident memory and about 0.35 s to every etsfore process.
+"""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "etsfore"
-THIRD_PARTY = {"numpy", "scipy"}
+THIRD_PARTY = {"numpy"}
 
 
 def imported_roots(tree: ast.AST):
@@ -22,7 +33,7 @@ def imported_roots(tree: ast.AST):
             yield node.lineno, node.module.partition(".")[0]
 
 
-def test_package_imports_only_stdlib_numpy_and_scipy():
+def test_package_imports_only_stdlib_and_numpy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules, f"no modules under {PACKAGE}"
     outside = [
@@ -37,6 +48,63 @@ def test_package_imports_only_stdlib_numpy_and_scipy():
 def test_a_third_party_import_is_caught():
     tree = ast.parse("import numpy.linalg\nfrom . import data\nfrom pandas import Series\n")
     assert list(imported_roots(tree)) == [(1, "numpy"), (3, "pandas")]
+
+
+# Runs in a fresh interpreter: snapshots sys.modules before anything else,
+# runs every subcommand in-process on tiny inputs (plus EXTRA, a line of
+# code), then prints the added modules that are outside the standard
+# library, numpy and etsfore, and the subcommands' exit codes. The Cython
+# runtime modules that numpy.random's compiled extensions register count
+# as numpy's.
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json, os, re, tempfile
+import etsfore
+from etsfore import cli
+EXTRA
+codes = []
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    synth, cfg, ckpt, plain = (os.path.join(tmp, n) for n in ("s.csv", "c.json", "m.etsf", "p.csv"))
+    with open(cfg, "w") as fh:
+        json.dump({"model": {"lookback": 12, "horizon": 4, "dim": 4, "ff_dim": 4, "layers": 1,
+                             "heads": 1, "top_k": 1, "dropout": 0.1},
+                   "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 8, "seed": 1}}, fh)
+    with open(plain, "w") as fh:
+        fh.write("a,b\\n" + "".join(f"{t % 4},{t / 7}\\n" for t in range(40)))
+    model = ["--model", ckpt, "--data", synth]
+    for argv in (["synth", "--out", synth, "--n", "20", "--lookback", "12", "--horizon", "4"],
+                 ["train", "--config", cfg, "--data", synth, "--out", ckpt],
+                 ["evaluate", *model], ["forecast", *model], ["decompose", *model],
+                 ["baseline", "--data", plain, "--period", "4", "--grid", "2"],
+                 ["bench-esa", "--lengths", "8,16", "--d", "2", "--repeats", "1"]):
+        codes.append(cli.main(argv))
+roots = sys.stdlib_module_names | {"numpy", "etsfore"}
+added = sorted(m for m in set(sys.modules) - before if m.partition(".")[0] not in roots
+               and not re.fullmatch("cython_runtime|_cython_[0-9_]+", m))
+print(json.dumps({"outside": added, "codes": codes}))
+"""
+
+
+def footprint(extra: str = "") -> dict:
+    """Modules outside stdlib + numpy that a run of every subcommand loads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT.replace("EXTRA", extra)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return dict(json.loads(proc.stdout.splitlines()[-1]), stderr=proc.stderr)
+
+
+def test_every_subcommand_loads_only_stdlib_numpy_and_etsfore():
+    run = footprint()
+    assert run["codes"] == [0] * 7, run["stderr"]
+    assert run["outside"] == []
+
+
+def test_an_import_inside_a_function_is_caught():
+    outside = footprint("def f():\n    import scipy.fft\nf()")["outside"]
+    assert "scipy" in outside and "scipy.fft" in outside
 
 
 def named(tree: ast.AST) -> set[str]:

@@ -140,6 +140,34 @@ class TestConv1dFft:
         with pytest.raises(DimensionError):
             esa.conv1d_fft(np.zeros((4, 1)), np.zeros(3))
 
+    def test_empty_sequence_is_dimension_error(self):
+        with pytest.raises(DimensionError, match="sequence length must be >= 1"):
+            esa.conv1d_fft(np.zeros((0, 1)), np.zeros(0))
+
+    def test_desk_lookback_pads_to_384(self, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, axis=-1):
+            lengths.append(n)
+            return rfft(a, n=n, axis=axis)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        esa.conv1d_fft(np.ones((192, 2)), np.ones(192))
+        assert lengths == [384, 384]
+
+
+class TestNextFastLen:
+    def test_equals_scipy_next_fast_len(self):
+        # scipy is a test dependency only: it is the oracle here
+        from scipy.fft import next_fast_len
+
+        targets = list(range(1, 20_001))
+        targets += np.random.default_rng(25).integers(20_001, 2**26, size=30).tolist()
+        targets += [2**24 - 1, 2**24, 2**24 + 1, 2**26]
+        assert [esa._next_fast_len(t) for t in targets] == [next_fast_len(t) for t in targets]
+        assert esa._next_fast_len(16_777_217) == 16_796_160
+
 
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 
