@@ -57,22 +57,16 @@ def _broadcast(*shapes: tuple[int, ...]) -> tuple[int, ...]:
         raise DimensionError(f"shapes {list(shapes)} do not broadcast") from None
 
 
-def _time_first(a: np.ndarray, ndim: int) -> np.ndarray:
-    """a, whose axis 0 is time, with its other axes right-aligned to `ndim`
-    trailing axes, so that it broadcasts against (len(a),) + a candidate
-    shape of that ndim."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim + 1) + a.shape[1:])
-
-
 @dataclass
 class HwState:
-    """Smoothed series including seeds: level/growth carry index 0 as the seed;
-    seasonal carries one full leading period of seeds. Axis 0 is time; any
-    further axes are series and candidates."""
+    """A series' states at one step: level and growth (1, ...) and the last
+    period of seasonals (period, ...), oldest first; any further axes are
+    series and candidates. `hw_forecast` reads only the last entries along
+    axis 0, so a longer history serves it as well."""
 
-    level: np.ndarray  # (T+1, ...)
-    growth: np.ndarray  # (T+1, ...)
-    seasonal: np.ndarray  # (T+p, ...)
+    level: np.ndarray  # (1, ...)
+    growth: np.ndarray  # (1, ...)
+    seasonal: np.ndarray  # (period, ...)
     period: int
 
 
@@ -95,17 +89,23 @@ def default_init(x: np.ndarray, period: int) -> HwState:
     )
 
 
-def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
+def hw_smooth(
+    x: np.ndarray, params: HwParams, scored: int = 0
+) -> tuple[HwState, np.ndarray]:
     """Run the level, growth, seasonal recurrences over the whole series,
-    seeded by `default_init`.
+    seeded by `default_init`, and score the one-step forecasts of its last
+    `scored` steps.
 
     x is (T,) for one series, or (T, ...) with one series per index of its
     trailing axes; those axes broadcast against the candidate axes the way
     numpy aligns shapes, from the right. phi does not enter the
-    recurrences, so the states carry the broadcast `cand` of the series
-    axes and params.rate_shape alone: level and growth are (T+1,) + cand
-    and seasonal is (T+p,) + cand. Each series and candidate gets exactly
-    the arithmetic of a scalar call on that series.
+    recurrences, so the final states carry the broadcast `cand` of the
+    series axes and params.rate_shape alone, in `default_init`'s form:
+    level and growth (1,) + cand, seasonal (period,) + cand. The second
+    result is the sum of squared `one_step_errors` over the scored steps,
+    added in time order, for every series and candidate of params.shape.
+    Each series and candidate gets exactly the arithmetic of a scalar call
+    on that series.
     """
     x = np.asarray(x, dtype=np.float64)
     p = params.period
@@ -113,55 +113,75 @@ def hw_smooth(x: np.ndarray, params: HwParams) -> HwState:
     T = x.shape[0]
     cand = _broadcast(x.shape[1:], params.rate_shape)
     row = cand or (1,)  # a scalar call runs as one column, so each row is a view
-    e = np.empty((T + 1,) + row)
-    b = np.empty((T + 1,) + row)
-    s = np.empty((T + p,) + row)
-    e[0], b[0] = init.level[0], init.growth[0]
-    s[:p] = _time_first(init.seasonal, len(row))
-    s[p:] = _time_first(x, len(row))  # row p+t-1 holds x_t until step t overwrites it
-    # the rates as full rows, so that every operation of a step runs over
-    # rows of one shape, numpy's fast path
+    # every operation of a step runs over full rows of one shape, numpy's
+    # fast path; copying the input into its row is the one broadcast
+    e, b = np.full(row, init.level[0]), np.full(row, init.growth[0])
+    x_t, e_next, tmp = np.empty(row), np.empty(row), np.empty(row)
+    # a ring of the last period's seasonals: row (t - T) % p holds s_lag at
+    # step t, then s_t, so that it ends oldest first
+    s = np.empty((p,) + row)
+    np.moveaxis(s, 0, -1)[...] = np.moveaxis(np.roll(init.seasonal, -T, axis=0), 0, -1)
     a, be, ga = (np.full(row, r) for r in (params.alpha, params.beta, params.gamma))
     a1, be1, ga1 = 1.0 - a, 1.0 - be, 1.0 - ga
-    # Each step t writes its rows in place, with the operations of
+    phi = np.asarray(params.phi)
+    sse = np.zeros(np.broadcast_shapes(row, phi.shape))
+    err = np.empty_like(sse)
+    # Each step t writes the new rows, with the operations of
     #   e_t = a * (x_t - s_lag) + a1 * (e_{t-1} + b_{t-1})
     #   b_t = be * (e_t - e_{t-1}) + be1 * b_{t-1}
     #   s_t = ga * (x_t - e_t) + ga1 * s_lag
-    # where s_lag is the seasonal index from one period ago. Only the two
+    # where s_lag is the seasonal from one period ago. Only the two
     # products of each sum are added in the other order, and addition
-    # commutes exactly, so the bits are those of the expressions.
-    tmp = np.empty(row)
-    e_prev, b_prev = e[0], b[0]
-    for t in range(1, T + 1):
-        s_lag, s_t = s[t - 1], s[p + t - 1]  # s_t is x_t until its last two lines
-        e_t, b_t = e[t], b[t]
-        np.multiply(a, np.subtract(s_t, s_lag, out=tmp), out=tmp)
-        np.multiply(a1, np.add(e_prev, b_prev, out=e_t), out=e_t)
-        e_t += tmp
-        np.multiply(be, np.subtract(e_t, e_prev, out=tmp), out=tmp)
-        np.multiply(be1, b_prev, out=b_t)
-        b_t += tmp
-        np.multiply(ga, np.subtract(s_t, e_t, out=tmp), out=tmp)
-        np.multiply(ga1, s_lag, out=s_t)
-        s_t += tmp
-        e_prev, b_prev = e_t, b_t
-    e, b, s = (v.reshape(v.shape[:1] + cand) for v in (e, b, s))
-    return HwState(level=e, growth=b, seasonal=s, period=p)
+    # commutes exactly, so the bits are those of the expressions. At a few
+    # microseconds a step, Python's lookups weigh, so the loop holds the
+    # ufuncs and the ring's rows in locals and passes outputs positionally.
+    mul, sub, add = np.multiply, np.subtract, np.add
+    ring = [s[(t - T) % p] for t in range(p)]  # step t's s_lag is ring[t % p]
+    for t, x_in in enumerate(x):
+        np.copyto(x_t, x_in)
+        s_lag = ring[t % p]
+        if t >= T - scored:
+            sse += np.square(one_step_errors(x_t, e, b, s_lag, phi, out=err), out=err)
+        mul(a, sub(x_t, s_lag, tmp), tmp)
+        mul(a1, add(e, b, e_next), e_next)
+        e_next += tmp
+        mul(be, sub(e_next, e, tmp), tmp)
+        mul(be1, b, b)
+        b += tmp
+        mul(ga, sub(x_t, e_next, tmp), tmp)
+        mul(ga1, s_lag, s_lag)
+        s_lag += tmp
+        e, e_next = e_next, e
+    state = HwState(*(v.reshape(v.shape[:1] + cand) for v in (e[None], b[None], s)), period=p)
+    return state, sse.reshape(_broadcast(x.shape[1:], params.shape))
+
+
+def one_step_errors(
+    x_t: np.ndarray, level: np.ndarray, growth: np.ndarray, s_lag: np.ndarray,
+    phi: float | np.ndarray, out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Error x_t - (level + phi*growth + s_lag) of the one-step-ahead
+    forecast from the states before step t, s_lag being the seasonal of one
+    period before; phi*growth broadcasts the states out to every phi.
+    Addition commutes exactly, so the bits are those of the expression."""
+    err = np.multiply(phi, growth, out=out)
+    err += level
+    err += s_lag
+    return np.subtract(x_t, err, out=out)
 
 
 def hw_forecast(state: HwState, params: HwParams, h: int) -> np.ndarray:
     """Damped-trend forecast: level + (phi + ... + phi^k) * growth + seasonal
-    wrap, shaped (h,) + params.shape for the states `hw_smooth(x, params)`
-    returns; each candidate gets exactly the arithmetic of a scalar call."""
+    wrap, shaped (h,) + params.shape for the final states of
+    `hw_smooth(x, params)`; each candidate gets exactly the arithmetic of a
+    scalar call."""
     if h < 1:
         raise DataError(f"forecast horizon must be >= 1, got {h}")
     p = state.period
-    T = state.level.shape[0] - 1
     k = np.arange(1, h + 1, dtype=np.float64).reshape((h,) + (1,) * len(params.shape))
     damp = np.cumsum(params.phi**k, axis=0)
-    step = np.arange(1, h + 1)
-    wrap = T + step - p * -(-step // p)  # -(-step // p) = ceil(step / p): latest estimate of the phase
-    return state.level[-1] + damp * state.growth[-1] + state.seasonal[wrap + p - 1]
+    # step k reads the latest estimate of its phase, the last period's (k - 1) % p
+    return state.level[-1] + damp * state.growth[-1] + state.seasonal[-p:][np.arange(h) % p]
 
 
 def grid_values(resolution: int) -> dict[str, np.ndarray]:
@@ -190,56 +210,18 @@ class HwFitResult:
     params: HwParams
     val_mse: float
     degenerate: bool  # constant input: every candidate forecasts perfectly
-    state: HwState  # hw_smooth of the fit's series under `params`, bit for bit
-
-
-def one_step_errors(
-    x: np.ndarray, params: HwParams, state: HwState | None = None, start: int = 0
-) -> np.ndarray:
-    """Errors of the one-step-ahead forecast e_{t-1} + phi*b_{t-1} + s_{t-p}
-    at steps start..T-1, shaped (T - start,) + cand, where cand broadcasts
-    x's series axes (as in `hw_smooth`) with params.shape: phi*b broadcasts
-    the states, which carry only the rates' axes, out to every candidate.
-
-    `state` is `hw_smooth(x, params)`, computed here unless the caller
-    holds it. The errors are laid out time-last in memory, so those of one
-    series and candidate are one contiguous row.
-    """
-    if state is None:
-        state = hw_smooth(x, params)
-    x = np.asarray(x, dtype=np.float64)
-    T = x.shape[0]
-    if not 0 <= start < T:
-        raise DataError(f"error steps must start in [0, {T}), got {start}")
-
-    def time_last(a):  # a's steps start..T-1, as one contiguous row per series and candidate
-        return np.ascontiguousarray(np.moveaxis(a[start:T], 0, -1))
-
-    # x - (level + phi*growth + seasonal) in one time-last buffer, whose
-    # every operation runs over contiguous rows; addition commutes exactly,
-    # so the bits are those of the expression
-    err = np.multiply(np.asarray(params.phi)[..., None], time_last(state.growth))
-    err += time_last(state.level)
-    err += time_last(state.seasonal)
-    np.subtract(np.moveaxis(x[start:], 0, -1), err, out=err)
-    return np.moveaxis(err, -1, 0)
-
-
-def _unit_words(T: int, period: int, n_val: int, resolution: int) -> int:
-    """Float64 words that one (channel, triple) unit of a grid-fit block
-    holds: its level, growth and seasonal states over a length-T fit part,
-    its n_val tail errors against each of the `resolution` phi, and one
-    state's tail moved time-last while `one_step_errors` adds it in."""
-    return 2 * (T + 1) + T + period + n_val * (resolution + 1)
+    state: HwState  # hw_smooth's final states of the fit's series under `params`, bit for bit
 
 
 # phi does not enter the smoothing recurrences, so the grid fit smooths each
 # (alpha, beta, gamma) triple once per channel and lets phi*b broadcast it
-# over every phi. A block's states and tail errors hold at most this many
-# float64 words (2 MiB), unless one unit alone holds more; a block takes
-# every channel while a triple of all of them fits, and splits a triple by
-# channel otherwise, so a fit's working memory does not grow with the grid
-# resolution or the channel count.
+# over every phi. One (channel, triple) unit of a block holds period + 11
+# float64 words of state (a ring of `period` seasonals, its level, growth,
+# next level, input, one scratch value and six rate rows) and
+# 2 * resolution words of score (one step's errors against every phi and
+# their running sums). A block takes every channel and as many triples as
+# fit in this many words (2 MiB), at least one, so a fit's working memory
+# grows with neither the series length nor the grid resolution.
 _BLOCK_WORDS = 1 << 18
 
 
@@ -253,11 +235,11 @@ def hw_fit_grid(
     The filter runs over the whole series; only errors on the final
     val_fraction of steps count, so the scored forecasts never see their
     targets. Candidates are taken in ascending (alpha, beta, gamma, phi)
-    order, a block of (alpha, beta, gamma) triples with every phi at a
-    time, and each channel's first minimum wins, so ties resolve toward
-    smaller values. NaN scores never win, except that the first candidate
-    stands if its own score is NaN. Each result carries its winner's states
-    from the block that scored it.
+    order, a block of (alpha, beta, gamma) triples with every channel and
+    every phi at a time, and each channel's first minimum wins, so ties
+    resolve toward smaller values. NaN scores never win, except that the
+    first candidate stands if its own score is NaN. Each result carries
+    its winner's final states from the block that scored it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -267,54 +249,32 @@ def hw_fit_grid(
     n_val = holdout_steps(T, val_fraction, period)
     grid = grid_values(resolution)
     n = resolution**3
-    units = max(1, _BLOCK_WORDS // _unit_words(T, period, n_val, resolution))
-    width = min(C, units)  # channels per block
-    depth = units // width  # triples per block
-    best, best_mse, states = [0] * C, [0.0] * C, [None] * C
+    depth = max(1, _BLOCK_WORDS // (C * (period + 11 + 2 * resolution)))  # triples per block
+    xb = series[:, :, None]  # (T, channels, 1)
+    degenerate = (np.ptp(series, axis=0) == 0.0).tolist()
+    fits = [None] * C
     for lo in range(0, n, depth):
         triples = np.unravel_index(np.arange(lo, min(lo + depth, n)), (resolution,) * 3)
-        # (triples, 1) rates against the grid's (R,) phi
-        rates = (grid[k][i, None] for k, i in zip(("alpha", "beta", "gamma"), triples))
-        params = HwParams(*rates, grid["phi"], period=period)
-        for c0 in range(0, C, width):
-            xb = series[:, c0 : c0 + width, None, None]  # (T, channels, 1, 1)
-            state = hw_smooth(xb, params)
-            mse = _tail_mse(one_step_errors(xb, params, state, T - n_val))
-            wins = np.argmin(np.where(np.isnan(mse), np.inf, mse), axis=1)
-            for j, i in enumerate(wins.tolist()):
-                c = c0 + j
-                if lo == 0 and not mse[j, i] < mse[j, 0]:
-                    i = 0  # the first candidate stands unless beaten, even if NaN
-                if lo == 0 or mse[j, i] < best_mse[c]:
-                    best[c], best_mse[c] = lo * resolution + i, mse[j, i]
-                    states[c] = HwState(
-                        *(a[:, j, i // resolution, 0].copy()
-                          for a in (state.level, state.growth, state.seasonal)),
-                        period=period,
-                    )
-            del state  # before the next block's states are allocated
-    degenerate = np.ptp(series, axis=0) == 0.0
-    fits = [
-        HwFitResult(_grid_params(grid, best[c], period), float(best_mse[c]),
-                    bool(degenerate[c]), states[c])
-        for c in range(C)
-    ]
+        # (triples,) rates against the grid's (R, 1, 1) phi: states of (1,
+        # channels, triples) and scores of (R, channels, triples), so that
+        # each operation that broadcasts over phi runs over whole state rows
+        rates = [grid[k][i] for k, i in zip(("alpha", "beta", "gamma"), triples)]
+        params = HwParams(*rates, grid["phi"][:, None, None], period=period)
+        state, sse = hw_smooth(xb, params, n_val)
+        # per channel, in (triple, phi) order
+        mse = np.moveaxis(np.divide(sse, n_val, out=sse), 0, -1).reshape(C, -1)
+        wins = np.argmin(np.where(np.isnan(mse), np.inf, mse), axis=1)
+        for c, i in enumerate(wins.tolist()):
+            if lo == 0 and not mse[c, i] < mse[c, 0]:
+                i = 0  # the first candidate stands unless beaten, even if NaN
+            if lo == 0 or mse[c, i] < fits[c].val_mse:
+                j, r = divmod(i, resolution)  # its triple and phi
+                fits[c] = HwFitResult(
+                    HwParams(*(v[j] for v in rates), grid["phi"][r], period=period),
+                    float(mse[c, i]), degenerate[c],
+                    HwState(*(a[:, 0, c, j].copy()
+                              for a in (state.level, state.growth, state.seasonal)),
+                            period=period),
+                )
+        del state, sse, mse  # before the next block's are allocated
     return fits if x.ndim == 2 else fits[0]
-
-
-def _tail_mse(err: np.ndarray) -> np.ndarray:
-    """(channels, candidates) MSEs of a block's (n_val, channels, triples,
-    phi) errors, which are laid out time-last: per channel, one contiguous
-    row per candidate in (alpha, beta, gamma, phi) order, so np.mean sums
-    each tail in the same pairwise order as it does a single candidate's
-    errors. Squares in place."""
-    sq = np.moveaxis(err, 0, -1).reshape(err.shape[1], -1, err.shape[0])
-    return np.mean(np.square(sq, out=sq), axis=-1)
-
-
-def _grid_params(grid: dict[str, np.ndarray], flat, period: int) -> HwParams:
-    """The candidates at flat index (or indices) `flat` of the grid in
-    row-major (alpha, beta, gamma, phi) order."""
-    names = ("alpha", "beta", "gamma", "phi")
-    index = np.unravel_index(flat, tuple(grid[k].size for k in names))
-    return HwParams(*(grid[k][i] for k, i in zip(names, index)), period=period)

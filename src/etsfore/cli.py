@@ -247,31 +247,33 @@ def cmd_baseline(args) -> int:
     n_test = classical.holdout_steps(T, args.test_fraction, args.period)
     test = series.values[T - n_test :]
     per_channel = []
-    fits = classical.hw_fit_grid(series.values[: T - n_test], args.period, args.grid)
-    for c, fit in enumerate(fits):
-        pred = classical.hw_forecast(fit.state, fit.params, n_test)
-        mse, mae = data.metrics(pred, test[:, c])
-        per_channel.append(
-            {
-                "channel": c,
-                "mse": mse,
-                "mae": mae,
-                "alpha": fit.params.alpha,
-                "beta": fit.params.beta,
-                "gamma": fit.params.gamma,
-                "phi": fit.params.phi,
-                "degenerate": fit.degenerate,
-            }
-        )
-    _emit(
-        {
+    # values near the float64 limit overflow in the fit, the metrics and
+    # their means; _emit reports the non-finite result as one typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = classical.hw_fit_grid(series.values[: T - n_test], args.period, args.grid)
+        for c, fit in enumerate(fits):
+            pred = classical.hw_forecast(fit.state, fit.params, n_test)
+            mse, mae = data.metrics(pred, test[:, c])
+            per_channel.append(
+                {
+                    "channel": c,
+                    "mse": mse,
+                    "mae": mae,
+                    "alpha": fit.params.alpha,
+                    "beta": fit.params.beta,
+                    "gamma": fit.params.gamma,
+                    "phi": fit.params.phi,
+                    "degenerate": fit.degenerate,
+                }
+            )
+        summary = {
             "mse": float(np.mean([r["mse"] for r in per_channel])),
             "mae": float(np.mean([r["mae"] for r in per_channel])),
             "period": args.period,
             "test_steps": n_test,
             "channels": per_channel,
         }
-    )
+    _emit(summary)
     return EXIT_OK
 
 

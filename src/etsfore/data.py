@@ -1,7 +1,7 @@
 """Dataset handling: the one reader of a `--data` file (plain or instance
 CSV) and each kind's split into normalized windows; normalization,
-the synthetic saturating-trend + two-tone benchmark generator,
-training-time augmentations, and evaluation metrics.
+the synthetic saturating-trend + two-tone benchmark generator, and
+evaluation metrics.
 """
 
 from __future__ import annotations
@@ -478,31 +478,7 @@ def read_dataset(path: str) -> Series | SynthDataset:
 
 
 # ---------------------------------------------------------------------------
-# augmentation and metrics
-
-AUGMENT_SIGMA = 0.2
-AUGMENT_PROB = 0.5  # chance that each stage fires
-
-
-def augment_pair(
-    lookback: np.ndarray, target: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scale, shift, jitter — in that order, each firing independently
-    with probability AUGMENT_PROB.
-
-    The same draw is applied to lookback and target so the pair stays
-    consistent. Scale multiplies by eps ~ N(0, AUGMENT_SIGMA) as drawn,
-    not by 1 + eps.
-    """
-    joined = np.concatenate([lookback, target], axis=0).astype(np.float64, copy=True)
-    if rng.random() < AUGMENT_PROB:
-        joined *= rng.normal(0.0, AUGMENT_SIGMA)
-    if rng.random() < AUGMENT_PROB:
-        joined += rng.normal(0.0, AUGMENT_SIGMA)
-    if rng.random() < AUGMENT_PROB:
-        joined += rng.normal(0.0, AUGMENT_SIGMA, size=joined.shape)
-    L = lookback.shape[0]
-    return joined[:L], joined[L:]
+# metrics
 
 
 def metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import NormStats, SplitSpec, WindowPair, augment_pair, metrics
+from .data import NormStats, SplitSpec, WindowPair, metrics
 from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .model import (
     ModelConfig,
@@ -58,7 +58,6 @@ class TrainConfig:
     warmup_epochs: int = 3
     batch_size: int = 32
     seed: int = 0
-    augment: bool = False
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -337,10 +336,6 @@ def train(
         for b0 in range(0, n, train_cfg.batch_size):
             idx = perm[b0 : b0 + train_cfg.batch_size]
             xb, yb = X[idx], Y[idx]
-            if train_cfg.augment:
-                xb, yb = xb.copy(), yb.copy()
-                for i in range(len(idx)):
-                    xb[i], yb[i] = augment_pair(xb[i], yb[i], rng)
             state.zero_grad()
             loss = mse_loss(forward(xb, state, rng), yb)
             if not np.isfinite(loss.data):

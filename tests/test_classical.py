@@ -56,10 +56,19 @@ def errors_loop(x, a, be, ga, ph, p):
     return x - (e[:T] + ph * b[:T] + s[:T])
 
 
+def time_order_sse(err):
+    """Sum of squared errors, added in time order."""
+    total = 0.0
+    for v in (err * err).tolist():
+        total += v
+    return total
+
+
 def fit_grid_loop(x, period, resolution, val_fraction=0.25, errors=errors_loop):
     """The per-candidate search hw_fit_grid replaced: visit the grid in
-    ascending (alpha, beta, gamma, phi) order, replace only on strict
-    improvement. Returns (mse, (alpha, beta, gamma, phi))."""
+    ascending (alpha, beta, gamma, phi) order, score each tail by its
+    time-order sum of squared errors over its length, and replace only on
+    strict improvement. Returns (mse, (alpha, beta, gamma, phi))."""
     T = x.size
     n_val = max(1, int(round(val_fraction * T)))
     grid = hw.grid_values(resolution)
@@ -69,7 +78,7 @@ def fit_grid_loop(x, period, resolution, val_fraction=0.25, errors=errors_loop):
             for ga in grid["gamma"]:
                 for ph in grid["phi"]:
                     err = errors(x, float(a), float(be), float(ga), float(ph), period)[T - n_val :]
-                    mse = float(np.mean(err**2))
+                    mse = time_order_sse(err) / n_val
                     if best is None or mse < best[0]:
                         best = (mse, (a, be, ga, ph))
     return best
@@ -94,7 +103,7 @@ class TestHwSmooth:
         init = hw.default_init(x, 4)
         assert init.level.tolist() == [c] and init.growth.tolist() == [0.0]
         assert init.seasonal.tolist() == [0.0] * 4
-        state = hw.hw_smooth(x, hw.HwParams(0.4, 0.3, 0.2, period=4))
+        state, _ = hw.hw_smooth(x, hw.HwParams(0.4, 0.3, 0.2, period=4))
         np.testing.assert_allclose(state.level, c)
         np.testing.assert_allclose(state.growth, 0.0)
         np.testing.assert_allclose(state.seasonal, 0.0)
@@ -103,13 +112,14 @@ class TestHwSmooth:
         rng = np.random.default_rng(0)
         x = rng.normal(size=12)
         params = hw.HwParams(1 - 1e-12, 1 - 1e-12, 1 - 1e-12, period=3)
-        state = hw.hw_smooth(x, params)
-        p = 3
-        for t in range(1, 13):
-            s_lag = state.seasonal[t - 1]
-            assert state.level[t] == pytest.approx(x[t - 1] - s_lag, abs=1e-9)
-            assert state.growth[t] == pytest.approx(state.level[t] - state.level[t - 1], abs=1e-9)
-            assert state.seasonal[p + t - 1] == pytest.approx(x[t - 1] - state.level[t], abs=1e-9)
+        # the final states of each prefix against those of the one before;
+        # the oldest seasonal of a prefix is the next step's s_lag
+        for t in range(5, 13):
+            prev, _ = hw.hw_smooth(x[: t - 1], params)
+            state, _ = hw.hw_smooth(x[:t], params)
+            assert state.level[0] == pytest.approx(x[t - 1] - prev.seasonal[0], abs=1e-9)
+            assert state.growth[0] == pytest.approx(state.level[0] - prev.level[0], abs=1e-9)
+            assert state.seasonal[-1] == pytest.approx(x[t - 1] - state.level[0], abs=1e-9)
 
     def test_matches_step_by_step_recurrence(self):
         rng = np.random.default_rng(1)
@@ -117,8 +127,8 @@ class TestHwSmooth:
         p = 5
         params = hw.HwParams(0.3, 0.2, 0.4, 0.9, period=p)
         init = hw.default_init(x, p)  # the seeds hw_smooth starts from
-        state = hw.hw_smooth(x, params)
-        # independent recurrence with python scalars
+        # independent recurrence with python scalars, against the final
+        # states of every prefix long enough to smooth
         e, b = init.level[0], init.growth[0]
         s = list(init.seasonal)
         for t in range(1, 31):
@@ -127,9 +137,10 @@ class TestHwSmooth:
             b = params.beta * (e_new - e) + (1 - params.beta) * b
             s.append(params.gamma * (x[t - 1] - e_new) + (1 - params.gamma) * s_lag)
             e = e_new
-            assert state.level[t] == e
-            assert state.growth[t] == b
-            assert state.seasonal[p + t - 1] == s[-1]
+            if t > p:
+                state, _ = hw.hw_smooth(x[:t], params)
+                assert state.level.tolist() == [e] and state.growth.tolist() == [b]
+                assert state.seasonal.tolist() == s[-p:]
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataError):
@@ -138,10 +149,10 @@ class TestHwSmooth:
     def test_reproducible(self):
         x = np.random.default_rng(2).normal(size=25)
         params = hw.HwParams(0.5, 0.4, 0.3, period=4)
-        a = hw.hw_smooth(x, params)
-        b = hw.hw_smooth(x, params)
+        (a, sse_a), (b, sse_b) = (hw.hw_smooth(x, params, 10) for _ in range(2))
         assert np.array_equal(a.level, b.level)
         assert np.array_equal(a.seasonal, b.seasonal)
+        assert sse_a.tobytes() == sse_b.tobytes()
 
 
 class TestHwForecast:
@@ -200,6 +211,21 @@ class TestHwForecast:
                 state.seasonal[wrap + p - 1]
         assert hw.hw_forecast(state, params, h).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("p, T, h", [(4, 30, 9), (5, 37, 23), (7, 45, 15), (12, 50, 48)])
+    def test_final_states_forecast_as_full_length_states_did(self, p, T, h):
+        # T % p != 0 and h > 2p: the forecast wraps twice from a phase the
+        # series ends mid-way through; the oracle indexes smooth_loop's
+        # full-length states as hw_forecast did before the states were final
+        x = np.random.default_rng(T).normal(size=T) * 10.0
+        params = hw.HwParams(0.3, 0.2, 0.6, phi=0.9, period=p)
+        e, b, s = smooth_loop(x, 0.3, 0.2, 0.6, p)
+        damp = np.cumsum(0.9 ** np.arange(1, h + 1, dtype=np.float64))
+        step = np.arange(1, h + 1)
+        wrap = T + step - p * -(-step // p)
+        want = e[-1] + damp * b[-1] + s[wrap + p - 1]
+        state, _ = hw.hw_smooth(x, params)
+        assert hw.hw_forecast(state, params, h).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("h", [1, 3, 4, 30])
     def test_candidate_arrays_match_scalar_calls(self, h):
         x = np.random.default_rng(h).normal(size=50) * 20.0
@@ -207,12 +233,12 @@ class TestHwForecast:
         for params in (hw.HwParams(**values, phi=np.array([0.6, 0.95, 1.0]), period=4),
                        hw.HwParams(*(v[:, None] for v in values.values()),
                                    phi=np.array([0.5, 0.8, 0.9, 1.0]), period=4)):
-            out = hw.hw_forecast(hw.hw_smooth(x, params), params, h)
+            out = hw.hw_forecast(hw.hw_smooth(x, params)[0], params, h)
             assert out.shape == (h,) + params.shape
             for j in np.ndindex(params.shape):
                 one = hw.HwParams(*(np.broadcast_to(getattr(params, k), params.shape)[j]
                                     for k in NAMES), period=4)
-                want = hw.hw_forecast(hw.hw_smooth(x, one), one, h)
+                want = hw.hw_forecast(hw.hw_smooth(x, one)[0], one, h)
                 assert out[(slice(None),) + j].tobytes() == want.tobytes()
 
     def test_zero_growth_constant_forecast(self):
@@ -340,8 +366,8 @@ class TestHwFitGrid:
     def test_tie_and_nan_rule_across_blocks(self, data):
         """Scores drawn from {0, 1, 2, inf, NaN} per channel: ties, a NaN
         first candidate and NaN or tied block heads, over 1 to 3 channels
-        in blocks of 1 to 5 triples each, or of one triple split by
-        channel. The blocks each draw runs are read back from the calls."""
+        in blocks of 1 to 5 triples each. The blocks each draw runs are
+        read back from the calls."""
         res = data.draw(st.integers(1, 3))
         C = data.draw(st.integers(1, 3))
         n = res**4
@@ -358,23 +384,28 @@ class TestHwFitGrid:
 
         blocks = []
 
-        def fake_errors(x, params, state, start):
-            channels = x[0, :, 0, 0].astype(int)
-            blocks.append((channels[0], channels.size, params.shape[0]))
-            e = scores[channels][:, index(params)]  # (channels, triples, phi)
-            return np.broadcast_to(e, (T - start,) + e.shape).copy()
+        def fake_smooth(x, params, scored):
+            # (T, channels, 1) against (R, 1, triples) candidates
+            channels = x[0, :, 0].astype(int)
+            blocks.append((channels.tolist(), params.shape[-1]))
+            shape = (1, channels.size, params.shape[-1])
+            state = hw.HwState(np.zeros((1,) + shape), np.zeros((1,) + shape),
+                               np.zeros((period,) + shape), period)
+            # (R, channels, triples) errors
+            e = np.moveaxis(scores[channels][:, index(params)[:, 0]], 0, 1)
+            return state, e * e * scored  # each step's square, summed over the tail
 
-        # units per block from the block rule: C channels by 1 to 5 triples,
-        # or fewer than C channels by one triple
-        units = data.draw(st.integers(1, 5 * C))
-        budget = units * hw._unit_words(T, period, hw.holdout_steps(T, 0.25, period), res)
-        with mock.patch.object(hw, "one_step_errors", fake_errors), \
+        # triples per block from the block rule: every channel, and as many
+        # triples as the budget holds of C (channel, triple) units, at least one
+        depth = data.draw(st.integers(0, 5))
+        unit = C * (period + 11 + 2 * res)
+        budget = depth * unit + data.draw(st.integers(0, unit - 1))
+        with mock.patch.object(hw, "hw_smooth", fake_smooth), \
                 mock.patch.object(hw, "_BLOCK_WORDS", budget), np.errstate(all="ignore"):
             fits = hw.hw_fit_grid(x, period, res)
-        width = min(C, units)
-        depth = units // width
-        assert blocks == [(c0, min(width, C - c0), min(depth, res**3 - lo))
-                          for lo in range(0, res**3, depth) for c0 in range(0, C, width)]
+        depth = max(depth, 1)
+        assert blocks == [(list(range(C)), min(depth, res**3 - lo))
+                          for lo in range(0, res**3, depth)]
         for c, fit in enumerate(fits):
             def loop_errors(x, a, be, ga, ph, p):
                 return np.full(T, scores[c, index(hw.HwParams(a, be, ga, ph, period=p))])
@@ -389,8 +420,8 @@ class TestHwFitGrid:
     def channels(draw):
         """A (T, C) fit part of 1 to 4 channels, each noise, a constant or
         near the float64 limit (inf and NaN scores); its period, grid
-        resolution, and a block size in units of one channel's triple
-        that may split the grid mid-way and a triple by channel."""
+        resolution, and a block size in triples that may split the grid
+        mid-way."""
         C = draw(st.integers(1, 4))
         p = draw(st.integers(1, 13))  # past 8, np.mean sums the first period pairwise
         T = draw(st.integers(2 * p + 2, 60))  # the fit part left after the tail exceeds p
@@ -405,26 +436,25 @@ class TestHwFitGrid:
             else:
                 cols.append(rng.normal(size=T) * 10.0 ** draw(st.floats(-3.0, 3.0)))
         res = draw(st.integers(1, 3))
-        return np.stack(cols, axis=1), p, res, draw(st.integers(1, C * res**3))
+        return np.stack(cols, axis=1), p, res, draw(st.integers(1, res**3))
 
     @settings(max_examples=60, deadline=None)
     @given(channels())
-    # a constant and a near-overflow channel, each triple split by channel
-    # into blocks of two and one; a period past 8, one triple per block
+    # a constant and a near-overflow channel in blocks of two triples; a
+    # period past 8, in blocks of three triples
     @example((np.stack([np.full(30, 2.0), near_overflow(np.random.default_rng(1), 30, 308),
                         np.sin(np.arange(30.0))], axis=1), 3, 3, 2))
     @example((np.random.default_rng(2).normal(size=(40, 2)) * 1e3, 12, 2, 3))
     def test_channels_fit_as_separate_series(self, case):
-        x, p, res, units = case
-        T = x.shape[0]
-        budget = units * hw._unit_words(T, p, hw.holdout_steps(T, 0.25, p), res)
+        x, p, res, depth = case
+        budget = depth * x.shape[1] * (p + 11 + 2 * res)  # triples of every channel
         with mock.patch.object(hw, "_BLOCK_WORDS", budget), np.errstate(all="ignore"):
             fits = hw.hw_fit_grid(x, p, res)
         assert len(fits) == x.shape[1]
         for c, fit in enumerate(fits):
             with np.errstate(all="ignore"):
                 one = hw.hw_fit_grid(np.ascontiguousarray(x[:, c]), p, res)
-                smooth = hw.hw_smooth(x[:, c], fit.params)
+                smooth, _ = hw.hw_smooth(x[:, c], fit.params)
                 # the range of a near-overflow example overflows
                 constant = np.ptp(x[:, c]) == 0.0
             got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
@@ -448,12 +478,11 @@ class TestHwFitGrid:
         # all candidates at once would hold several 200 x 20736 float64 arrays (33 MB each)
         assert peak < 3 * 2**20
 
-    @pytest.mark.parametrize("T, resolution", [(3000, 2), (1000, 5)])
+    @pytest.mark.parametrize("T, resolution", [(3000, 2), (1000, 5), (3000, 5)])
     def test_working_memory_bounded_across_channels(self, T, resolution):
-        # one triple of all 64 channels holds more than the block budget, so
-        # each triple is split by channel: 3 blocks of up to 23 channels at
-        # grid 2, 2 of up to 58 at grid 5 (whose 250 blocks of 1000 steps
-        # take seconds under tracemalloc; 3000 steps would take minutes)
+        # whatever the length, a block holds every channel and as many
+        # triples as fit the budget: at grid 5, 124 triples of 64 units of
+        # 12 + 11 + 10 words (2 MiB), then the last triple
         x = np.random.default_rng(7).normal(size=(T, 64))
         tracemalloc.start()
         try:
@@ -464,6 +493,30 @@ class TestHwFitGrid:
         # the winners' states are the result, which the caller keeps
         kept = sum(a.nbytes for f in fits for a in (f.state.level, f.state.growth, f.state.seasonal))
         assert peak - kept < 3 * 2**20
+
+    def test_etth1_sized_fit_is_one_pass(self):
+        # ETTh1's first 75 %: 7 channels of 13 065 steps at period 24 and
+        # grid 5 run as one recurrence, and each channel gets its 1-d fit
+        rng = np.random.default_rng(11)
+        t = np.arange(13065.0)[:, None]
+        x = 5.0 * np.sin(2 * np.pi * t / 24 + np.arange(7)) + 0.001 * t
+        x += rng.normal(size=x.shape)
+        calls, smooth = [], hw.hw_smooth
+
+        def count_smooth(*args):
+            calls.append(args[1].shape)
+            return smooth(*args)
+
+        with mock.patch.object(hw, "hw_smooth", count_smooth):
+            fits = hw.hw_fit_grid(x, 24, 5)
+        assert calls == [(5, 1, 125)]  # (phi, 1, triples)
+        for c, fit in enumerate(fits):
+            one = hw.hw_fit_grid(np.ascontiguousarray(x[:, c]), 24, 5)
+            got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+            want = (one.params.alpha, one.params.beta, one.params.gamma, one.params.phi)
+            assert fit_key(fit.val_mse, got) == fit_key(one.val_mse, want)
+            for name in ("level", "growth", "seasonal"):
+                assert getattr(fit.state, name).tobytes() == getattr(one.state, name).tobytes()
 
 
 class TestCandidateAxis:
@@ -481,37 +534,49 @@ class TestCandidateAxis:
         values = self.candidates(9, p)
         values["phi"][0] = 1.0
         vec = hw.HwParams(**values, period=p)
-        state = hw.hw_smooth(x, vec)
-        err = hw.one_step_errors(x, vec)
-        assert state.level.shape == state.growth.shape == (41, 9)
-        assert state.seasonal.shape == (40 + p, 9) and err.shape == (40, 9)
+        state, sse = hw.hw_smooth(x, vec, 17)
+        assert state.level.shape == state.growth.shape == (1, 9)
+        assert state.seasonal.shape == (p, 9) and sse.shape == (9,)
         for j in range(9):
             one = hw.HwParams(**{k: v[j] for k, v in values.items()}, period=p)
-            s1 = hw.hw_smooth(x, one)
+            s1, sse1 = hw.hw_smooth(x, one, 17)
             for got, want in ((state.level, s1.level), (state.growth, s1.growth),
-                              (state.seasonal, s1.seasonal), (err, hw.one_step_errors(x, one))):
-                assert got[:, j].tobytes() == want.tobytes()
+                              (state.seasonal, s1.seasonal), (sse, sse1)):
+                assert got[..., j].tobytes() == want.tobytes()
             e, b, s = smooth_loop(x, one.alpha, one.beta, one.gamma, p)
-            assert (e.tobytes(), b.tobytes(), s.tobytes()) == (
+            assert (e[-1:].tobytes(), b[-1:].tobytes(), s[-p:].tobytes()) == (
                 s1.level.tobytes(), s1.growth.tobytes(), s1.seasonal.tobytes())
+            err = errors_loop(x, one.alpha, one.beta, one.gamma, one.phi, p)
+            assert sse1.tobytes() == np.float64(time_order_sse(err[-17:])).tobytes()
+
+    def test_one_step_errors_is_a_step_of_errors_loop(self):
+        x = np.random.default_rng(4).normal(size=30) * 5.0
+        e, b, s = smooth_loop(x, 0.3, 0.6, 0.2, 4)
+        phi = np.array([0.5, 0.9, 1.0])
+        want = np.stack([errors_loop(x, 0.3, 0.6, 0.2, ph, 4) for ph in phi], axis=1)
+        for t in range(30):
+            assert hw.one_step_errors(x[t], e[t], b[t], s[t], phi).tobytes() == want[t].tobytes()
+            out = np.empty(3)
+            assert hw.one_step_errors(x[t], e[t], b[t], s[t], phi, out=out) is out
+            assert out.tobytes() == want[t].tobytes()
 
     def test_scalar_params_mixed_with_arrays_broadcast(self):
         x = np.random.default_rng(8).normal(size=30)
         values = self.candidates(4, 8)
         mixed = hw.HwParams(values["alpha"], 0.4, values["gamma"], 0.9, period=3)
-        err = hw.one_step_errors(x, mixed)
+        sse = hw.hw_smooth(x, mixed, 30)[1]
         for j in range(4):
             one = hw.HwParams(values["alpha"][j], 0.4, values["gamma"][j], 0.9, period=3)
-            assert err[:, j].tobytes() == hw.one_step_errors(x, one).tobytes()
+            assert sse[j].tobytes() == hw.hw_smooth(x, one, 30)[1].tobytes()
 
     def test_states_do_not_depend_on_phi(self):
         x = np.random.default_rng(9).normal(size=40) * 5.0
         rates = [np.array([[0.1], [0.4], [0.8]]), 0.3, np.array([[0.2], [0.6], [0.9]])]
-        states = [hw.hw_smooth(x, hw.HwParams(*rates, phi, period=4))
+        states = [hw.hw_smooth(x, hw.HwParams(*rates, phi, period=4), 10)[0]
                   for phi in (0.5, np.array([0.5, 0.7]), np.array([0.6, 0.8, 0.95, 1.0]))]
         for state in states:
-            assert state.level.shape == state.growth.shape == (41, 3, 1)
-            assert state.seasonal.shape == (44, 3, 1)
+            assert state.level.shape == state.growth.shape == (1, 3, 1)
+            assert state.seasonal.shape == (4, 3, 1)
             for got, want in zip((state.level, state.growth, state.seasonal),
                                  (states[0].level, states[0].growth, states[0].seasonal)):
                 assert got.tobytes() == want.tobytes()
@@ -523,35 +588,35 @@ class TestCandidateAxis:
         phi = np.array([0.5, 0.75, 0.9, 1.0])
         params = hw.HwParams(*(values[k][:, None] for k in ("alpha", "beta", "gamma")), phi,
                              period=p)
-        err = hw.one_step_errors(x, params)
-        assert err.shape == (36, 5, 4)
+        sse = hw.hw_smooth(x, params, 12)[1]
+        assert sse.shape == (5, 4)
         for j in range(5):
             for r in range(4):
                 one = hw.HwParams(values["alpha"][j], values["beta"][j], values["gamma"][j],
                                   phi[r], period=p)
-                assert err[:, j, r].tobytes() == hw.one_step_errors(x, one).tobytes()
-                assert err[:, j, r].tobytes() == errors_loop(
-                    x, one.alpha, one.beta, one.gamma, one.phi, p).tobytes()
+                assert sse[j, r].tobytes() == hw.hw_smooth(x, one, 12)[1].tobytes()
+                err = errors_loop(x, one.alpha, one.beta, one.gamma, one.phi, p)
+                assert sse[j, r].tobytes() == np.float64(time_order_sse(err[-12:])).tobytes()
 
     def test_cli_default_fit_is_one_call_over_both_channels(self, tmp_path, capsys):
         # the benchmark's request: `baseline --grid 5` on a 2-channel CSV of
-        # 240 steps fits the first 192, and forecasts from the fit's states
+        # 240 steps fits the first 192, scores its last 48 one step at a
+        # time, and forecasts from the fit's states
         path = tmp_path / "two.csv"
         write_csv(np.random.default_rng(3).normal(size=(240, 2)), str(path))
-        calls, columns = [], []
-        errors, smooth = hw.one_step_errors, hw.hw_smooth
+        calls, errors = [], []
+        one_step, smooth = hw.one_step_errors, hw.hw_smooth
 
-        def count_errors(x, params, *rest):
-            calls.append(x.shape[1:2] + params.shape)
-            return errors(x, params, *rest)
+        def count_errors(*args, out):
+            errors.append(out.shape)
+            return one_step(*args, out=out)
 
-        def count_smooth(x, params):
-            state = smooth(x, params)
-            columns.append(state.level[0].size)
-            return state
+        def count_smooth(x, params, scored):
+            calls.append((x.shape[1], params.shape, scored))
+            return smooth(x, params, scored)
 
         with mock.patch.object(hw, "one_step_errors", count_errors), \
                 mock.patch.object(hw, "hw_smooth", count_smooth):
             assert cli.main(["baseline", "--data", str(path), "--period", "12", "--grid", "5"]) == 0
         capsys.readouterr()
-        assert calls == [(2, 125, 5)] and columns == [250]
+        assert calls == [(2, (5, 1, 125), 48)] and errors == [(5, 2, 125)] * 48

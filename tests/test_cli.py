@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 import zlib
 from pathlib import Path
 
@@ -230,7 +231,7 @@ class TestTrain:
         assert f"error: --out must not be a directory, got {tmp_path}" in captured.err
 
     @pytest.mark.parametrize("key", ["min_lr", "beta1", "beta2", "eps", "special_lr_mult",
-                                     "clip_norm", "scale_aug_one_plus"])
+                                     "clip_norm", "scale_aug_one_plus", "augment"])
     def test_fixed_recipe_key_is_unknown(self, tmp_path, synth_file, capsys, key):
         # the Adam and schedule constants are not run settings, and there is no clipping
         config = {"model": {"lookback": 24, "horizon": 6}, "train": {key: 1.0}}
@@ -686,6 +687,23 @@ class TestBaseline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert 'error: non-finite value in output {"mse": Infinity, ' in captured.err
+
+    @pytest.mark.parametrize("exponent", [308, 160])
+    def test_near_overflow_series_exits_3_with_one_error_line(self, tmp_path, capsys, exponent):
+        # at 1e160 the squared errors overflow, at 1e308 the states reach
+        # inf - inf; numpy's RuntimeWarnings must not reach stderr
+        rng = np.random.default_rng(exponent)
+        x = rng.choice([-1.0, 1.0], size=(60, 1)) * rng.uniform(0.5, 1.0, size=(60, 1))
+        p = tmp_path / "huge.csv"
+        write_csv(x * 10.0**exponent, str(p))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["baseline", "--data", str(p), "--period", "4"])
+        assert rc == 3 and caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: non-finite value in output {")
 
     def test_csv_without_value_columns_is_data_error(self, timestamps_only, capsys):
         assert cli.main(["baseline", "--data", str(timestamps_only), "--period", "4"]) == 2

@@ -1,5 +1,5 @@
 """Tests for ingestion, normalization, splitting, windowing, the synthetic
-generator, augmentation, and metrics."""
+generator, and metrics."""
 
 import re
 
@@ -653,84 +653,6 @@ class TestSynth:
         ds = data.synth_generate(5, 0.0, seed=0, lookback=12, horizon=3)
         with pytest.raises(error, match=message):
             ds.split_windows(12, horizon, channels, data.SplitSpec(*fractions))
-
-
-class TestAugment:
-    def test_inactive_stages_are_identity(self):
-        class NoStage:
-            """Gate draws that fire no stage; a normal draw would be a bug."""
-
-            def random(self):
-                return 1.0
-
-        lb, tg = np.ones((8, 2)), np.ones((3, 2))
-        out_lb, out_tg = data.augment_pair(lb, tg, NoStage())
-        np.testing.assert_array_equal(out_lb, lb)
-        np.testing.assert_array_equal(out_tg, tg)
-
-    def test_shift_only_is_constant_offset(self):
-        class ShiftOnly:
-            """Activates only the second stage."""
-
-            def __init__(self):
-                self.calls = 0
-                self.inner = np.random.default_rng(3)
-
-            def random(self):
-                self.calls += 1
-                return 0.0 if self.calls == 2 else 1.0
-
-            def normal(self, *a, **k):
-                return self.inner.normal(*a, **k)
-
-        rng = ShiftOnly()
-        lb = np.random.default_rng(4).normal(size=(6, 2))
-        tg = np.random.default_rng(5).normal(size=(2, 2))
-        out_lb, out_tg = data.augment_pair(lb, tg, rng)
-        offsets = np.concatenate([(out_lb - lb).ravel(), (out_tg - tg).ravel()])
-        assert np.ptp(offsets) < 1e-12 and abs(offsets[0]) > 0
-
-    def test_stage_activation_rate(self):
-        class Recorder:
-            """Passes draws through while recording the per-stage gate uniforms."""
-
-            def __init__(self, seed):
-                self.inner = np.random.default_rng(seed)
-                self.gates = []
-
-            def random(self):
-                u = self.inner.random()
-                self.gates.append(u)
-                return u
-
-            def normal(self, *a, **k):
-                return self.inner.normal(*a, **k)
-
-        rng = Recorder(6)
-        n = 10_000
-        lb, tg = np.ones((4, 1)), np.ones((2, 1))
-        for _ in range(n):
-            data.augment_pair(lb, tg, rng)
-        gates = np.array(rng.gates).reshape(n, 3)  # one independent gate per stage
-        rates = (gates < 0.5).mean(axis=0)
-        band = 3 * np.sqrt(0.25 / n)
-        assert np.all(np.abs(rates - 0.5) < band)
-
-    def test_scale_multiplies_by_the_draw(self):
-        class ScaleOnly:
-            def __init__(self):
-                self.calls = 0
-
-            def random(self):
-                self.calls += 1
-                return 0.0 if self.calls == 1 else 1.0
-
-            def normal(self, *a, **k):
-                return 0.5
-
-        lb, tg = np.ones((4, 1)), np.ones((2, 1))
-        out_lb, _ = data.augment_pair(lb, tg, ScaleOnly())
-        np.testing.assert_allclose(out_lb, 0.5)  # eps as drawn, not 1 + eps
 
 
 class TestMetrics:

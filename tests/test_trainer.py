@@ -188,8 +188,7 @@ class TestTrainLoop:
 
     def test_same_seed_runs_bit_identical(self):
         pairs = sine_pairs(48, seed=4)
-        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=16, seed=9,
-                          augment=True)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=16, seed=9)
         _, log1 = train(TINY, cfg, pairs[:40], pairs[40:])
         _, log2 = train(TINY, cfg, pairs[:40], pairs[40:])
         assert log1 == log2
@@ -241,12 +240,6 @@ class TestTrainLoop:
                    f"{trainer.MAX_ACTIVATION_VALUES} allowed" if over else "first forward")
         with pytest.raises(error, match=message):
             train(mcfg, tcfg, [pair] * windows, [pair])
-
-    def test_augmented_training_runs(self):
-        pairs = sine_pairs(24, seed=7)
-        cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=8, seed=1, augment=True)
-        ckpt, log = train(TINY, cfg, pairs[:16], pairs[16:])
-        assert math.isfinite(log[0]["train_mse"])
 
 
 class TestEvaluate:
