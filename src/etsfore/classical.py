@@ -260,9 +260,12 @@ def hw_fit_grid(
         # each operation that broadcasts over phi runs over whole state rows
         rates = [grid[k][i] for k, i in zip(("alpha", "beta", "gamma"), triples)]
         params = HwParams(*rates, grid["phi"][:, None, None], period=period)
-        state, sse = hw_smooth(xb, params, n_val)
-        # per channel, in (triple, phi) order
-        mse = np.moveaxis(np.divide(sse, n_val, out=sse), 0, -1).reshape(C, -1)
+        # a diverging candidate's states and score overflow to inf or NaN,
+        # which the ranking below handles, so the caller sees no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, sse = hw_smooth(xb, params, n_val)
+            # per channel, in (triple, phi) order
+            mse = np.moveaxis(np.divide(sse, n_val, out=sse), 0, -1).reshape(C, -1)
         wins = np.argmin(np.where(np.isnan(mse), np.inf, mse), axis=1)
         for c, i in enumerate(wins.tolist()):
             if lo == 0 and not mse[c, i] < mse[c, 0]:

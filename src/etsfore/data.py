@@ -6,12 +6,13 @@ evaluation metrics.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, TypeVar
 
 import numpy as np
 
@@ -96,9 +97,16 @@ def load_csv(path: str) -> Series:
     values, each after an ISO-8601 timestamp when line 2's first cell is one.
     The rows are read by _parse_rows; a field longer than MAX_FIELD_CHARS
     raises ParseError naming its line, and so does a timestamp that is not
-    after the one before or mixes naive and UTC-offset times.
+    after the one before or mixes naive and UTC-offset times. The file is
+    read in full on every call and parsed once per distinct content
+    (_parse_once).
     """
-    head, body = _read_text(path)
+    return _parse_once(path, _parse_csv)
+
+
+def _parse_csv(path: str, raw: bytes) -> Series:
+    """load_csv's parse of the file's bytes."""
+    head, body = _head_and_body(path, raw)
     if not head:
         raise DataError(f"{path}: empty file")
     header = head.removesuffix("\n").removesuffix("\r")
@@ -352,9 +360,15 @@ def read_synth_csv(path: str) -> SynthDataset:
     naming the line; a file that stops short raises ParseError naming the
     first missing instance. So do a metadata row that is not ASCII or has a
     missing, repeated, unknown or bad key, and more than MAX_INSTANCE_CELLS
-    cells.
+    cells. The file is read in full on every call and parsed once per
+    distinct content (_parse_once).
     """
-    head, body = _read_text(path)
+    return _parse_once(path, _parse_synth_csv)
+
+
+def _parse_synth_csv(path: str, raw: bytes) -> SynthDataset:
+    """read_synth_csv's parse of the file's bytes."""
+    head, body = _head_and_body(path, raw)
     if not head.startswith(SYNTH_MAGIC):
         raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
     L, H, n = _synth_meta(path, head[len(SYNTH_MAGIC) :])
@@ -383,10 +397,30 @@ def read_synth_csv(path: str) -> SynthDataset:
     return SynthDataset(values=rows["values"].reshape(n, L + H, 1).copy(), lookback=L, horizon=H)
 
 
-def _read_text(path: str) -> tuple[str, bytes]:
-    """The file's first line, decoded as UTF-8, and the rest as bytes."""
+_Parsed = TypeVar("_Parsed")
+
+# The last bytes each parser accepted and its result, one entry per parser
+_PARSED: dict[Callable, tuple[bytes, object]] = {}
+
+
+def _parse_once(path: str, parse: Callable[[str, bytes], _Parsed]) -> _Parsed:
+    """parse(path, raw) of the file's bytes, read in full on every call, or a
+    fresh copy of its stored result when raw equals the last bytes parse
+    accepted. Only a parse that returns is stored: a bad file runs every
+    check and raises on every call. The caller owns every array it gets.
+    """
     with open(path, "rb") as fh:
-        return _decode(path, 1, fh.readline()), fh.read()
+        raw = fh.read()
+    last = _PARSED.get(parse)
+    if last is None or last[0] != raw:
+        last = _PARSED[parse] = raw, parse(path, raw)
+    return copy.deepcopy(last[1])
+
+
+def _head_and_body(path: str, raw: bytes) -> tuple[str, bytes]:
+    """The file's first line, decoded as UTF-8, and the rest as bytes."""
+    end = raw.find(b"\n") + 1 or len(raw)
+    return _decode(path, 1, raw[:end]), raw[end:]
 
 
 def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str,

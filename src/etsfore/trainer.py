@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import NormStats, SplitSpec, WindowPair, metrics
+from .data import NormStats, SplitSpec, WindowPair, _parse_once, metrics
 from .errors import ConfigError, DataError, DimensionError, TrainingError
 from .model import (
     ModelConfig,
@@ -181,9 +181,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     the CRC and last each parameter's finiteness. norm_mean and norm_std
     are each `channels` finite values, and norm_std is > 0. The loaded
     record's best_epoch and best_val_mse are their defaults, -1 and NaN.
+    The file is read in full on every call and parsed once per distinct
+    content (`data._parse_once`).
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    return _parse_once(path, _parse_checkpoint)
+
+
+def _parse_checkpoint(path: str, raw: bytes) -> Checkpoint:
+    """load_checkpoint's parse of the file's bytes."""
     try:
         if raw[:4] != CKPT_MAGIC:
             raise DataError("not a checkpoint file (bad magic)")

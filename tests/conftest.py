@@ -1,4 +1,13 @@
+import pytest
+
 import _acceptance_report
+from etsfore import data
+
+
+@pytest.fixture(autouse=True)
+def _no_stored_parse(monkeypatch):
+    # each test starts with no file's parse stored, so none sees another's
+    monkeypatch.setattr(data, "_PARSED", {})
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -293,6 +293,16 @@ class TestHwFitGrid:
         assert fit.params.gamma == vals["gamma"][0]
         assert fit.params.phi == vals["phi"][0]
 
+    def test_diverging_candidate_warns_nothing(self):
+        # (0.1, 0.9, 0.9) overflows on this white noise; the fit runs under
+        # the suite's error::RuntimeWarning filter with no errstate of its
+        # own, and picks what an errstate-wrapped fit picked before
+        x = np.random.default_rng(0).normal(size=20000)
+        fit = hw.hw_fit_grid(x, 12, 3)
+        got = (fit.params.alpha, fit.params.beta, fit.params.gamma, fit.params.phi)
+        assert got == (0.1, 0.1, 0.1, 0.5)
+        assert fit.val_mse == 1.1265366821993426
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             hw.HwParams(0.0, 0.5, 0.5, period=4)

@@ -5,6 +5,7 @@ import re
 import warnings
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -962,6 +963,48 @@ class TestExitCodes:
         for line in captured.out.strip().splitlines():
             strict_json(line)  # every stdout line parses, as strict JSON
         assert "training on" in captured.err
+
+
+class TestRepeatedRequests:
+    """In-process requests read the whole `--data` and `--model` files on
+    each call and parse each distinct content once."""
+
+    def test_eight_requests_parse_each_file_once(self, synth_file, trained_model, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(data, "_PARSED", {})  # the training run read synth_file
+        loadtxt = mock.Mock(wraps=np.loadtxt)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        parsed, parse = [], trainer._parse_checkpoint
+        monkeypatch.setattr(trainer, "_parse_checkpoint",
+                            lambda path, raw: parsed.append(path) or parse(path, raw))
+        outs = []
+        for k in range(8):
+            cmd, fmt = ("forecast", "decompose")[k % 2], ("json", "csv")[k // 2 % 2]
+            assert cli.main([cmd, "--model", str(trained_model), "--data", str(synth_file),
+                             "--at", str(k), "--format", fmt]) == 0
+            outs.append(capsys.readouterr().out)
+        assert loadtxt.call_count == 1 and parsed == [str(trained_model)]
+        # each request's table is the one a fresh process prints
+        monkeypatch.setattr(data, "_PARSED", {})
+        assert cli.main(["decompose", "--model", str(trained_model), "--data",
+                         str(synth_file), "--at", "7", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == outs[7]
+
+    def test_a_rewritten_data_file_gives_its_own_window(self, synth_file, trained_model,
+                                                         capsys):
+        ckpt = trainer.load_checkpoint(str(trained_model))
+        request = ["forecast", "--model", str(trained_model), "--data", str(synth_file),
+                   "--at", "0", "--format", "json"]
+        targets = []
+        for seed in (5, 6):
+            ds = data.synth_generate(40, 0.05, seed, lookback=24, horizon=6)
+            data.write_synth_csv(ds, str(synth_file))
+            assert cli.main(request) == 0
+            payload = strict_json(capsys.readouterr().out)
+            targets.append(np.array(payload["rows"])[:, payload["columns"].index("target")])
+            want = (ds.values[0, 24:, 0] - ckpt.norm_mean) / ckpt.norm_std
+            np.testing.assert_array_equal(targets[-1], want)
+        assert not np.array_equal(*targets)
 
 
 class TestParserReuse:

@@ -2,6 +2,7 @@
 generator, and metrics."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -653,6 +654,88 @@ class TestSynth:
         ds = data.synth_generate(5, 0.0, seed=0, lookback=12, horizon=3)
         with pytest.raises(error, match=message):
             ds.split_windows(12, horizon, channels, data.SplitSpec(*fractions))
+
+
+class TestParseOnce:
+    """Each `--data` reader reads the whole file on every call and parses
+    each distinct content once; a file that fails is parsed every time."""
+
+    # per kind: its reader, a file, the file with one byte changed, and
+    # a same-length file that fails at line 3
+    KINDS = {
+        "plain": (data.load_csv, "a,b\n1.5,2\n3,4.25\n", "a,b\n1.5,2\n3,4.75\n",
+                  "a,b\n1.5,2\n3,x.25\n"),
+        "instance": (data.read_synth_csv,
+                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,5,6\n",
+                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,5,7\n",
+                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,x,6\n"),
+    }
+
+    @pytest.fixture(params=KINDS, ids=list(KINDS))
+    def kind(self, request):
+        return self.KINDS[request.param]
+
+    @pytest.fixture()
+    def loadtxt(self):
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as wrapped:
+            yield wrapped
+
+    def test_unchanged_bytes_are_parsed_once(self, tmp_path, kind, loadtxt):
+        read, a, _, _ = kind
+        p = tmp_path / "d.csv"
+        p.write_text(a)
+        first, second = read(str(p)), read(str(p))
+        assert loadtxt.call_count == 1
+        want = first.values.copy()
+        np.testing.assert_array_equal(second.values, want)
+        # each call's arrays are the caller's own
+        first.values[...] = 99.0
+        second.values[...] = -1.0
+        np.testing.assert_array_equal(read(str(p)).values, want)
+        assert loadtxt.call_count == 1
+
+    def test_a_one_byte_edit_is_parsed_again(self, tmp_path, kind, loadtxt):
+        read, a, b, _ = kind
+        p = tmp_path / "d.csv"
+        seen = []
+        for text in (a, b, a):
+            p.write_text(text)
+            seen.append(read(str(p)).values)
+        assert loadtxt.call_count == 3
+        assert seen[0].flat[-1] == seen[2].flat[-1] != seen[1].flat[-1]
+        np.testing.assert_array_equal(seen[0], seen[2])
+        np.testing.assert_array_equal(seen[0].ravel()[:-1], seen[1].ravel()[:-1])
+
+    def test_a_bad_file_raises_on_every_read(self, tmp_path, kind, loadtxt):
+        read, a, _, bad = kind
+        p = tmp_path / "d.csv"
+        p.write_text(bad)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError, match="line 3: malformed row") as raised:
+                read(str(p))
+            errors.append((str(raised.value), loadtxt.call_count))
+        # the second read ran every check again, with as many loadtxt calls
+        assert errors[1] == (errors[0][0], 2 * errors[0][1])
+        p.write_text(a)
+        assert read(str(p)).values.size
+
+    def test_same_bytes_at_another_path_load_the_same(self, tmp_path, kind, loadtxt):
+        read, a, _, _ = kind
+        first, second = tmp_path / "1.csv", tmp_path / "2.csv"
+        first.write_text(a)
+        second.write_text(a)
+        np.testing.assert_array_equal(read(str(first)).values, read(str(second)).values)
+        assert loadtxt.call_count == 1
+
+    def test_each_reader_holds_one_entry(self, tmp_path):
+        for name, (read, a, b, _) in self.KINDS.items():
+            for n, text in enumerate((a, b)):
+                (tmp_path / f"{name}{n}.csv").write_text(text)
+                read(str(tmp_path / f"{name}{n}.csv"))
+        assert len(data._PARSED) == 2
+        assert {raw.decode() for raw, _ in data._PARSED.values()} == {
+            b for _, _, b, _ in self.KINDS.values()}
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 """Module boundaries: the one runtime dependency is numpy, normalization
 stays in data.py, and data.py parses the rows of both CSV kinds with one
-loadtxt call and cuts the windows of both with one function.
+loadtxt call and cuts the windows of both with one function. The readers
+of both CSV kinds and of a checkpoint parse their files through one helper.
 
 Most checks read the source: each module of the package imports only
 itself, the standard library and numpy. The footprint guard runs the
@@ -162,3 +163,22 @@ def test_one_window_cutter_for_both_dataset_kinds():
     assert [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and calls_to(node, "WindowPair")] == [
         ("data.py", "window_dataset")]
+
+
+def functions(tree: ast.AST) -> dict[str, ast.FunctionDef]:
+    return {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_reader_parses_through_the_one_helper():
+    # data._parse_once reads the file and parses each distinct content
+    # once; a reader that opened the file itself would bypass it
+    readers = {"data.py": ("load_csv", "read_synth_csv"), "trainer.py": ("load_checkpoint",)}
+    for module, names in readers.items():
+        defs = functions(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+        for name in names:
+            assert (calls_to(defs[name], "open"), calls_to(defs[name], "_parse_once")) == (0, 1)
+
+
+def test_a_reader_opening_its_file_is_caught():
+    tree = ast.parse("def load_csv(path):\n    with open(path) as fh:\n        return fh.read()\n")
+    assert calls_to(functions(tree)["load_csv"], "open") == 1

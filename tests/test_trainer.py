@@ -585,3 +585,63 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(DataError, match="magic"):
             load_checkpoint(str(p))
+
+
+class TestCheckpointParsedOnce:
+    """load_checkpoint reads the whole file on every call and parses each
+    distinct content once; a file that fails is parsed every time."""
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        calls = []
+        parse = trainer._parse_checkpoint
+        monkeypatch.setattr(trainer, "_parse_checkpoint",
+                            lambda path, raw: calls.append(path) or parse(path, raw))
+        return calls
+
+    @staticmethod
+    def _edited(saved: bytes) -> bytes:
+        """saved with the last parameter value's lowest byte changed and
+        the checksum redone: a valid file, one value apart."""
+        body = saved[:-4]
+        body = body[:-4] + bytes([body[-4] ^ 0x01]) + body[-3:]
+        return body + zlib.crc32(body).to_bytes(4, "little")
+
+    def test_unchanged_bytes_are_parsed_once(self, saved_bytes, tmp_path, parses):
+        p = tmp_path / "model.etsf"
+        p.write_bytes(saved_bytes)
+        first, second = load_checkpoint(str(p)), load_checkpoint(str(p))
+        assert len(parses) == 1
+        assert first.config == second.config and first.split == second.split
+        want = {name: arr.copy() for name, arr in first.params.items()}
+        for name in want:
+            np.testing.assert_array_equal(second.params[name], want[name])
+        # each call's arrays are the caller's own
+        for ckpt in (first, second):
+            for arr in (*ckpt.params.values(), ckpt.norm_mean, ckpt.norm_std):
+                arr[...] = np.nan
+        third = load_checkpoint(str(p))
+        for name in want:
+            np.testing.assert_array_equal(third.params[name], want[name])
+        assert third.norm_std.tolist() == [1.0] and len(parses) == 1
+
+    def test_a_one_byte_edit_is_parsed_again(self, saved_bytes, tmp_path, parses):
+        p = tmp_path / "model.etsf"
+        last = []
+        for raw in (saved_bytes, self._edited(saved_bytes), saved_bytes):
+            p.write_bytes(raw)
+            last.append(load_checkpoint(str(p)).params["head.w_out"].flat[-1])
+        assert len(parses) == 3
+        assert last[0] == last[2] != last[1]
+
+    def test_a_corrupted_file_raises_on_every_read(self, saved_bytes, tmp_path, parses):
+        p = tmp_path / "model.etsf"
+        body = self._edited(saved_bytes)[:-4]
+        p.write_bytes(body + saved_bytes[-4:])  # the old checksum
+        for _ in range(2):
+            with pytest.raises(DataError, match=f"{p}: malformed checkpoint: checksum mismatch"):
+                load_checkpoint(str(p))
+        assert len(parses) == 2
+        p.write_bytes(saved_bytes)
+        assert load_checkpoint(str(p)).split == SplitSpec(0.5, 0.25, 0.25)
+        assert len(parses) == 3
