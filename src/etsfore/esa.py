@@ -10,6 +10,12 @@ growth extractor and the level-smoothing expansion.
 the oracle checks all run it. `attention_matrix`, `esa_naive` and
 `level_recurrence` are plain-ndarray oracles; `conv1d_fft` carries the FFT
 numerics that `conv1d_fft_t` wraps as a differentiable graph node.
+
+The transforms run through freq's `_rfft`/`_irfft` pair: each column of a
+(..., L, C) input becomes one row of a (..., C, n) array, zero-padded to n
+(a C-contiguous copy where the columns are strided), every spectrum
+product happens in that layout, and the samples kept are written straight
+back into a (..., L, C) result.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, make_node
 from .errors import DimensionError, DomainError
+from .freq import _irfft, _rfft
 
 
 def _next_fast_len(target: int) -> int:
@@ -80,10 +87,13 @@ def conv1d_fft(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Causal cross-correlation of each column of V with a length-L weight.
 
     Equals the product of the lower-triangular Toeplitz matrix whose last
-    row is `weight` with each column. weight may be (L,) shared across
-    columns or (L, C) per column. Evaluated by zero-padding to the next
-    fast FFT length, multiplying by the conjugate transform, inverting,
-    and taking the trailing L samples of the result rolled by -1.
+    row is `weight` with each column. weight may be (L,) or (L, 1), shared
+    across columns, or (L, C) per column. Each column of V and of weight is
+    zero-padded to the next fast FFT length n as one row of a (..., C, n)
+    array; the spectra of V are multiplied in place by the conjugate
+    spectra of weight and inverted along that last axis. Output step t is
+    sample (t - L + 1) mod n of each inverted row, written straight into
+    the (..., L, C) result.
     """
     V = np.asarray(V, dtype=np.float64)
     w = np.asarray(weight, dtype=np.float64)
@@ -92,18 +102,20 @@ def conv1d_fft(V: np.ndarray, weight: np.ndarray) -> np.ndarray:
     L = V.shape[-2]
     if L < 1:
         raise DimensionError(f"sequence length must be >= 1, got {L}")
-    if w.shape[0] != L:
-        raise DimensionError(f"weight length {w.shape[0]} does not match sequence length {L}")
-    if w.ndim == 2 and w.shape[1] not in (1, V.shape[-1]):
-        raise DimensionError(f"weight shape {w.shape} does not broadcast to values {V.shape}")
+    if w.shape not in ((L,), (L, 1), (L, V.shape[-1])):
+        raise DimensionError(
+            f"weight shape {w.shape} does not fit values {V.shape}: "
+            f"expected ({L},), ({L}, 1) or ({L}, {V.shape[-1]})"
+        )
     n = _next_fast_len(2 * L - 1)
-    fv = np.fft.rfft(V, n=n, axis=-2)
-    fw = np.fft.rfft(w, n=n, axis=0)
-    if w.ndim == 1:
-        fw = fw[:, None]
-    out = np.fft.irfft(fv * np.conj(fw), n=n, axis=-2)
-    # samples n-L+1 .. n-1 and then 0: the trailing L of np.roll(out, -1)
-    return np.concatenate([out[..., n - L + 1 :, :], out[..., :1, :]], axis=-2)
+    spec = _rfft(V, n)
+    spec *= np.conj(_rfft(w.reshape(L, -1), n))
+    rows = _irfft(spec, n)
+    out = np.empty(V.shape)
+    lanes = out.swapaxes(-1, -2)
+    lanes[..., : L - 1] = rows[..., n - L + 1 :]
+    lanes[..., L - 1] = rows[..., 0]
+    return out
 
 
 def level_recurrence(
@@ -149,9 +161,13 @@ def conv1d_fft_t(V: Tensor, weight: Tensor) -> Tensor:
         # transpose of a causal Toeplitz product = time-reversed product
         gv = np.flip(conv1d_fft(np.flip(g, axis=-2), w), axis=-2)
         n = _next_fast_len(2 * L - 1)
-        spec = np.fft.rfft(g, n=n, axis=-2) * np.conj(np.fft.rfft(v, n=n, axis=-2))
-        corr = np.fft.irfft(spec, n=n, axis=-2)[..., :L, :]
-        gw = np.flip(corr, axis=-2)
+        spec = _rfft(g, n)
+        spec *= np.conj(_rfft(v, n))
+        # gw[t] = correlation at lag L-1-t, gathered into a C-ordered
+        # (..., L, C) array: summed as (..., C, L) rows, the batch and
+        # column sums below would add in another order and move the bits
+        gw = np.empty(v.shape)
+        gw.swapaxes(-1, -2)[...] = _irfft(spec, n)[..., L - 1 :: -1]
         gw = gw.reshape((-1, L, gw.shape[-1])).sum(axis=0)
         if w.ndim == 1:
             gw = gw.sum(axis=-1)

@@ -5,6 +5,10 @@ Bin indices are 0-based throughout: bin 0 is the DC/mean term and is never
 selectable; bin b has frequency b/L cycles per step. Each selected bin
 contributes its conjugate pair as well, which doubles the real cosine term
 (except the self-conjugate Nyquist bin of an even-length signal).
+
+Every real FFT of the package, ESA's included, goes through `_rfft` and
+`_irfft`: the time axis of a (..., L, C) array becomes the last axis of a
+(..., C, n) array of rows, and pocketfft transforms along it.
 """
 
 from __future__ import annotations
@@ -56,19 +60,49 @@ def topk_select(amplitudes: np.ndarray, k: int) -> np.ndarray:
     return bins[..., 0] if vec else bins
 
 
+def _rfft(x: np.ndarray, n: int) -> np.ndarray:
+    """Spectra of the columns of a (..., L, C) array zero-padded to n >= L.
+
+    Returns (..., C, n // 2 + 1): one row per column, bins along the last
+    axis. pocketfft pads strided rows slowly, so rows that need padding
+    and are not contiguous (C > 1) are first copied into a C-contiguous
+    zero-padded (..., C, n) buffer; other rows are transformed as the
+    transposed view, which a copy would only slow down.
+    """
+    rows = x.swapaxes(-1, -2)
+    L = rows.shape[-1]
+    if n > L and not rows.flags.c_contiguous:
+        buf = np.empty(rows.shape[:-1] + (n,))
+        buf[..., :L] = rows
+        buf[..., L:] = 0.0
+        rows = buf
+    return np.fft.rfft(rows, n=n, axis=-1)
+
+
+def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _rfft: (..., C, n) samples, one row per column.
+
+    Callers move the samples they keep back to (..., L, C) through
+    .swapaxes(-1, -2) of these rows or of their own result.
+    """
+    return np.fft.irfft(spec, n=n, axis=-1)
+
+
 def _project_selected(x: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Orthogonal projection of each channel onto its selected Fourier pairs.
 
     Zeroes every unselected coefficient (DC included) and inverts; the
     result on 0..L-1 is the periodic seasonal pattern, and the map is a
     symmetric projection, so it serves as its own adjoint in the backward
-    pass.
+    pass. x is (..., L, C) and bins topk_select's (..., k, C); the
+    (..., L, C) result is a transposed view of _irfft's rows.
     """
     L = x.shape[-2]
-    c = np.fft.rfft(x, axis=-2)
+    c = _rfft(x, L)
+    picks = bins.swapaxes(-1, -2)
     masked = np.zeros_like(c)
-    np.put_along_axis(masked, bins, np.take_along_axis(c, bins, axis=-2), axis=-2)
-    return np.fft.irfft(masked, n=L, axis=-2)
+    np.put_along_axis(masked, picks, np.take_along_axis(c, picks, axis=-1), axis=-1)
+    return _irfft(masked, L).swapaxes(-1, -2)
 
 
 def fourier_extrapolate(x: Tensor, k: int, j_range: np.ndarray) -> Tensor:
@@ -86,11 +120,12 @@ def fourier_extrapolate(x: Tensor, k: int, j_range: np.ndarray) -> Tensor:
         raise DimensionError(f"expected (..., L, C) input, got shape {x.shape}")
     L = x.shape[-2]
     j = np.asarray(j_range, dtype=np.intp)
-    bins = topk_select(np.abs(np.fft.rfft(x.data, axis=-2)), k)
+    bins = topk_select(np.abs(_rfft(x.data, L)).swapaxes(-1, -2), k)
     residues = j % L
     # no residue repeats while j spans at most L steps, as in every model call
     distinct = np.unique(residues).size == residues.size
-    out = _project_selected(x.data, bins)[..., residues, :]
+    # np.take gathers the view's rows into a C-ordered array
+    out = np.take(_project_selected(x.data, bins), residues, axis=-2)
     shape = x.shape
 
     def vjp(g):
@@ -99,6 +134,7 @@ def fourier_extrapolate(x: Tensor, k: int, j_range: np.ndarray) -> Tensor:
             gathered[..., residues, :] = g
         else:  # j wraps past L: several outputs share a residue
             np.add.at(gathered, (Ellipsis, residues, slice(None)), g)
+        # autodiff copies the adjoint into a C-ordered (..., L, C) array
         return (_project_selected(gathered, bins),)
 
     return make_node(out, (x,), vjp)

@@ -1,7 +1,8 @@
 """Module boundaries: the one runtime dependency is numpy, normalization
 stays in data.py, and data.py parses the rows of both CSV kinds with one
 loadtxt call and cuts the windows of both with one function. The readers
-of both CSV kinds and of a checkpoint parse their files through one helper.
+of both CSV kinds and of a checkpoint parse their files through one helper,
+and every real FFT runs through one helper pair along the last axis.
 
 Most checks read the source: each module of the package imports only
 itself, the standard library and numpy. The footprint guard runs the
@@ -182,3 +183,28 @@ def test_every_reader_parses_through_the_one_helper():
 def test_a_reader_opening_its_file_is_caught():
     tree = ast.parse("def load_csv(path):\n    with open(path) as fh:\n        return fh.read()\n")
     assert calls_to(functions(tree)["load_csv"], "open") == 1
+
+
+def fft_calls(tree: ast.AST, scope: str = "<module>"):
+    """(innermost enclosing function, callee, axis) of every rfft/irfft call in tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and {"rfft", "irfft"} & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+            axis = [ast.unparse(k.value) for k in node.keywords if k.arg == "axis"]
+            yield scope, ast.unparse(node.func), axis[0] if axis else None
+        yield from fft_calls(node, node.name if isinstance(node, ast.FunctionDef) else scope)
+
+
+def test_every_real_fft_runs_through_the_helper_pair():
+    # freq._rfft / freq._irfft fix the layout of every transform; each calls
+    # np.fft by attribute, so bench/tracing.py's patch of np.fft counts it
+    calls = [(path.name, *call) for path in sorted(PACKAGE.glob("*.py"))
+             for call in fft_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert calls == [("freq.py", "_rfft", "np.fft.rfft", "-1"),
+                     ("freq.py", "_irfft", "np.fft.irfft", "-1")]
+
+
+def test_a_transform_outside_the_helper_pair_is_caught():
+    tree = ast.parse("from numpy.fft import rfft\ndef f(x):\n    def g():\n"
+                     "        return rfft(x, axis=-2)\n    return g()\ny = np.fft.irfft(x)\n")
+    assert list(fft_calls(tree)) == [("g", "rfft", "-2"), ("<module>", "np.fft.irfft", None)]

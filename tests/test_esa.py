@@ -5,6 +5,8 @@ explicit attention-matrix product, a dense triangular multiply, or the
 step-by-step recurrence.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,8 +139,10 @@ class TestConv1dFft:
             )
 
     def test_weight_length_checked(self):
-        with pytest.raises(DimensionError):
-            esa.conv1d_fft(np.zeros((4, 1)), np.zeros(3))
+        # only (L,), (L, 1) and (L, C) weights fit (L, C) values
+        for shape in ((3,), (), (4, 2, 1), (4, 3), (1, 4)):
+            with pytest.raises(DimensionError, match=re.escape(f"weight shape {shape} does not fit values (4, 2)")):
+                esa.conv1d_fft(np.zeros((4, 2)), np.zeros(shape))
 
     def test_empty_sequence_is_dimension_error(self):
         with pytest.raises(DimensionError, match="sequence length must be >= 1"):
