@@ -89,7 +89,7 @@ def load_run_config(path: str, channels: int):
         raise ConfigError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    except ValueError as e:  # model.unique_keys: a repeated key
+    except ValueError as e:  # a repeated key (model.unique_keys) or an over-long integer
         raise ConfigError(f"{path}: {e}") from None
     except RecursionError:
         raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None

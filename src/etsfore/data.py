@@ -7,8 +7,8 @@ evaluation metrics.
 from __future__ import annotations
 
 import copy
-import csv
 import io
+import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -17,6 +17,7 @@ from typing import Callable, NoReturn, TypeVar
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, ParseError
+from .model import from_dict, unique_keys
 
 
 @dataclass
@@ -308,46 +309,33 @@ MAX_INSTANCE_CELLS = 2**24
 
 
 def write_synth_csv(ds: SynthDataset, path: str) -> None:
-    """Instance CSV: a metadata comment row, then one row `i,v_1,...,v_T` per instance."""
+    """Instance CSV: a metadata row, SYNTH_MAGIC and a JSON object of the window
+    lengths and instance count, then one row `i,v_1,...,v_T` per instance.
+    Every line ends in LF."""
+    meta = {"lookback": ds.lookback, "horizon": ds.horizon, "instances": len(ds.values)}
     with open(path, "w", newline="") as fh:
-        fh.write(f"{SYNTH_MAGIC} lookback={ds.lookback} horizon={ds.horizon} "
-                 f"instances={len(ds.values)}\n")
-        writer = csv.writer(fh)
+        fh.write(f"{SYNTH_MAGIC} {json.dumps(meta)}\n")
         for i, row in enumerate(ds.values[:, :, 0]):
-            writer.writerow([i, *(f"{v:.17g}" for v in row)])
+            fh.write(",".join([str(i), *(f"{v:.17g}" for v in row)]) + "\n")
 
 
-_SYNTH_KEYS = ("lookback", "horizon", "instances")
+@dataclass
+class _SynthMeta:
+    """The metadata row's object, read by from_dict: each size at least 1,
+    and at most MAX_INSTANCE_CELLS cells."""
 
+    lookback: int
+    horizon: int
+    instances: int
 
-def _synth_meta(path: str, tokens: str) -> tuple[int, int, int]:
-    """(lookback, horizon, instances) from the metadata row: each key exactly
-    once, no other key, and each value plain digits, `[0-9]+`, at least 1."""
-    meta = {}
-    for token in tokens.split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise ParseError(f"{path}: line 1: metadata token {token!r} is not key=value")
-        if key in meta:
-            raise ParseError(f"{path}: line 1: repeated metadata key {key!r}")
-        meta[key] = value
-    if unknown := [key for key in meta if key not in _SYNTH_KEYS]:
-        raise ParseError(f"{path}: line 1: unknown metadata keys {unknown}; "
-                         f"the keys are {list(_SYNTH_KEYS)}")
-    for key in _SYNTH_KEYS:
-        if key not in meta:
-            raise ParseError(f"{path}: line 1: missing metadata key {key!r}")
-        if not re.fullmatch("[0-9]+", meta[key]):
-            raise ParseError(f"{path}: line 1: bad metadata value {key}={meta[key]!r}")
-        if int(meta[key]) < 1:
-            raise ParseError(f"{path}: line 1: metadata {key}={int(meta[key])} must be positive")
-    L, H, n = (int(meta[key]) for key in _SYNTH_KEYS)
-    if (cells := n * (L + H)) > MAX_INSTANCE_CELLS:
-        raise ParseError(
-            f"{path}: line 1: metadata instances={n} x (lookback={L} + horizon={H}) "
-            f"is {cells} cells, more than the {MAX_INSTANCE_CELLS} allowed"
-        )
-    return L, H, n
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"metadata {name}={value} must be positive")
+        if (cells := self.instances * (self.lookback + self.horizon)) > MAX_INSTANCE_CELLS:
+            raise ConfigError(f"metadata instances={self.instances} x (lookback={self.lookback} "
+                              f"+ horizon={self.horizon}) is {cells} cells, more than the "
+                              f"{MAX_INSTANCE_CELLS} allowed")
 
 
 def read_synth_csv(path: str) -> SynthDataset:
@@ -358,10 +346,9 @@ def read_synth_csv(path: str) -> SynthDataset:
     The first row whose index is not its instance's (a swapped, repeated or
     out-of-range instance) and a row past the last instance raise ParseError
     naming the line; a file that stops short raises ParseError naming the
-    first missing instance. So do a metadata row that is not ASCII or has a
-    missing, repeated, unknown or bad key, and more than MAX_INSTANCE_CELLS
-    cells. The file is read in full on every call and parsed once per
-    distinct content (_parse_once).
+    first missing instance. Any metadata row that json and from_dict do not
+    read as a _SynthMeta raises ParseError naming line 1. The file is read
+    in full on every call and parsed once per distinct content (_parse_once).
     """
     return _parse_once(path, _parse_synth_csv)
 
@@ -371,9 +358,17 @@ def _parse_synth_csv(path: str, raw: bytes) -> SynthDataset:
     head, body = _head_and_body(path, raw)
     if not head.startswith(SYNTH_MAGIC):
         raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
-    L, H, n = _synth_meta(path, head[len(SYNTH_MAGIC) :])
-    if not head.isascii():  # str.split() also splits at non-ASCII spaces
-        raise ParseError(f"{path}: line 1: non-ASCII text")
+    try:
+        meta = from_dict(_SynthMeta, json.loads(head[len(SYNTH_MAGIC) :],
+                                                object_pairs_hook=unique_keys), "metadata")
+    except json.JSONDecodeError as e:  # an older file's key=value tokens too
+        raise ParseError(f"{path}: line 1: metadata row is not a JSON object: {e.msg} at "
+                         f"column {len(SYNTH_MAGIC) + e.colno}") from None
+    # ValueError: a repeated key (unique_keys) or an integer of more than
+    # sys.get_int_max_str_digits() digits; RecursionError: nesting too deep
+    except (ConfigError, ValueError, RecursionError) as e:
+        raise ParseError(f"{path}: line 1: {e}") from None
+    L, H, n = meta.lookback, meta.horizon, meta.instances
     row = np.dtype([("instance", np.int64), ("values", np.float64, (L + H,))])
 
     def check(rows: np.ndarray) -> None:  # the index order

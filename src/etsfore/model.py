@@ -56,7 +56,7 @@ class ModelConfig:
 
 
 def from_dict(cls, d, where: str):
-    """Build the config dataclass cls from a JSON object.
+    """Build the dataclass cls from a JSON object.
 
     The fields of cls fix the allowed keys, the required ones (those without
     a default) and the value types; a float field also takes a JSON integer
@@ -88,9 +88,9 @@ def from_dict(cls, d, where: str):
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The object_pairs_hook of every JSON read that from_dict checks, a run
-    config or a checkpoint header: the object as a dict, or ValueError
-    naming the first key it repeats, at any depth."""
+    """The object_pairs_hook of every JSON read that from_dict checks (a run
+    config, a checkpoint header, an instance CSV's metadata row): the object
+    as a dict, or ValueError naming the first key it repeats, at any depth."""
     obj = {}
     for key, value in pairs:
         if key in obj:

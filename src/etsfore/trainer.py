@@ -2,7 +2,7 @@
 train at a fixed 100x rate, everything else follows linear warmup + cosine
 annealing), plus evaluation and binary checkpointing.
 
-A run sets the six keys of `TrainConfig`. The rest of the recipe is fixed
+A run sets the five keys of `TrainConfig`. The rest of the recipe is fixed
 by module constants: Adam's decay rates and epsilon, the final main-group
 learning rate and the special-group multiple.
 

@@ -1,6 +1,9 @@
-"""Plain CSV files for tests to load."""
+"""CSV files for tests to load: plain CSVs and instance CSV metadata rows."""
 
 import csv
+import json
+
+from etsfore import data
 
 
 def write_csv(values, path: str, names=None, timestamps=None) -> None:
@@ -20,3 +23,9 @@ def write_csv(values, path: str, names=None, timestamps=None) -> None:
             writer.writerow(names)
             for row in values:
                 writer.writerow([f"{v:.17g}" for v in row])
+
+
+def synth_head(lookback: int, horizon: int, instances: int) -> str:
+    """An instance CSV's line 1, as `data.write_synth_csv` writes it."""
+    meta = {"lookback": lookback, "horizon": horizon, "instances": instances}
+    return f"{data.SYNTH_MAGIC} {json.dumps(meta)}\n"

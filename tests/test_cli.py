@@ -83,8 +83,8 @@ class TestSynth:
     def test_default_lengths_recorded_in_metadata_row(self, tmp_path, capsys):
         p = tmp_path / "s.csv"
         assert cli.main(["synth", "--out", str(p), "--n", "2"]) == 0
-        meta = p.read_text().splitlines()[0]
-        assert "lookback=192" in meta and "horizon=48" in meta
+        meta = json.loads(p.read_text().splitlines()[0].removeprefix(data.SYNTH_MAGIC))
+        assert meta == {"lookback": 192, "horizon": 48, "instances": 2}
 
     def test_default_noise_level(self, tmp_path, capsys):
         p, explicit = tmp_path / "s.csv", tmp_path / "explicit.csv"
@@ -944,9 +944,9 @@ class TestExitCodes:
 
     def test_instance_csv_cells_past_int64_is_data_error(self, synth_file, trained_model,
                                                          capsys):
-        lines = synth_file.read_bytes().split(b"\n", 1)
-        meta = lines[0].replace(b"lookback=24", b"lookback=10000000000000000000")
-        synth_file.write_bytes(meta + b"\n" + lines[1])
+        raw = synth_file.read_bytes()
+        synth_file.write_bytes(
+            raw.replace(b'"lookback": 24', b'"lookback": 10000000000000000000', 1))
         assert cli.main(["evaluate", "--model", str(trained_model), "--data",
                          str(synth_file)]) == 2
         captured = capsys.readouterr()
@@ -954,6 +954,32 @@ class TestExitCodes:
         assert (f"error: {synth_file}: line 1: metadata instances=40 x "
                 "(lookback=10000000000000000000 + horizon=6) is 400000000000000000240 cells, "
                 f"more than the {data.MAX_INSTANCE_CELLS} allowed" in captured.err)
+
+    @pytest.mark.parametrize("document, code", [("metadata", 2), ("run_config", 1),
+                                                ("header", 2)])
+    def test_over_long_integer_is_typed_in_every_json_document(
+            self, tmp_path, synth_file, run_config, trained_model, capsys, document, code):
+        # json's int() refuses more than sys.get_int_max_str_digits() digits
+        # with a ValueError, which each reader turns into its typed error
+        def widen(text: bytes) -> bytes:
+            return text.replace(b'"lookback": 24', b'"lookback": ' + b"9" * 5000, 1)
+
+        evaluate = ["evaluate", "--model", str(trained_model), "--data", str(synth_file)]
+        if document == "metadata":
+            synth_file.write_bytes(widen(synth_file.read_bytes()))
+            argv, where = evaluate, f"error: {synth_file}: line 1: "
+        elif document == "run_config":
+            run_config.write_bytes(widen(run_config.read_bytes()))
+            argv = ["train", "--config", str(run_config), "--data", str(synth_file),
+                    "--out", str(tmp_path / "m.etsf")]
+            where = f"error: {run_config}: "
+        else:
+            trained_model.write_bytes(self._reframed(trained_model.read_bytes(), widen))
+            argv, where = evaluate, f"error: {trained_model}: malformed checkpoint: "
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"{where}Exceeds the limit (4300 digits)" in captured.err
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

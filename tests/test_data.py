@@ -1,6 +1,7 @@
 """Tests for ingestion, normalization, splitting, windowing, the synthetic
 generator, and metrics."""
 
+import json
 import re
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csv_files import write_csv
+from csv_files import synth_head, write_csv
 from etsfore import data
 from etsfore.errors import ConfigError, DataError, DimensionError, ParseError
 
@@ -61,7 +62,7 @@ class TestCsv:
         p = tmp_path / "t.csv"
         head = {
             "plain": "a,b\n1,2\n",
-            "instance": f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=2\n0,1,2\n",
+            "instance": synth_head(1, 1, 2) + "0,1,2\n",
         }[kind]
         p.write_text(f"{head}1,{space}1.5{space}\n", encoding="utf-8")
         with pytest.raises(ParseError, match="line 3: non-ASCII text"):
@@ -69,14 +70,13 @@ class TestCsv:
 
     # one body under both kinds' first lines: a plain header of three
     # channels, or instances of one lookback and one horizon step
-    HEADS = {"plain": "i,a,b\n",
-             "instance": f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances={{n}}\n"}
+    HEADS = {"plain": lambda n: "i,a,b\n", "instance": lambda n: synth_head(1, 1, n)}
 
     @pytest.mark.parametrize("kind", ["plain", "instance"])
     def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path, kind):
         # a NaN on line 3 parses, so it was once passed over for the short row on line 4
         p = tmp_path / "t.csv"
-        p.write_text(self.HEADS[kind].format(n=3) + "0,1,2\n1,nan,2\n2,1\n")
+        p.write_text(self.HEADS[kind](3) + "0,1,2\n1,nan,2\n2,1\n")
         with pytest.raises(ParseError, match="line 3: non-finite value"):
             data.read_dataset(str(p))
 
@@ -85,9 +85,9 @@ class TestCsv:
          "line 3: bad timestamp 'not-a-time'"),
         ("time,v\n2024-01-02,1\n2024-01-01,2\n2024-01-03,nan\n",
          "line 3: timestamp '2024-01-01' does not come after '2024-01-02'"),
-        (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=3\n0,1,2\n2,1,2\n2,1,x\n",
+        (synth_head(1, 1, 3) + "0,1,2\n2,1,2\n2,1,x\n",
          "line 3: expected instance 1, found instance 2"),
-        (f"{data.SYNTH_MAGIC} lookback=1 horizon=1 instances=1\n0,1,2\n1,1,2\n2,1\n",
+        (synth_head(1, 1, 1) + "0,1,2\n1,1,2\n2,1\n",
          "line 3: row past the last instance, instance 0"),
     ], ids=["plain-bad-time", "plain-time-order", "instance-order", "instance-past-the-last"])
     def test_kind_check_fault_before_a_malformed_line_is_named(self, tmp_path, text, error):
@@ -106,7 +106,7 @@ class TestCsv:
     @pytest.mark.parametrize("kind", ["plain", "instance"])
     def test_one_cell_grammar_for_both_kinds(self, tmp_path, kind, cell, value):
         p = tmp_path / "t.csv"
-        p.write_text(self.HEADS[kind].format(n=2) + f"0,1,2\n1,1,{cell}\n", encoding="utf-8")
+        p.write_text(self.HEADS[kind](2) + f"0,1,2\n1,1,{cell}\n", encoding="utf-8")
         if value is None:
             with pytest.raises(ParseError, match="line 3: "):
                 data.read_dataset(str(p))
@@ -402,15 +402,14 @@ class TestSynth:
         values = np.array([[0.5, -0.0, 1e-300], [2.0, 1 / 3, -7.0]])[..., None]
         p = tmp_path / "s.csv"
         data.write_synth_csv(data.SynthDataset(values, lookback=2, horizon=1), str(p))
-        assert p.read_bytes() == (b"# etsfore-synth lookback=2 horizon=1 instances=2\n"
-                                  b"0,0.5,-0,1e-300\r\n"
-                                  b"1,2,0.33333333333333331,-7\r\n")
+        assert p.read_bytes() == (b'# etsfore-synth {"lookback": 2, "horizon": 1, "instances": 2}\n'
+                                  b"0,0.5,-0,1e-300\n"
+                                  b"1,2,0.33333333333333331,-7\n")
 
     @staticmethod
     def write_rows(path, rows, n=2, lookback=3, horizon=1):
-        lines = [f"{data.SYNTH_MAGIC} lookback={lookback} horizon={horizon} instances={n}"]
-        lines += [",".join(map(str, r)) for r in rows]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(synth_head(lookback, horizon, n)
+                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
         return str(path)
 
     @staticmethod
@@ -479,67 +478,133 @@ class TestSynth:
             data.read_synth_csv(str(p))
 
     def write_meta(self, path, meta):
+        """A file of one instance, 3 + 1 steps, whose line 1 is SYNTH_MAGIC and then meta."""
         path.write_text(f"{data.SYNTH_MAGIC} {meta}\n0,0.5,0.5,0.5,0.5\n", encoding="utf-8")
         return str(path)
 
+    @staticmethod
+    def meta(**changes) -> str:
+        """The metadata object of that file, as JSON, with changes."""
+        return json.dumps({"lookback": 3, "horizon": 1, "instances": 1, **changes})
+
     def test_missing_instances_key_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1")
-        with pytest.raises(ParseError, match="line 1: missing metadata key 'instances'"):
+        p = self.write_meta(tmp_path / "s.csv", '{"lookback": 3, "horizon": 1}')
+        with pytest.raises(ParseError, match=r"line 1: metadata: missing required keys "
+                                             r"\['instances'\]$"):
             data.read_synth_csv(p)
 
-    def test_metadata_token_without_equals(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 x")
-        with pytest.raises(ParseError, match="line 1: metadata token 'x' is not key=value"):
-            data.read_synth_csv(p)
+    @pytest.mark.parametrize("meta, error", [
+        ('{"lookback": 3, "horizon": 1, "instances": 1} x',
+         "metadata row is not a JSON object: Extra data"),
+        ("[3, 1, 1]", r"metadata: expected a JSON object, got \[3, 1, 1\]$"),
+    ], ids=["extra-data", "array"])
+    def test_metadata_row_that_is_no_json_object_named(self, tmp_path, meta, error):
+        with pytest.raises(ParseError, match=f"line 1: {error}"):
+            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", meta))
 
     def test_non_integer_lookback_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=x horizon=1 instances=1")
-        with pytest.raises(ParseError, match="line 1: bad metadata value lookback='x'"):
+        p = self.write_meta(tmp_path / "s.csv", self.meta(lookback="x"))
+        with pytest.raises(ParseError, match="line 1: metadata.lookback: expected int, got 'x'$"):
             data.read_synth_csv(p)
 
     @pytest.mark.parametrize("key", ["lookback", "horizon", "instances"])
     def test_non_positive_size_named(self, tmp_path, key):
-        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: 0}
-        line = " ".join(f"{k}={v}" for k, v in meta.items())
-        with pytest.raises(ParseError, match=f"line 1: metadata {key}=0 must be positive"):
-            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+        with pytest.raises(ParseError, match=f"line 1: metadata {key}=0 must be positive$"):
+            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", self.meta(**{key: 0})))
 
-    @pytest.mark.parametrize("key, value, error", [
-        # integers are plain digits, the ETSFORE_SEED rule
-        ("lookback", "1_2", "bad metadata value lookback='1_2'"),
-        ("lookback", "\u0663", "bad metadata value lookback='\u0663'"),
-        ("lookback", "+3", r"bad metadata value lookback='\+3'"),
-        ("lookback", "-2", "bad metadata value lookback='-2'"),
-    ])
-    def test_metadata_value_grammar(self, tmp_path, key, value, error):
-        meta = {"lookback": 3, "horizon": 1, "instances": 1, key: value}
-        line = " ".join(f"{k}={v}" for k, v in meta.items())
-        with pytest.raises(ParseError, match=f"line 1: {error}$"):
-            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", line))
+    @pytest.mark.parametrize("value, error", [
+        # from_dict takes exact ints: no bool, float or NaN
+        ("true", "metadata.lookback: expected int, got True$"),
+        ("3.0", "metadata.lookback: expected int, got 3.0$"),
+        ("1e999", "metadata.lookback: expected int, got inf$"),
+        ("NaN", "metadata.lookback: expected int, got nan$"),
+        ("-2", "metadata lookback=-2 must be positive$"),
+        # json's own number grammar: no sign, `_` or other digits
+        ("+3", "metadata row is not a JSON object: Expecting value"),
+        ("1_2", "metadata row is not a JSON object: Expecting ',' delimiter"),
+        ("\u0663", "metadata row is not a JSON object: Expecting value"),
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        ("9" * 5000, r"Exceeds the limit \(4300 digits\) for integer string conversion"),
+        ("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
+    ], ids=["bool", "float", "float-overflow", "nan", "negative", "plus-sign",
+            "underscore", "arabic-indic-digit", "over-long-integer", "deep-nesting"])
+    def test_metadata_value_grammar(self, tmp_path, value, error):
+        meta = f'{{"lookback": {value}, "horizon": 1, "instances": 1}}'
+        with pytest.raises(ParseError, match=f"line 1: {error}"):
+            data.read_synth_csv(self.write_meta(tmp_path / "s.csv", meta))
 
     def test_repeated_metadata_key_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 instances=2")
-        with pytest.raises(ParseError, match="line 1: repeated metadata key 'instances'$"):
+        p = self.write_meta(tmp_path / "s.csv", self.meta()[:-1] + ', "instances": 2}')
+        with pytest.raises(ParseError, match="line 1: repeated key 'instances'$"):
             data.read_synth_csv(p)
 
     def test_unknown_metadata_keys_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1 scale=2")
-        error = (r"unknown metadata keys \['scale'\]; "
-                 r"the keys are \['lookback', 'horizon', 'instances'\]$")
-        with pytest.raises(ParseError, match=f"line 1: {error}"):
+        p = self.write_meta(tmp_path / "s.csv", self.meta(scale=2))
+        with pytest.raises(ParseError, match=r"line 1: metadata: unknown keys \['scale'\]$"):
             data.read_synth_csv(p)
 
     def test_non_ascii_metadata_separator_named(self, tmp_path):
-        p = self.write_meta(tmp_path / "s.csv", "lookback=3\u00a0horizon=1 instances=1")
-        with pytest.raises(ParseError, match="line 1: non-ASCII text$"):
+        p = self.write_meta(tmp_path / "s.csv", self.meta().replace(" ", "\u00a0"))
+        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object"):
+            data.read_synth_csv(p)
+
+    def test_cells_up_to_the_cap_pass_line_1(self, tmp_path):
+        # 3 + 1 steps: 2**22 instances are the cap, one more is past it
+        n = data.MAX_INSTANCE_CELLS // 4
+        p = self.write_meta(tmp_path / "s.csv", self.meta(instances=n))
+        with pytest.raises(ParseError,
+                           match=rf"no row for instance 1 \(1 rows for {n} instances\)"):
+            data.read_synth_csv(p)
+        p = self.write_meta(tmp_path / "s.csv", self.meta(instances=n + 1))
+        with pytest.raises(ParseError, match=rf"line 1: metadata instances={n + 1} x \(lookback=3 "
+                                             rf"\+ horizon=1\) is {4 * n + 4} cells, more than "
+                                             rf"the {data.MAX_INSTANCE_CELLS} allowed$"):
+            data.read_synth_csv(p)
+
+    def test_key_value_token_layout_fails_at_line_1(self, tmp_path):
+        # the metadata row synth wrote before the JSON object: run synth again
+        p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1")
+        # the column counts from the start of the line, SYNTH_MAGIC included
+        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object: "
+                                             "Expecting value at column 17$"):
             data.read_synth_csv(p)
 
     def test_older_cell_per_line_layout_fails_at_line_1(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"# etsfore-synth lookback=1 horizon=1 noise=0.05 seed=0 instances=1\n"
                       b"instance,t,value\r\n0,1,0.5\r\n0,2,0.25\r\n")
-        with pytest.raises(ParseError, match=r"line 1: unknown metadata keys \['noise', 'seed'\]"):
+        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object"):
             data.read_synth_csv(str(p))
+
+    # inserted into line 1 by the property below: json's limits, the values
+    # that from_dict refuses for an int, and a space, which json allows
+    # between tokens
+    INSERTS = ("9" * 5000, "[" * 3000, "NaN", "true", "1.0", "\u00a0", " ")
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_line_1_round_trips_and_each_edit_loads_or_is_named(self, tmp_path_factory, L, H, n,
+                                                               drawn):
+        ds = data.SynthDataset(np.arange(n * (L + H), dtype=np.float64).reshape(n, L + H, 1), L, H)
+        p = tmp_path_factory.getbasetemp() / "line1.csv"
+        data.write_synth_csv(ds, str(p))
+        assert self.same(data.read_synth_csv(str(p)), ds)
+        raw = p.read_bytes()
+        end = raw.index(b"\n")  # line 1 is raw[: end + 1]
+        # anywhere in line 1, or inside one of its values
+        at = drawn.draw(st.integers(0, end) | st.sampled_from(
+            [i for i, c in enumerate(raw[:end]) if chr(c).isdigit()]))
+        edit = drawn.draw(st.one_of(
+            st.binary(min_size=1, max_size=1).map(lambda b: raw[:at] + b + raw[at + 1 :]),
+            st.sampled_from(self.INSERTS).map(lambda s: raw[:at] + s.encode() + raw[at:])))
+        p.write_bytes(edit)
+        try:
+            back = data.read_synth_csv(str(p))
+        except ParseError:
+            return
+        # the rows fix the values, T = lookback + horizon and the instance count
+        assert back.values.tobytes() == ds.values.tobytes()
+        assert back.lookback + back.horizon == L + H
 
     @staticmethod
     @st.composite
@@ -599,9 +664,9 @@ class TestSynth:
         data.write_synth_csv(ds, str(p))
         lines = p.read_bytes().splitlines(keepends=True)
         k = drawn.draw(st.integers(1, len(lines) - 1))  # line k + 1 of the file
-        i, *values = lines[k].decode().removesuffix("\r\n").split(",")
+        i, *values = lines[k].decode().removesuffix("\n").split(",")
         new = drawn.draw(self.replacement_lines(i, values))
-        lines[k] = new + b"\r\n"
+        lines[k] = new + b"\n"
         p.write_bytes(b"".join(lines))
         try:
             back = data.read_synth_csv(str(p))
@@ -666,9 +731,9 @@ class TestParseOnce:
         "plain": (data.load_csv, "a,b\n1.5,2\n3,4.25\n", "a,b\n1.5,2\n3,4.75\n",
                   "a,b\n1.5,2\n3,x.25\n"),
         "instance": (data.read_synth_csv,
-                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,5,6\n",
-                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,5,7\n",
-                     "# etsfore-synth lookback=2 horizon=1 instances=2\n0,1,2,3\n1,4,x,6\n"),
+                     synth_head(2, 1, 2) + "0,1,2,3\n1,4,5,6\n",
+                     synth_head(2, 1, 2) + "0,1,2,3\n1,4,5,7\n",
+                     synth_head(2, 1, 2) + "0,1,2,3\n1,4,x,6\n"),
     }
 
     @pytest.fixture(params=KINDS, ids=list(KINDS))

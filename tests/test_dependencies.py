@@ -2,7 +2,8 @@
 stays in data.py, and data.py parses the rows of both CSV kinds with one
 loadtxt call and cuts the windows of both with one function. The readers
 of both CSV kinds and of a checkpoint parse their files through one helper,
-and every real FFT runs through one helper pair along the last axis.
+every real FFT runs through one helper pair along the last axis, and every
+JSON read refuses a repeated key.
 
 Most checks read the source: each module of the package imports only
 itself, the standard library and numpy. The footprint guard runs the
@@ -208,3 +209,31 @@ def test_a_transform_outside_the_helper_pair_is_caught():
     tree = ast.parse("from numpy.fft import rfft\ndef f(x):\n    def g():\n"
                      "        return rfft(x, axis=-2)\n    return g()\ny = np.fft.irfft(x)\n")
     assert list(fft_calls(tree)) == [("g", "rfft", "-2"), ("<module>", "np.fft.irfft", None)]
+
+
+def json_reads(tree: ast.AST):
+    """(callee, object_pairs_hook or None) of every json.load/json.loads call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in {
+                "json.load", "json.loads", "load", "loads"}:
+            hook = [ast.unparse(k.value) for k in node.keywords if k.arg == "object_pairs_hook"]
+            yield ast.unparse(node.func), hook[0] if hook else None
+
+
+def test_every_json_read_refuses_repeated_keys():
+    # the run config, the checkpoint header and the instance CSV's metadata
+    # row: each object passes through model.unique_keys before from_dict
+    reads = {path.name: list(json_reads(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in reads.items() if found} == {
+        "cli.py": [("json.load", "model.unique_keys")],
+        "data.py": [("json.loads", "unique_keys")],
+        "trainer.py": [("json.loads", "unique_keys")],
+    }
+
+
+def test_a_json_read_without_the_hook_is_caught():
+    tree = ast.parse("json.loads(a)\nfrom json import load\nload(fh, object_pairs_hook=dict)\n"
+                     "json.loads(b, object_pairs_hook=unique_keys)\nnp.load(c)\n")
+    assert list(json_reads(tree)) == [("json.loads", None), ("load", "dict"),
+                                      ("json.loads", "unique_keys")]

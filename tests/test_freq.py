@@ -108,6 +108,13 @@ class TestTopkSelect:
     def test_mean_term_excluded(self):
         assert list(freq.topk_select([9.0, 0.0, 5.0, 3.0], 1)) == [2]
 
+    @pytest.mark.parametrize("L", [8, 16, 192])
+    def test_nyquist_bin_is_selectable(self, L):
+        # README's differences from ETSformer, (b): for even L the bins
+        # 1..F-1 include L/2, so a pure (-1)^t tone selects it
+        x = (-1.0) ** np.arange(L)
+        assert list(freq.topk_select(np.abs(np.fft.rfft(x)), 1)) == [L // 2]
+
     def test_ties_break_to_smaller_bin(self):
         assert list(freq.topk_select([2.0, 2.0, 2.0, 2.0, 2.0], 2)) == [1, 2]
 

@@ -174,6 +174,19 @@ class TestInputEmbed:
         with pytest.raises(DataError):
             input_embed(Tensor(bad), state)
 
+    def test_embedding_reads_the_next_step_not_the_one_after(self):
+        # README's differences from ETSformer, (a): the kernel-3 embedding is
+        # centred, not causal, so latent row t reads x[t + 1] but not x[t + 2]
+        state, t = tiny_state(), 5
+        assert TINY.kernel_size == 3
+        x = np.random.default_rng(2).normal(size=(16, 2))
+        base = input_embed(Tensor(x), state).data
+        for ahead, moves in ((1, True), (2, False)):
+            bumped = x.copy()
+            bumped[t + ahead] += 1.0
+            out = input_embed(Tensor(bumped), state).data
+            assert (not np.array_equal(out[t], base[t])) is moves
+
     def test_gradient_through_embedding(self):
         state = tiny_state()
         x = Tensor(np.random.default_rng(1).normal(size=(16, 2)), requires_grad=True)
