@@ -122,7 +122,8 @@ def fourier_extrapolate(x: Tensor, k: int, j_range: np.ndarray) -> Tensor:
     j = np.asarray(j_range, dtype=np.intp)
     bins = topk_select(np.abs(_rfft(x.data, L)).swapaxes(-1, -2), k)
     residues = j % L
-    # no residue repeats while j spans at most L steps, as in every model call
+    # residues repeat once j spans more than L steps, as for a horizon
+    # longer than the lookback, which ModelConfig allows
     distinct = np.unique(residues).size == residues.size
     # np.take gathers the view's rows into a C-ordered array
     out = np.take(_project_selected(x.data, bins), residues, axis=-2)

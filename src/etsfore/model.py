@@ -284,7 +284,8 @@ def _growth_damping_t(
 def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
     """Full forward pass of x: (..., L, m) normalized observations.
 
-    Dropout runs exactly when an rng is passed, as in training.
+    Dropout runs exactly when an rng is passed, as in training, and so do
+    the last layer's feed-forward and the decoder's second FA.
     """
     cfg = state.config
     x = ad.as_tensor(x)
@@ -320,7 +321,18 @@ def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
             b_last, cfg.horizon, state[f"dec{n}.gamma_raw"], cfg.heads, cfg.dim,
             cfg.dropout, rng,
         )
-        s_hor = freq.fourier_extrapolate(seasonal_latents[n], cfg.top_k, horizon_idx)
+        # Without dropout the seasonal latent is already the projection P_S
+        # of the residual onto its top-k bins S. The projection is idempotent
+        # and the top-k bins of P_S(res) are S again, so a second FA would
+        # only give back its periodic continuation, up to rounding: inference
+        # reads it by index (residues repeat when H > L; getitem's VJP
+        # accumulates them). Training keeps FA on the dropped-out latent, so
+        # its bits stay fixed; taking its horizon from the undropped
+        # projection instead changes them, and removes this branch too.
+        if rng is None:
+            s_hor = seasonal_latents[n][..., horizon_idx % cfg.lookback, :]
+        else:
+            s_hor = freq.fourier_extrapolate(seasonal_latents[n], cfg.top_k, horizon_idx)
         stack_growth.append(ad.matmul(g_hor, w_head))
         stack_seasonal.append(ad.matmul(s_hor, w_head))
 

@@ -296,6 +296,18 @@ class TestMultiHeadEsa:
         expect = smoothed @ p["w_out"].data + p["b_out"].data
         np.testing.assert_allclose(out.data, expect, atol=1e-12)
 
+    def test_first_step_carries_no_init_state_term(self):
+        # README's difference (c): each head smooths its differences from a
+        # zero state, so step 0 is alpha_h * (zp_0 - v0) with no (1 - alpha_h) * v0
+        d, n_h, L = 6, 3, 5
+        p = self._params(d, n_h, 13)
+        z = Tensor(np.random.default_rng(14).normal(size=(L, d)))
+        out = esa.mh_esa(z, p["alpha_raw"], p["v0"], p["w_in"], p["b_in"], p["w_out"], p["b_out"], n_h)
+        zp0 = z.data[0] @ p["w_in"].data + p["b_in"].data
+        alpha = np.repeat(1 / (1 + np.exp(-p["alpha_raw"].data)), d // n_h)
+        expect = (alpha * (zp0 - p["v0"].data)) @ p["w_out"].data + p["b_out"].data
+        np.testing.assert_allclose(out.data[0], expect, rtol=0, atol=1e-12)
+
     def test_head_split_requires_divisibility(self):
         p = self._params(6, 4, 12)
         with pytest.raises(DimensionError):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_model
 from etsfore import autodiff as ad
-from etsfore import data, esa, model
+from etsfore import data, esa, freq, model
 from etsfore.autodiff import Tensor
 from etsfore.errors import ConfigError, DataError
 from etsfore.model import (
@@ -111,6 +111,16 @@ class TestModelState:
     def test_special_group_is_exactly_the_rate_parameters(self):
         special = {n for n, _, init in parameter_table(TINY) if init == "rate"}
         assert special == {"enc0.esa.alpha_raw", "level.alpha_raw", "dec0.gamma_raw"}
+
+    def test_every_rate_starts_at_one_half(self):
+        # README's difference (e): raw rates are zero, so every alpha and gamma is sigma(0)
+        cfg = replace(TINY, layers=3)
+        state = ModelState.init(cfg, 90017)
+        rates = [name for name, _, init in parameter_table(cfg) if init == "rate"]
+        assert len(rates) == 2 * cfg.layers + 1
+        for name in rates:
+            np.testing.assert_array_equal(state[name].data, 0.0)
+            np.testing.assert_array_equal(ad.sigmoid(state[name]).data, 0.5)
 
     def test_wrong_shape_rejected(self):
         params = {n: Tensor(np.zeros(s), requires_grad=True) for n, s in parameter_shapes(TINY).items()}
@@ -250,6 +260,18 @@ class TestLevelPipeline:
         expect = esa.level_recurrence(x, s_obs, b_obs, alpha, init)
         assert np.abs(level - expect).max() < 1e-9
 
+    def test_one_layer_level_starts_at_the_deseasonalized_first_step(self):
+        # README's difference (d): no learned level init; step 0 is (x - s_obs)[0]
+        state, rng = tiny_state(seed=9), np.random.default_rng(10)
+        for t in state.params.values():  # rates and biases off their init values
+            t.data += 0.5 * rng.normal(size=t.shape)
+        x = rng.normal(size=(3, 16, 2))
+        _, _, s_lat = encoder_layer(input_embed(x, state), state, 0)
+        s_obs = s_lat.data @ state["enc0.level.w_season"].data + state["enc0.level.b_season"].data
+        first = forecast(x, state).level_series[..., 0, :]
+        want = (x - s_obs)[..., 0, :]
+        assert np.abs(first - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
 
 def growth_damping(b_last, horizon, gammas):
     """The decoder's damping path at rates gammas, one per head, no dropout."""
@@ -358,8 +380,6 @@ class TestHorizonSeasonalStructure:
         state = tiny_state(seed=24)
         x = Tensor(np.random.default_rng(25).normal(size=(16, 2)))
         z = input_embed(x, state)
-        from etsfore import freq
-
         near = freq.fourier_extrapolate(z, 1, np.arange(0, 4)).data
         far = freq.fourier_extrapolate(z, 1, np.arange(16, 20)).data
         np.testing.assert_allclose(near, far, atol=1e-9)
@@ -535,6 +555,81 @@ class TestDeadFeedForward:
         state = ModelState.init(cfg, 55)
         x = np.random.default_rng(56).normal(size=(cfg.lookback, cfg.channels))
         assert count_ff_sigmoids(cfg, lambda: forecast(x, state)) == 2
+
+
+def count_fa_calls(run):
+    """How many freq.fourier_extrapolate calls run() makes."""
+    calls, fa = [0], freq.fourier_extrapolate
+
+    def counting_fa(*args):
+        calls[0] += 1
+        return fa(*args)
+
+    with mock.patch.object(freq, "fourier_extrapolate", counting_fa):
+        run()
+    return calls[0]
+
+
+def assert_horizon_seasonal_continues_lookback(cfg, state, x):
+    """Each forecast stack_seasonal[n] is the head projection of FA run again
+    on the seasonal latent that layer n's encoder handed the forward."""
+    latents, encode = [], model.encoder_layer
+
+    def recording_encoder_layer(*args):
+        out = encode(*args)
+        latents.append(out[2].data)
+        return out
+
+    with mock.patch.object(model, "encoder_layer", recording_encoder_layer):
+        out = forecast(x, state)
+    j = np.arange(cfg.lookback, cfg.lookback + cfg.horizon)
+    w_head = state["head.w_out"].data
+    for n, got in enumerate(out.stack_seasonal):
+        # forecast runs layer after layer within each block, block after block
+        s_n = np.concatenate(latents[n :: cfg.layers]).reshape(x.shape[:-1] + (cfg.dim,))
+        want = freq.fourier_extrapolate(Tensor(s_n), cfg.top_k, j).data @ w_head
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), f"layer {n}"
+
+
+class TestHorizonSeasonalFromLookback:
+    """Inference reads each layer's horizon seasonal off its seasonal latent;
+    training runs FA on the dropped-out latent a second time."""
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_inference_runs_fa_once_per_layer(self, layers):
+        cfg = replace(TINY, layers=layers)
+        state = ModelState.init(cfg, 60)
+        x = np.random.default_rng(61).normal(size=(3, cfg.lookback, cfg.channels))
+        assert count_fa_calls(lambda: forecast(x, state)) == layers
+        rng = np.random.default_rng(62)
+        assert count_fa_calls(lambda: forward(x, state, rng)) == 2 * layers
+
+    def test_desk_windows_match_a_second_fa(self):
+        # the benchmark's infer_batch windows on seed 1, many blocks
+        ds = data.synth_generate(256, 0.05, 1, DESK.lookback, DESK.horizon)
+        stats = data.compute_stats(ds.values[:, : DESK.lookback])
+        x = data.normalize(ds.values[:, : DESK.lookback], stats)
+        assert_horizon_seasonal_continues_lookback(DESK, ModelState.init(DESK, 0), x)
+
+    def test_horizon_past_two_lookbacks_wraps(self):
+        cfg = replace(TINY, horizon=2 * TINY.lookback + 1, layers=2)
+        state = ModelState.init(cfg, 63)
+        x = np.random.default_rng(64).normal(size=(4, cfg.lookback, cfg.channels))
+        assert_horizon_seasonal_continues_lookback(cfg, state, x)
+
+    def test_gradient_through_wrapped_residues(self):
+        # residues repeat for H > L: getitem's VJP must accumulate them
+        cfg = replace(TINY, horizon=2 * TINY.lookback + 1)
+        state = ModelState.init(cfg, 65)
+        rng = np.random.default_rng(66)
+        for t in state.params.values():
+            t.data += 0.3 * rng.normal(size=t.shape)
+        x = rng.normal(size=(2, cfg.lookback, cfg.channels))
+        y = rng.normal(size=(2, cfg.horizon, cfg.channels))
+        for name in ("embed.kernel", "enc0.esa.w_in", "head.w_out"):
+            state.zero_grad()
+            err = ad.grad_check(lambda t: mse_loss(forward(x, state), y), state[name], eps=1e-5)
+            assert err < 1e-4, f"{name}: rel err {err}"
 
 
 class TestTrainingRngStream:
