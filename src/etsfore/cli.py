@@ -75,26 +75,17 @@ def _require(ok: bool, flag: str, rule: str, value) -> None:
 def load_run_config(path: str, channels: int):
     """Strict JSON run config -> (ModelConfig, TrainConfig, SplitSpec).
 
-    Unknown sections or keys, missing required keys and values of the wrong
-    type raise ConfigError naming the section and key. `channels` fills
-    model.channels when the config leaves it out; ETSFORE_SEED, when set,
-    replaces the train seed and must be ASCII digits.
+    The file is read by model.read_json. Unknown sections or keys, missing
+    required keys and wrong value types raise ConfigError naming the section
+    and key. `channels` fills model.channels when the config leaves it out;
+    ETSFORE_SEED, when set, replaces the train seed and must be ASCII digits.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=model.unique_keys)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    except ValueError as e:  # a repeated key (model.unique_keys) or an over-long integer
-        raise ConfigError(f"{path}: {e}") from None
-    except RecursionError:
-        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config root must be a JSON object")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:  # missing, a directory, or not readable
+        raise ConfigError(f"{path}: cannot read: {e.strerror}") from None
+    raw = model.read_json(raw, path)
     sections = {"model": model.ModelConfig, "train": trainer.TrainConfig, "split": data.SplitSpec}
     unknown = sorted(set(raw) - set(sections))
     if unknown:

@@ -17,7 +17,7 @@ from typing import Callable, NoReturn, TypeVar
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, ParseError
-from .model import from_dict, unique_keys
+from .model import from_dict, read_json
 
 
 @dataclass
@@ -107,7 +107,8 @@ def load_csv(path: str) -> Series:
 
 def _parse_csv(path: str, raw: bytes) -> Series:
     """load_csv's parse of the file's bytes."""
-    head, body = _head_and_body(path, raw)
+    end = raw.find(b"\n") + 1 or len(raw)
+    head, body = _decode(path, 1, raw[:end]), raw[end:]
     if not head:
         raise DataError(f"{path}: empty file")
     header = head.removesuffix("\n").removesuffix("\r")
@@ -154,8 +155,8 @@ def _parse_csv(path: str, raw: bytes) -> Series:
                     )
             prev, prev_cell = when, cell
 
-    rows = _parse_rows(path, head, body, row, "a timestamp and " * stamped + f"{m} float values",
-                       check)
+    rows = _parse_rows(path, raw[:end], body, row,
+                       "a timestamp and " * stamped + f"{m} float values", check)
     if not rows.size:
         raise DataError(f"{path}: no data rows")
     # an owned C-contiguous copy, so the parsed rows can be freed
@@ -346,8 +347,8 @@ def read_synth_csv(path: str) -> SynthDataset:
     The first row whose index is not its instance's (a swapped, repeated or
     out-of-range instance) and a row past the last instance raise ParseError
     naming the line; a file that stops short raises ParseError naming the
-    first missing instance. Any metadata row that json and from_dict do not
-    read as a _SynthMeta raises ParseError naming line 1. The file is read
+    first missing instance. Any metadata row that read_json and from_dict do
+    not read as a _SynthMeta raises ParseError naming line 1. The file is read
     in full on every call and parsed once per distinct content (_parse_once).
     """
     return _parse_once(path, _parse_synth_csv)
@@ -355,18 +356,14 @@ def read_synth_csv(path: str) -> SynthDataset:
 
 def _parse_synth_csv(path: str, raw: bytes) -> SynthDataset:
     """read_synth_csv's parse of the file's bytes."""
-    head, body = _head_and_body(path, raw)
-    if not head.startswith(SYNTH_MAGIC):
+    magic, end = SYNTH_MAGIC.encode(), raw.find(b"\n") + 1 or len(raw)
+    if not raw.startswith(magic):
         raise ParseError(f"{path}: not an instance dataset (missing metadata row)")
     try:
-        meta = from_dict(_SynthMeta, json.loads(head[len(SYNTH_MAGIC) :],
-                                                object_pairs_hook=unique_keys), "metadata")
-    except json.JSONDecodeError as e:  # an older file's key=value tokens too
-        raise ParseError(f"{path}: line 1: metadata row is not a JSON object: {e.msg} at "
-                         f"column {len(SYNTH_MAGIC) + e.colno}") from None
-    # ValueError: a repeated key (unique_keys) or an integer of more than
-    # sys.get_int_max_str_digits() digits; RecursionError: nesting too deep
-    except (ConfigError, ValueError, RecursionError) as e:
+        # blanks where the magic was, so that a column counts from the start of the line
+        meta = from_dict(_SynthMeta, read_json(b" " * len(magic) + raw[len(magic) : end],
+                                               "metadata"), "metadata")
+    except ConfigError as e:
         raise ParseError(f"{path}: line 1: {e}") from None
     L, H, n = meta.lookback, meta.horizon, meta.instances
     row = np.dtype([("instance", np.int64), ("values", np.float64, (L + H,))])
@@ -383,7 +380,8 @@ def _parse_synth_csv(path: str, raw: bytes) -> SynthDataset:
         if rows.size > n:
             raise ParseError(f"{path}: line {2 + n}: row past the last instance, instance {n - 1}")
 
-    rows = _parse_rows(path, head, body, row, f"an integer index and {L + H} float values", check)
+    rows = _parse_rows(path, raw[:end], raw[end:], row,
+                       f"an integer index and {L + H} float values", check)
     if rows.size < n:
         raise ParseError(
             f"{path}: no row for instance {rows.size} ({rows.size} rows for {n} instances)"
@@ -412,13 +410,7 @@ def _parse_once(path: str, parse: Callable[[str, bytes], _Parsed]) -> _Parsed:
     return copy.deepcopy(last[1])
 
 
-def _head_and_body(path: str, raw: bytes) -> tuple[str, bytes]:
-    """The file's first line, decoded as UTF-8, and the rest as bytes."""
-    end = raw.find(b"\n") + 1 or len(raw)
-    return _decode(path, 1, raw[:end]), raw[end:]
-
-
-def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str,
+def _parse_rows(path: str, head: bytes, body: bytes, row: np.dtype, holds: str,
                 check: Callable[[np.ndarray], None]) -> np.ndarray:
     """The rows of a `--data` file's body, one row of the dtype per line from
     line 2, parsed in one loadtxt pass: ASCII, split at `,` with no quoting,
@@ -431,7 +423,7 @@ def _parse_rows(path: str, head: str, body: bytes, row: np.dtype, holds: str,
     on a rejected body it runs over the rows before the first bad line.
     """
     lines = body.count(b"\n")
-    if not (body.endswith(b"\n") if body else head.endswith("\n")):
+    if not (body or head).endswith(b"\n"):
         last = 2 + lines if body else 1
         raise ParseError(f"{path}: line {last}: no line break at the end (truncated?)")
     try:
@@ -502,7 +494,7 @@ def read_dataset(path: str) -> Series | SynthDataset:
     """The dataset in a `--data` file: an instance CSV when its first line
     starts with the metadata row's magic, else a plain CSV."""
     with open(path, "rb") as fh:
-        synth = _decode(path, 1, fh.readline()).startswith(SYNTH_MAGIC)
+        synth = fh.readline().startswith(SYNTH_MAGIC.encode())
     return read_synth_csv(path) if synth else load_csv(path)
 
 

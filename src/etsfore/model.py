@@ -5,7 +5,9 @@ components whose sum is the forecast.
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
 from typing import get_type_hints
@@ -59,9 +61,8 @@ def from_dict(cls, d, where: str):
     """Build the dataclass cls from a JSON object.
 
     The fields of cls fix the allowed keys, the required ones (those without
-    a default) and the value types; a float field also takes a JSON integer
-    but no NaN or infinity. A mismatch raises ConfigError naming `where` and
-    the key.
+    a default) and the value types; a float field takes any finite_number.
+    A mismatch raises ConfigError naming `where` and the key.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
@@ -81,16 +82,40 @@ def from_dict(cls, d, where: str):
         # exact types, so that JSON true/false (a bool, an int subclass) fills no int field
         if type(value) not in allowed:
             raise ConfigError(f"{where}.{key}: expected {known[key].type}, got {value!r}")
-        # json reads NaN, Infinity and 1e999; no field means anything by them
-        if type(value) is float and not math.isfinite(value):
+        # json reads NaN, Infinity, 1e999 and integers past float's range
+        if hints[key] is float and not finite_number(value):
             raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
     return cls(**d)
 
 
-def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The object_pairs_hook of every JSON read that from_dict checks (a run
-    config, a checkpoint header, an instance CSV's metadata row): the object
-    as a dict, or ValueError naming the first key it repeats, at any depth."""
+def finite_number(value) -> bool:
+    """A JSON number (no bool or string) that is finite as a float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def read_json(raw: bytes, where: str) -> dict:
+    """The JSON object in raw, UTF-8 with no byte-order mark and no key repeated at any
+    depth: the one reader of every JSON document. A fault raises ConfigError naming `where`."""
+    try:
+        text = raw.decode("utf-8")
+        if text.lstrip(" \t\r\n").startswith("\ufeff"):  # json.loads checks index 0 only
+            raise ConfigError(f"{where}: byte-order mark before the JSON text")
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{where}: not UTF-8 text") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{where}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{where}: invalid JSON: nested too deeply") from None
+    except ValueError as e:  # a repeated key or an over-long integer
+        raise ConfigError(f"{where}: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    return obj
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """read_json's object_pairs_hook: ValueError names the first key an object repeats."""
     obj = {}
     for key, value in pairs:
         if key in obj:

@@ -30,13 +30,14 @@ from .model import (
     ModelConfig,
     ModelState,
     check_parameters,
+    finite_number,
     forecast,
     forward,
     from_dict,
     mse_loss,
     parameter_shapes,
     parameter_table,
-    unique_keys,
+    read_json,
     value_count,
 )
 
@@ -173,16 +174,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a malformed, truncated or corrupted file raises DataError.
 
     The layout (version 4) is the magic, a u32 version and a u32 header
-    length, the JSON header with exactly the keys `model`, `split`,
-    `norm_mean` and `norm_std`, then the values of every parameter in
-    model.PARAMETERS order as little-endian float32, and last a CRC-32 of
+    length, the JSON header (model.read_json) with exactly the keys `model`,
+    `split`, `norm_mean` and `norm_std`, then the values of every parameter
+    in model.PARAMETERS order as little-endian float32, and last a CRC-32 of
     all earlier bytes. The checks run in that order: magic, version (older
     versions are unsupported), header, the file length the header implies,
     the CRC and last each parameter's finiteness. norm_mean and norm_std
-    are each `channels` finite values, and norm_std is > 0. The loaded
-    record's best_epoch and best_val_mse are their defaults, -1 and NaN.
-    The file is read in full on every call and parsed once per distinct
-    content (`data._parse_once`).
+    are each a list of `channels` JSON numbers (model.finite_number), and
+    norm_std is > 0. The loaded record's best_epoch and best_val_mse are
+    their defaults, -1 and NaN. The file is read in full on every call and
+    parsed once per distinct content (`data._parse_once`).
     """
     return _parse_once(path, _parse_checkpoint)
 
@@ -200,9 +201,7 @@ def _parse_checkpoint(path: str, raw: bytes) -> Checkpoint:
         at = _PREFIX.size + hlen  # where the parameter values begin
         if len(raw) < at:
             raise DataError(f"truncated header: {len(raw) - _PREFIX.size} of {hlen} bytes")
-        header = json.loads(raw[_PREFIX.size : at], object_pairs_hook=unique_keys)
-        if not isinstance(header, dict):
-            raise DataError("header is not a JSON object")
+        header = read_json(raw[_PREFIX.size : at], "header")
         if header.keys() != _HEADER_KEYS:
             raise DataError(
                 f"header keys: missing {sorted(_HEADER_KEYS - header.keys())}, "
@@ -212,10 +211,10 @@ def _parse_checkpoint(path: str, raw: bytes) -> Checkpoint:
         split = from_dict(SplitSpec, header["split"], "header split")
         norm = {}
         for key in ("norm_mean", "norm_std"):
-            arr = np.asarray(header[key], dtype=np.float64)
-            if arr.shape != (config.channels,) or not np.isfinite(arr).all():
+            if (type(header[key]) is not list or len(header[key]) != config.channels
+                    or not all(map(finite_number, header[key]))):
                 raise DataError(f"header {key} is not {config.channels} finite values")
-            norm[key] = arr
+            norm[key] = np.array(header[key], dtype=np.float64)
         if not (norm["norm_std"] > 0).all():
             raise DataError(f"header norm_std must be positive, got {header['norm_std']}")
         # the length check runs before parameter_shapes(config), whose dict
@@ -232,8 +231,7 @@ def _parse_checkpoint(path: str, raw: bytes) -> Checkpoint:
                 raise DataError(f"parameter {name} has non-finite values")
             params[name] = arr
             at += arr.nbytes
-    # json or a header field can be malformed too, and json can nest past the recursion limit
-    except (DataError, ConfigError, ValueError, TypeError, RecursionError) as e:
+    except (DataError, ConfigError) as e:  # ConfigError: the JSON or a header field
         raise DataError(f"{path}: malformed checkpoint: {e}") from None
     return Checkpoint(config=config, params=params, split=split, **norm)
 

@@ -174,6 +174,11 @@ class TestTrain:
              "train.base_lr: expected a finite number, got nan"),
             ({"model": model, "train": {"base_lr": float("inf")}},
              "train.base_lr: expected a finite number, got inf"),
+            # an integer past float's range
+            ({"model": model, "train": {"base_lr": 10**400}},
+             f"train.base_lr: expected a finite number, got {10**400}"),
+            ({"model": model, "split": {"train": 10**400, "val": 0.1, "test": 0.2}},
+             f"split.train: expected a finite number, got {10**400}"),
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
 
@@ -932,6 +937,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {bad}: not UTF-8 text" in captured.err
 
+    def test_run_config_directory_is_config_error(self, tmp_path, synth_file, capsys):
+        bad = tmp_path / "cfg.d"
+        bad.mkdir()
+        assert cli.main(["train", "--config", str(bad), "--data", str(synth_file),
+                         "--out", str(tmp_path / "m.etsf")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {bad}: cannot read: Is a directory\n")
+
     def test_run_config_nested_past_recursion_limit_is_config_error(self, tmp_path,
                                                                    synth_file, capsys):
         bad = tmp_path / "deep.json"
@@ -955,31 +968,70 @@ class TestExitCodes:
                 "(lookback=10000000000000000000 + horizon=6) is 400000000000000000240 cells, "
                 f"more than the {data.MAX_INSTANCE_CELLS} allowed" in captured.err)
 
-    @pytest.mark.parametrize("document, code", [("metadata", 2), ("run_config", 1),
-                                                ("header", 2)])
-    def test_over_long_integer_is_typed_in_every_json_document(
-            self, tmp_path, synth_file, run_config, trained_model, capsys, document, code):
-        # json's int() refuses more than sys.get_int_max_str_digits() digits
-        # with a ValueError, which each reader turns into its typed error
-        def widen(text: bytes) -> bytes:
-            return text.replace(b'"lookback": 24', b'"lookback": ' + b"9" * 5000, 1)
+    # The faults of the one JSON reader, model.read_json: each edit of a
+    # document's JSON text, and the wording that follows the document's own
+    # prefix. The JSON text starts at offset {at}, column {col}, of its line.
+    JSON_FAULTS = {
+        "not-utf8": (lambda t: t[:1] + b"\xff" + t[1:], "not UTF-8 text"),
+        "utf16": (lambda t: t.decode().encode("utf-16"), "not UTF-8 text"),
+        "utf32": (lambda t: t.decode().encode("utf-32"), "not UTF-8 text"),
+        "utf8-bom": (lambda t: b"\xef\xbb\xbf" + t, "byte-order mark before the JSON text"),
+        "invalid-json": (lambda t: b"x" + t,
+                         "invalid JSON: Expecting value: line 1 column {col} (char {at})"),
+        "repeated-key": (lambda t: t.replace(b'"lookback": ', b'"lookback": 1, "lookback": ', 1),
+                         "repeated key 'lookback'"),
+        # int() refuses more than sys.get_int_max_str_digits() digits
+        "over-long-integer": (
+            lambda t: re.sub(rb'"lookback": [0-9]+', b'"lookback": ' + b"9" * 5000, t, count=1),
+            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
+            "digits; use sys.set_int_max_str_digits() to increase the limit"),
+        "deep-nesting": (lambda t: b"[" * 3000 + b"]" * 3000, "invalid JSON: nested too deeply"),
+        "array-root": (lambda t: b"[1, 2]", "expected a JSON object, got [1, 2]"),
+    }
 
-        evaluate = ["evaluate", "--model", str(trained_model), "--data", str(synth_file)]
-        if document == "metadata":
-            synth_file.write_bytes(widen(synth_file.read_bytes()))
-            argv, where = evaluate, f"error: {synth_file}: line 1: "
-        elif document == "run_config":
-            run_config.write_bytes(widen(run_config.read_bytes()))
-            argv = ["train", "--config", str(run_config), "--data", str(synth_file),
-                    "--out", str(tmp_path / "m.etsf")]
-            where = f"error: {run_config}: "
+    @pytest.mark.parametrize("document", ["run_config", "header", "metadata"])
+    @pytest.mark.parametrize("fault", JSON_FAULTS)
+    def test_every_json_fault_is_typed_in_every_document(self, tmp_path, synth_file, run_config,
+                                                         request, capsys, fault, document):
+        edit, wording = self.JSON_FAULTS[fault]
+        # train reads --data, then --config: a bad metadata row stops it first
+        train = ["train", "--config", str(run_config), "--data", str(synth_file),
+                 "--out", str(tmp_path / "m.etsf")]
+        at = 0  # where the JSON text starts on its line
+        if document == "run_config":
+            run_config.write_bytes(edit(run_config.read_bytes()))
+            argv, code, prefix = train, 1, f"error: {run_config}: "
+        elif document == "header":
+            ckpt = request.getfixturevalue("trained_model")
+            ckpt.write_bytes(self._reframed(ckpt.read_bytes(), edit))
+            argv = ["evaluate", "--model", str(ckpt), "--data", str(synth_file)]
+            code, prefix = 2, f"error: {ckpt}: malformed checkpoint: header: "
         else:
-            trained_model.write_bytes(self._reframed(trained_model.read_bytes(), widen))
-            argv, where = evaluate, f"error: {trained_model}: malformed checkpoint: "
+            raw = synth_file.read_bytes()
+            at, end = len(data.SYNTH_MAGIC) + 1, raw.index(b"\n")  # after the magic and a space
+            synth_file.write_bytes(raw[:at] + edit(raw[at:end]) + raw[end:])
+            argv, code, prefix = train, 2, f"error: {synth_file}: line 1: metadata: "
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert f"{where}Exceeds the limit (4300 digits)" in captured.err
+        assert captured.err == prefix + wording.format(col=at + 1, at=at) + "\n"
+
+    @pytest.mark.parametrize("entry", ["true", '"0.5"', "1" + "0" * 400, "1e999"],
+                             ids=["bool", "string", "past-float-range", "overflow"])
+    def test_header_norm_entries_are_json_numbers(self, synth_file, trained_model, capsys, entry):
+        # from_dict's rule for a float field: no bool or string, and finite as
+        # a float, so no integer past float's range
+        def edit(text: bytes) -> bytes:
+            return re.sub(rb'"norm_mean": \[[^]]*\]', b'"norm_mean": [' + entry.encode() + b"]",
+                          text, count=1)
+
+        trained_model.write_bytes(self._reframed(trained_model.read_bytes(), edit))
+        assert cli.main(["evaluate", "--model", str(trained_model), "--data",
+                         str(synth_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {trained_model}: malformed checkpoint: header norm_mean is not 1 finite "
+            "values\n")
 
     def test_stdout_is_pure_payload(self, tmp_path, synth_file, run_config, capsys):
         out = tmp_path / "m.etsf"

@@ -495,7 +495,7 @@ class TestSynth:
 
     @pytest.mark.parametrize("meta, error", [
         ('{"lookback": 3, "horizon": 1, "instances": 1} x',
-         "metadata row is not a JSON object: Extra data"),
+         "metadata: invalid JSON: Extra data"),
         ("[3, 1, 1]", r"metadata: expected a JSON object, got \[3, 1, 1\]$"),
     ], ids=["extra-data", "array"])
     def test_metadata_row_that_is_no_json_object_named(self, tmp_path, meta, error):
@@ -520,12 +520,12 @@ class TestSynth:
         ("NaN", "metadata.lookback: expected int, got nan$"),
         ("-2", "metadata lookback=-2 must be positive$"),
         # json's own number grammar: no sign, `_` or other digits
-        ("+3", "metadata row is not a JSON object: Expecting value"),
-        ("1_2", "metadata row is not a JSON object: Expecting ',' delimiter"),
-        ("\u0663", "metadata row is not a JSON object: Expecting value"),
+        ("+3", "metadata: invalid JSON: Expecting value"),
+        ("1_2", "metadata: invalid JSON: Expecting ',' delimiter"),
+        ("\u0663", "metadata: invalid JSON: Expecting value"),
         # int() refuses more than sys.get_int_max_str_digits() digits
-        ("9" * 5000, r"Exceeds the limit \(4300 digits\) for integer string conversion"),
-        ("[" * 3000 + "]" * 3000, "maximum recursion depth exceeded"),
+        ("9" * 5000, r"metadata: Exceeds the limit \(4300 digits\) for integer string conversion"),
+        ("[" * 3000 + "]" * 3000, "metadata: invalid JSON: nested too deeply$"),
     ], ids=["bool", "float", "float-overflow", "nan", "negative", "plus-sign",
             "underscore", "arabic-indic-digit", "over-long-integer", "deep-nesting"])
     def test_metadata_value_grammar(self, tmp_path, value, error):
@@ -535,7 +535,7 @@ class TestSynth:
 
     def test_repeated_metadata_key_named(self, tmp_path):
         p = self.write_meta(tmp_path / "s.csv", self.meta()[:-1] + ', "instances": 2}')
-        with pytest.raises(ParseError, match="line 1: repeated key 'instances'$"):
+        with pytest.raises(ParseError, match="line 1: metadata: repeated key 'instances'$"):
             data.read_synth_csv(p)
 
     def test_unknown_metadata_keys_named(self, tmp_path):
@@ -545,7 +545,7 @@ class TestSynth:
 
     def test_non_ascii_metadata_separator_named(self, tmp_path):
         p = self.write_meta(tmp_path / "s.csv", self.meta().replace(" ", "\u00a0"))
-        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object"):
+        with pytest.raises(ParseError, match="line 1: metadata: invalid JSON: "):
             data.read_synth_csv(p)
 
     def test_cells_up_to_the_cap_pass_line_1(self, tmp_path):
@@ -565,15 +565,15 @@ class TestSynth:
         # the metadata row synth wrote before the JSON object: run synth again
         p = self.write_meta(tmp_path / "s.csv", "lookback=3 horizon=1 instances=1")
         # the column counts from the start of the line, SYNTH_MAGIC included
-        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object: "
-                                             "Expecting value at column 17$"):
+        with pytest.raises(ParseError, match=r"line 1: metadata: invalid JSON: Expecting value: "
+                                             r"line 1 column 17 \(char 16\)$"):
             data.read_synth_csv(p)
 
     def test_older_cell_per_line_layout_fails_at_line_1(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_bytes(b"# etsfore-synth lookback=1 horizon=1 noise=0.05 seed=0 instances=1\n"
                       b"instance,t,value\r\n0,1,0.5\r\n0,2,0.25\r\n")
-        with pytest.raises(ParseError, match="line 1: metadata row is not a JSON object"):
+        with pytest.raises(ParseError, match="line 1: metadata: invalid JSON: "):
             data.read_synth_csv(str(p))
 
     # inserted into line 1 by the property below: json's limits, the values

@@ -2,8 +2,8 @@
 stays in data.py, and data.py parses the rows of both CSV kinds with one
 loadtxt call and cuts the windows of both with one function. The readers
 of both CSV kinds and of a checkpoint parse their files through one helper,
-every real FFT runs through one helper pair along the last axis, and every
-JSON read refuses a repeated key.
+every real FFT runs through one helper pair along the last axis, and one
+JSON reader, which refuses a repeated key, parses every JSON document.
 
 Most checks read the source: each module of the package imports only
 itself, the standard library and numpy. The footprint guard runs the
@@ -211,29 +211,29 @@ def test_a_transform_outside_the_helper_pair_is_caught():
     assert list(fft_calls(tree)) == [("g", "rfft", "-2"), ("<module>", "np.fft.irfft", None)]
 
 
-def json_reads(tree: ast.AST):
-    """(callee, object_pairs_hook or None) of every json.load/json.loads call in tree."""
-    for node in ast.walk(tree):
+def json_reads(tree: ast.AST, scope: str = "<module>"):
+    """(innermost enclosing function, callee, object_pairs_hook or None) of
+    every json.load/json.loads call in tree."""
+    for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Call) and ast.unparse(node.func) in {
                 "json.load", "json.loads", "load", "loads"}:
             hook = [ast.unparse(k.value) for k in node.keywords if k.arg == "object_pairs_hook"]
-            yield ast.unparse(node.func), hook[0] if hook else None
+            yield scope, ast.unparse(node.func), hook[0] if hook else None
+        yield from json_reads(node, node.name if isinstance(node, ast.FunctionDef) else scope)
 
 
 def test_every_json_read_refuses_repeated_keys():
-    # the run config, the checkpoint header and the instance CSV's metadata
-    # row: each object passes through model.unique_keys before from_dict
-    reads = {path.name: list(json_reads(ast.parse(path.read_text(encoding="utf-8"))))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: found for name, found in reads.items() if found} == {
-        "cli.py": [("json.load", "model.unique_keys")],
-        "data.py": [("json.loads", "unique_keys")],
-        "trainer.py": [("json.loads", "unique_keys")],
-    }
+    # model.read_json is the one reader of the run config, the checkpoint
+    # header and the instance CSV's metadata row, and its hook refuses a
+    # repeated key at any depth
+    reads = [(path.name, *read) for path in sorted(PACKAGE.glob("*.py"))
+             for read in json_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert reads == [("model.py", "read_json", "json.loads", "_unique_keys")]
 
 
 def test_a_json_read_without_the_hook_is_caught():
-    tree = ast.parse("json.loads(a)\nfrom json import load\nload(fh, object_pairs_hook=dict)\n"
-                     "json.loads(b, object_pairs_hook=unique_keys)\nnp.load(c)\n")
-    assert list(json_reads(tree)) == [("json.loads", None), ("load", "dict"),
-                                      ("json.loads", "unique_keys")]
+    tree = ast.parse("json.loads(a)\nfrom json import load\ndef f(fh):\n"
+                     "    return load(fh, object_pairs_hook=dict)\n"
+                     "json.loads(b, object_pairs_hook=_unique_keys)\nnp.load(c)\n")
+    assert list(json_reads(tree)) == [("<module>", "json.loads", None), ("f", "load", "dict"),
+                                      ("<module>", "json.loads", "_unique_keys")]

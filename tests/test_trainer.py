@@ -561,7 +561,8 @@ class TestCheckpoint:
     def test_deeply_nested_header_rejected(self, saved_bytes, tmp_path):
         p = tmp_path / "deep.etsf"
         p.write_bytes(self._reframed(saved_bytes, b"[" * 100_000 + b"]" * 100_000))
-        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: maximum recursion depth"):
+        with pytest.raises(DataError, match=f"{p}: malformed checkpoint: header: invalid JSON: "
+                                            f"nested too deeply$"):
             load_checkpoint(str(p))
 
     def test_header_with_a_bad_split_is_data_error(self, saved_bytes, tmp_path):
