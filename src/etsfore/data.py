@@ -98,9 +98,9 @@ def load_csv(path: str) -> Series:
     values, each after an ISO-8601 timestamp when line 2's first cell is one.
     The rows are read by _parse_rows; a field longer than MAX_FIELD_CHARS
     raises ParseError naming its line, and so does a timestamp that is not
-    after the one before or mixes naive and UTC-offset times. The file is
-    read in full on every call and parsed once per distinct content
-    (_parse_once).
+    after the one before or mixes naive and UTC-offset times, and so does an
+    instance dataset's metadata row on line 1. The file is read in full on
+    every call and parsed once per distinct content (_parse_once).
     """
     return _parse_once(path, _parse_csv)
 
@@ -111,6 +111,9 @@ def _parse_csv(path: str, raw: bytes) -> Series:
     head, body = _decode(path, 1, raw[:end]), raw[end:]
     if not head:
         raise DataError(f"{path}: empty file")
+    if head.startswith(SYNTH_MAGIC):  # its JSON object would split at its commas
+        raise ParseError(f"{path}: line 1: an instance dataset's metadata row, not a plain "
+                         "CSV header")
     header = head.removesuffix("\n").removesuffix("\r")
     if "\r" in header:  # the csv module read it as a line break
         raise ParseError(f"{path}: line 1: bare CR line break")

@@ -212,6 +212,7 @@ def mh_esa(
     w_out: Tensor,
     b_out: Tensor,
     n_heads: int,
+    per_head: bool = False,
 ) -> Tensor:
     """Multi-head growth extraction from a latent residual.
 
@@ -220,6 +221,13 @@ def mh_esa(
     its own decay rate, then mixes heads back with the output projection.
     The smoothing of the differences starts from a zero state: v0 is
     consumed entirely by the differencing.
+
+    By default one correlation smooths all d columns, its (L, d) weight
+    carrying head h's decay in head h's columns. per_head=True runs one
+    correlation per head on that head's column slice instead; the two agree
+    within 1e-12 relative (the per-column rate vector takes numpy's
+    vector pow, which differs in the last bits from a per-head scalar).
+    Training keeps the per-head form so that its bits stay fixed.
     """
     d = z.shape[-1]
     if d % n_heads != 0:
@@ -231,11 +239,15 @@ def mh_esa(
     prev = ad.concat([v0_row, zp[..., : L - 1, :]], axis=-2) if L > 1 else v0_row
     diffs = ad.sub(zp, prev)
     alpha = ad.sigmoid(alpha_raw)
-    heads = []
-    for h in range(n_heads):
-        head = diffs[..., h * d_h : (h + 1) * d_h]
-        heads.append(esa_fast_t(head, alpha[h], None))
-    mixed = ad.concat(heads, axis=-1)
+    if per_head:
+        heads = []
+        for h in range(n_heads):
+            head = diffs[..., h * d_h : (h + 1) * d_h]
+            heads.append(esa_fast_t(head, alpha[h], None))
+        mixed = ad.concat(heads, axis=-1)
+    else:
+        weight = ad.repeat_channels(es_weights_t(alpha, L)[0], d_h)
+        mixed = conv1d_fft_t(diffs, weight)
     return ad.linear(mixed, w_out, b_out)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from dataclasses import MISSING, dataclass, fields
 from itertools import groupby
@@ -65,11 +66,11 @@ def from_dict(cls, d, where: str):
     A mismatch raises ConfigError naming `where` and the key.
     """
     if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {d!r}")
+        raise ConfigError(f"{where}: expected a JSON object, got {reprlib.repr(d)}")
     known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
+        raise ConfigError(f"{where}: unknown keys {reprlib.repr(unknown)}")
     missing = [
         name for name, f in known.items()
         if name not in d and f.default is MISSING and f.default_factory is MISSING
@@ -81,10 +82,12 @@ def from_dict(cls, d, where: str):
         allowed = (float, int) if hints[key] is float else (hints[key],)
         # exact types, so that JSON true/false (a bool, an int subclass) fills no int field
         if type(value) not in allowed:
-            raise ConfigError(f"{where}.{key}: expected {known[key].type}, got {value!r}")
+            raise ConfigError(
+                f"{where}.{key}: expected {known[key].type}, got {reprlib.repr(value)}")
         # json reads NaN, Infinity, 1e999 and integers past float's range
         if hints[key] is float and not finite_number(value):
-            raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+            raise ConfigError(
+                f"{where}.{key}: expected a finite number, got {reprlib.repr(value)}")
     return cls(**d)
 
 
@@ -110,7 +113,7 @@ def read_json(raw: bytes, where: str) -> dict:
     except ValueError as e:  # a repeated key or an over-long integer
         raise ConfigError(f"{where}: {e}") from None
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+        raise ConfigError(f"{where}: expected a JSON object, got {reprlib.repr(obj)}")
     return obj
 
 
@@ -119,7 +122,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"repeated key {key!r}")
+            raise ValueError(f"repeated key {reprlib.repr(key)}")
         obj[key] = value
     return obj
 
@@ -256,6 +259,7 @@ def encoder_layer(res_in: Tensor, state: ModelState, n: int, rng=None):
     s = freq.fourier_extrapolate(res_in, cfg.top_k, lookback_idx)
     s = ad.dropout(s, cfg.dropout, rng)
     res = ad.sub(res_in, s)
+    # training keeps one transform per head, and so its bits (see mh_esa)
     b = esa.mh_esa(
         res,
         state[f"{p}.esa.alpha_raw"],
@@ -265,6 +269,7 @@ def encoder_layer(res_in: Tensor, state: ModelState, n: int, rng=None):
         state[f"{p}.esa.w_out"],
         state[f"{p}.esa.b_out"],
         cfg.heads,
+        per_head=rng is not None,
     )
     b = ad.dropout(b, cfg.dropout, rng)
     return res, b, s
@@ -310,7 +315,8 @@ def forward(x, state: ModelState, rng=None) -> DecomposedForecast:
     """Full forward pass of x: (..., L, m) normalized observations.
 
     Dropout runs exactly when an rng is passed, as in training, and so do
-    the last layer's feed-forward and the decoder's second FA.
+    the last layer's feed-forward, MH-ESA's per-head transforms and the
+    decoder's second FA.
     """
     cfg = state.config
     x = ad.as_tensor(x)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field, replace
@@ -216,7 +217,8 @@ def _parse_checkpoint(path: str, raw: bytes) -> Checkpoint:
                 raise DataError(f"header {key} is not {config.channels} finite values")
             norm[key] = np.array(header[key], dtype=np.float64)
         if not (norm["norm_std"] > 0).all():
-            raise DataError(f"header norm_std must be positive, got {header['norm_std']}")
+            raise DataError(
+                f"header norm_std must be positive, got {reprlib.repr(header['norm_std'])}")
         # the length check runs before parameter_shapes(config), whose dict
         # grows with config.layers however few bytes the file holds
         size = at + 4 * value_count(config) + 4

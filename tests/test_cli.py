@@ -165,6 +165,7 @@ class TestTrain:
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
 
     def test_config_value_of_wrong_type_rejected(self, tmp_path, synth_file, capsys):
+        long_int = "1" + "0" * 17 + "..." + "0" * 19
         model = {"lookback": 24, "horizon": 6, "dim": 8, "ff_dim": 16, "layers": 1, "heads": 2}
         for config, where in (
             ({"model": model, "train": {"epochs": 1, "warmup_epochs": 0, "base_lr": "x"}},
@@ -174,11 +175,11 @@ class TestTrain:
              "train.base_lr: expected a finite number, got nan"),
             ({"model": model, "train": {"base_lr": float("inf")}},
              "train.base_lr: expected a finite number, got inf"),
-            # an integer past float's range
+            # an integer past float's range, its 401 digits cut as reprlib cuts them
             ({"model": model, "train": {"base_lr": 10**400}},
-             f"train.base_lr: expected a finite number, got {10**400}"),
+             f"train.base_lr: expected a finite number, got {long_int}"),
             ({"model": model, "split": {"train": 10**400, "val": 0.1, "test": 0.2}},
-             f"split.train: expected a finite number, got {10**400}"),
+             f"split.train: expected a finite number, got {long_int}"),
         ):
             assert where in self._train_error(tmp_path, synth_file, capsys, config)
 
@@ -717,6 +718,14 @@ class TestBaseline:
         assert f"error: {timestamps_only}: no value columns" in captured.err
         assert captured.out == ""
 
+    def test_instance_csv_is_named_as_one(self, synth_file, capsys):
+        # its metadata row's JSON object is no CSV header to split at commas
+        assert cli.main(["baseline", "--data", str(synth_file), "--period", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {synth_file}: line 1: an instance dataset's metadata row, not a plain "
+            "CSV header\n")
+
     def test_timestamps_running_backwards_are_data_error(self, tmp_path, capsys):
         p = tmp_path / "back.csv"
         p.write_text("timestamp,v\n" + "".join(
@@ -968,25 +977,36 @@ class TestExitCodes:
                 "(lookback=10000000000000000000 + horizon=6) is 400000000000000000240 cells, "
                 f"more than the {data.MAX_INSTANCE_CELLS} allowed" in captured.err)
 
-    # The faults of the one JSON reader, model.read_json: each edit of a
-    # document's JSON text, and the wording that follows the document's own
-    # prefix. The JSON text starts at offset {at}, column {col}, of its line.
+    # The faults of the one JSON reader, model.read_json, and of from_dict
+    # behind it: each edit of a document's JSON text, and the error it reads.
+    # {prefix} is the document's own prefix, {lookback} the same document's
+    # name for the model's lookback field; the JSON text starts at offset
+    # {at}, column {col}, of its line. Both long values stand for any value a
+    # message shows: reprlib keeps each message short.
+    LONG_VALUES = {
+        "long-string": (b'"' + b"x" * 300000 + b'"', "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        "long-array": (b"[" + b", ".join([b"0"] * 200000) + b"]", "[0, 0, 0, 0, 0, 0, ...]"),
+    }
     JSON_FAULTS = {
-        "not-utf8": (lambda t: t[:1] + b"\xff" + t[1:], "not UTF-8 text"),
-        "utf16": (lambda t: t.decode().encode("utf-16"), "not UTF-8 text"),
-        "utf32": (lambda t: t.decode().encode("utf-32"), "not UTF-8 text"),
-        "utf8-bom": (lambda t: b"\xef\xbb\xbf" + t, "byte-order mark before the JSON text"),
+        "not-utf8": (lambda t: t[:1] + b"\xff" + t[1:], "{prefix}not UTF-8 text"),
+        "utf16": (lambda t: t.decode().encode("utf-16"), "{prefix}not UTF-8 text"),
+        "utf32": (lambda t: t.decode().encode("utf-32"), "{prefix}not UTF-8 text"),
+        "utf8-bom": (lambda t: b"\xef\xbb\xbf" + t,
+                     "{prefix}byte-order mark before the JSON text"),
         "invalid-json": (lambda t: b"x" + t,
-                         "invalid JSON: Expecting value: line 1 column {col} (char {at})"),
+                         "{prefix}invalid JSON: Expecting value: line 1 column {col} (char {at})"),
         "repeated-key": (lambda t: t.replace(b'"lookback": ', b'"lookback": 1, "lookback": ', 1),
-                         "repeated key 'lookback'"),
+                         "{prefix}repeated key 'lookback'"),
         # int() refuses more than sys.get_int_max_str_digits() digits
         "over-long-integer": (
             lambda t: re.sub(rb'"lookback": [0-9]+', b'"lookback": ' + b"9" * 5000, t, count=1),
-            "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 "
-            "digits; use sys.set_int_max_str_digits() to increase the limit"),
-        "deep-nesting": (lambda t: b"[" * 3000 + b"]" * 3000, "invalid JSON: nested too deeply"),
-        "array-root": (lambda t: b"[1, 2]", "expected a JSON object, got [1, 2]"),
+            "{prefix}Exceeds the limit (4300 digits) for integer string conversion: value has "
+            "5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        "deep-nesting": (lambda t: b"[" * 3000 + b"]" * 3000, "{prefix}invalid JSON: nested too deeply"),
+        "array-root": (lambda t: b"[1, 2]", "{prefix}expected a JSON object, got [1, 2]"),
+        **{name: (lambda t, value=value: t.replace(b'"lookback": 24', b'"lookback": ' + value, 1),
+                  "{lookback}: expected int, got " + shown)
+           for name, (value, shown) in LONG_VALUES.items()},
     }
 
     @pytest.mark.parametrize("document", ["run_config", "header", "metadata"])
@@ -1001,20 +1021,25 @@ class TestExitCodes:
         if document == "run_config":
             run_config.write_bytes(edit(run_config.read_bytes()))
             argv, code, prefix = train, 1, f"error: {run_config}: "
+            lookback = prefix + "model.lookback"
         elif document == "header":
             ckpt = request.getfixturevalue("trained_model")
             ckpt.write_bytes(self._reframed(ckpt.read_bytes(), edit))
             argv = ["evaluate", "--model", str(ckpt), "--data", str(synth_file)]
             code, prefix = 2, f"error: {ckpt}: malformed checkpoint: header: "
+            lookback = f"error: {ckpt}: malformed checkpoint: header model.lookback"
         else:
             raw = synth_file.read_bytes()
             at, end = len(data.SYNTH_MAGIC) + 1, raw.index(b"\n")  # after the magic and a space
             synth_file.write_bytes(raw[:at] + edit(raw[at:end]) + raw[end:])
             argv, code, prefix = train, 2, f"error: {synth_file}: line 1: metadata: "
+            lookback = f"error: {synth_file}: line 1: metadata.lookback"
         assert cli.main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err == prefix + wording.format(col=at + 1, at=at) + "\n"
+        assert captured.err == wording.format(prefix=prefix, lookback=lookback,
+                                              col=at + 1, at=at) + "\n"
+        assert len(captured.err.encode()) < 1024
 
     @pytest.mark.parametrize("entry", ["true", '"0.5"', "1" + "0" * 400, "1e999"],
                              ids=["bool", "string", "past-float-range", "overflow"])

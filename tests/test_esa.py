@@ -336,6 +336,40 @@ class TestMultiHeadEsa:
             single = esa.mh_esa(Tensor(zb[i]), *args).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_transform_agrees_with_one_per_head(self, data):
+        # the default weight carries each head's decay in that head's columns
+        n_h = data.draw(st.integers(1, 4))
+        d = n_h * data.draw(st.integers(1, 3))
+        L = data.draw(st.integers(1, 12))
+        lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
+        arr = lambda shape: data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-3, 3)))
+        z, v0, b_in, b_out, w_in, w_out = (
+            arr(shape) for shape in ((*lead, L, d), (d,), (d,), (d,), (d, d), (d, d)))
+        alpha_raw = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=n_h, max_size=n_h,
+                                                unique=True)))
+        args = [*map(Tensor, (z, alpha_raw, v0, w_in, b_in, w_out, b_out)), n_h]
+        one = esa.mh_esa(*args).data
+        per_head = esa.mh_esa(*args, per_head=True).data
+        assert one.shape == per_head.shape == (*lead, L, d)
+        assert np.abs(one - per_head).max() <= 1e-12 * np.abs(per_head).max()
+
+    @pytest.mark.parametrize("per_head", [False, True])
+    def test_gradients_match_finite_differences(self, per_head):
+        d, n_h, L = 6, 3, 5
+        p = self._params(d, n_h, 17)
+        z = Tensor(np.random.default_rng(18).normal(size=(2, L, d)), requires_grad=True)
+        names = ("alpha_raw", "v0", "w_in", "b_in", "w_out", "b_out")
+
+        def loss(**given):
+            args = {**p, "z": z, **given}
+            out = esa.mh_esa(args["z"], *(args[k] for k in names), n_h, per_head=per_head)
+            return ad.tmean(ad.mul(out, out))
+
+        for name in ("z", *names):
+            err = ad.grad_check(lambda t: loss(**{name: t}), z if name == "z" else p[name])
+            assert err < 1e-6, f"{name}: rel err {err}"
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -557,17 +557,22 @@ class TestDeadFeedForward:
         assert count_ff_sigmoids(cfg, lambda: forecast(x, state)) == 2
 
 
-def count_fa_calls(run):
-    """How many freq.fourier_extrapolate calls run() makes."""
-    calls, fa = [0], freq.fourier_extrapolate
+def count_calls(module, name, run):
+    """How many calls of module.name run() makes."""
+    calls, fn = [0], getattr(module, name)
 
-    def counting_fa(*args):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return fa(*args)
+        return fn(*args, **kwargs)
 
-    with mock.patch.object(freq, "fourier_extrapolate", counting_fa):
+    with mock.patch.object(module, name, counting):
         run()
     return calls[0]
+
+
+def count_fa_calls(run):
+    """How many freq.fourier_extrapolate calls run() makes."""
+    return count_calls(freq, "fourier_extrapolate", run)
 
 
 def assert_horizon_seasonal_continues_lookback(cfg, state, x):
@@ -630,6 +635,42 @@ class TestHorizonSeasonalFromLookback:
             state.zero_grad()
             err = ad.grad_check(lambda t: mse_loss(forward(x, state), y), state[name], eps=1e-5)
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+class TestMultiHeadEsaForms:
+    """Inference smooths every head of a layer's MH-ESA in one transform;
+    training runs one per head."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_transforms_per_layer(self, layers):
+        # one for MH-ESA at inference, one per head in training, two for the level
+        cfg = replace(TINY, layers=layers, heads=4)
+        state = ModelState.init(cfg, 70)
+        x = np.random.default_rng(71).normal(size=(3, cfg.lookback, cfg.channels))
+        assert count_calls(esa, "conv1d_fft_t", lambda: forecast(x, state)) == 3 * layers
+        rng = np.random.default_rng(72)
+        assert count_calls(esa, "conv1d_fft_t",
+                           lambda: forward(x, state, rng)) == (cfg.heads + 2) * layers
+
+    def test_desk_windows_match_the_per_head_path(self):
+        # the benchmark's infer_batch windows on seed 1, with the head rates apart
+        ds = data.synth_generate(256, 0.05, 1, DESK.lookback, DESK.horizon)
+        stats = data.compute_stats(ds.values[:, : DESK.lookback])
+        x = data.normalize(ds.values[:, : DESK.lookback], stats)
+        state = ModelState.init(DESK, 0)
+        for n in range(DESK.layers):
+            state[f"enc{n}.esa.alpha_raw"].data[:] = np.linspace(-4.0, 2.0, DESK.heads) + n
+        mh_esa = esa.mh_esa
+
+        def per_head_mh_esa(*args, **kwargs):
+            return mh_esa(*args, **{**kwargs, "per_head": True})
+
+        with mock.patch.object(esa, "mh_esa", per_head_mh_esa):
+            want = forecast(x, state)
+        got = forecast(x, state)
+        for field in ("total", "growth", "level_series"):
+            w, g = getattr(want, field), getattr(got, field)
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), field
 
 
 class TestTrainingRngStream:
